@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -254,8 +255,10 @@ def _cmd_ptas(args) -> int:
     if problem.kind == "mixed":
         return _run_mixed(problem, started, args.parallel)
     epsilon = args.epsilon if args.epsilon is not None else problem.epsilon
-    if epsilon is None or epsilon <= 0:
-        raise ProblemFileError("epsilon", "a positive epsilon is required (file field or --epsilon)")
+    if epsilon is None or not (math.isfinite(epsilon) and epsilon > 0):
+        raise ProblemFileError(
+            "epsilon", "a finite positive epsilon is required (file field or --epsilon)"
+        )
     kappa = args.kappa if args.kappa is not None else problem.kappa
     if kappa is None:
         kappa = _derived_kappa(problem)

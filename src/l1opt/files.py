@@ -11,6 +11,7 @@ without precision loss.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -282,6 +283,8 @@ def _scalar(value: Any, arithmetic: str, fieldname: str) -> Any:
                     fieldname,
                     "bare floats are not exact; use a string or [num, den] pair",
                 )
+            if not math.isfinite(value):
+                raise ProblemFileError(fieldname, f"must be finite, got {value}")
             return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ProblemFileError(fieldname, f"not a valid number: {exc}")

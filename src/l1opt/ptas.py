@@ -17,6 +17,7 @@ that warns on observed violations but certifies nothing.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +32,9 @@ from .errors import (
     InvalidDimensionError,
     ShapeMismatchError,
 )
-from .lattice import EnumerationPartition, iter_l1_points
+from .lattice import EnumerationPartition, LatticePoint, iter_l1_points
 from .lp import INFEASIBLE, OPTIMAL, lp_solve
-from .solver import WeightedL1Spec, _run_partitioned
+from .solver import WeightedL1Spec, _oracle_evaluator, _run_partitioned, _scan_points
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,10 @@ class LipschitzProblem:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidDimensionError("dimension must be >= 1")
-        if self.lipschitz <= 0:
-            raise ValueError("the Lipschitz constant must be positive")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not (math.isfinite(self.lipschitz) and self.lipschitz > 0):
+            raise ValueError(f"the Lipschitz constant must be finite and positive: {self.lipschitz}")
+        if not (math.isfinite(self.radius) and self.radius >= 0):
+            raise ValueError(f"radius must be finite and nonnegative: {self.radius}")
 
     def evaluate(self, x: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
         return self.objective(x), tuple(self.constraints(x))
@@ -118,7 +119,11 @@ def grid_radius(radius: Real, lipschitz: Real, epsilon: Real) -> int:
 
     Floats are promoted to the exact rationals they represent before
     flooring, so the radius is never off by one from rounding noise.
+    Infinite or NaN inputs raise ``ValueError``.
     """
+    for name, value in (("radius", radius), ("lipschitz", lipschitz), ("epsilon", epsilon)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     return floor_radius(Fraction(radius) * Fraction(lipschitz) / Fraction(epsilon))
@@ -139,19 +144,13 @@ def solve_lipschitz_ptas(
     """
     radius = grid_radius(problem.radius, problem.lipschitz, epsilon)
     step = epsilon / problem.lipschitz
+    evaluate = _oracle_evaluator(problem.evaluate, epsilon)
+
+    def to_grid(y: tuple[int, ...]) -> tuple[float, ...]:
+        return tuple(step * v for v in y)
 
     def scan(partition: Optional[EnumerationPartition]):
-        best = None
-        calls = 0
-        points = 0
-        for point in iter_l1_points(problem.n, radius, partition):
-            points += 1
-            x = tuple(step * v for v in point.x)
-            value, residuals = problem.evaluate(x)
-            calls += 1
-            if all(g <= epsilon for g in residuals) and (best is None or value < best[0]):
-                best = (value, point.ordinal, x)
-        return best, calls, points
+        return _scan_points(iter_l1_points(problem.n, radius, partition), evaluate, prepare=to_grid)
 
     best, calls, points = _run_partitioned(problem.n, radius, scan, parallel)
     if best is None:
@@ -180,35 +179,31 @@ def solve_weighted_lipschitz_ptas(
     scaled_radius = grid_radius(problem.radius, problem.lipschitz, epsilon)
     step = epsilon / problem.lipschitz
     kept = [i for i, w in enumerate(spec.weights) if w * step <= problem.radius]
-    if not kept:
-        zero = (0.0,) * problem.n
-        value, residuals = problem.evaluate(zero)
-        if all(g <= epsilon for g in residuals):
-            return ApproxSolution("optimal", zero, value, 1, 1, scaled_radius, step)
-        return ApproxSolution("no_feasible_grid_point", None, None, 1, 1, scaled_radius, step)
-    effective_radius = floor_radius(
-        Fraction(problem.radius) / (Fraction(min(spec.weights)) * Fraction(step))
-    )
+    evaluate = _oracle_evaluator(problem.evaluate, epsilon)
+    if kept:
+        effective_radius = floor_radius(
+            Fraction(problem.radius) / (Fraction(min(spec.weights)) * Fraction(step))
+        )
 
-    def scan(partition: Optional[EnumerationPartition]):
-        best = None
-        calls = 0
-        points = 0
-        for point in iter_l1_points(len(kept), effective_radius, partition):
-            points += 1
+        def to_grid(y: tuple[int, ...]) -> Optional[tuple[float, ...]]:
             x = [0.0] * problem.n
             for j, i in enumerate(kept):
-                x[i] = step * point.x[j]
+                x[i] = step * y[j]
             x = tuple(x)
-            if sum(w * abs(v) for w, v in zip(spec.weights, x)) > problem.radius + 1e-12:
-                continue
-            value, residuals = problem.evaluate(x)
-            calls += 1
-            if all(g <= epsilon for g in residuals) and (best is None or value < best[0]):
-                best = (value, point.ordinal, x)
-        return best, calls, points
+            # Pinned coordinates stay out of the sum: an infinite weight
+            # times zero would make it NaN and pass every budget.
+            if sum(spec.weights[i] * abs(x[i]) for i in kept) > problem.radius + 1e-12:
+                return None
+            return x
 
-    best, calls, points = _run_partitioned(len(kept), effective_radius, scan, parallel)
+        def scan(partition: Optional[EnumerationPartition]):
+            points = iter_l1_points(len(kept), effective_radius, partition)
+            return _scan_points(points, evaluate, prepare=to_grid)
+
+        best, calls, points = _run_partitioned(len(kept), effective_radius, scan, parallel)
+    else:
+        origin = LatticePoint(x=(0.0,) * problem.n, l1=0, ordinal=0)
+        best, calls, points = _scan_points([origin], evaluate)
     if best is None:
         return ApproxSolution(
             "no_feasible_grid_point", None, None, calls, points, scaled_radius, step
@@ -221,7 +216,8 @@ def solve_mixed_integer(problem: MixedProblem, radius: Real, parallel: int = 1) 
     """Enumerate the integer block, solve a convex subproblem per point.
 
     Returns the pair minimizing the inner value among feasible
-    subproblems, ties broken by the integer block's canonical ordinal.
+    subproblems, ties broken by the integer block's canonical ordinal;
+    a NaN inner value is never eligible.
     Inner solver exceptions propagate to the caller.  The inner solver
     must be reentrant when ``parallel`` exceeds 1.
     """
@@ -236,8 +232,9 @@ def solve_mixed_integer(problem: MixedProblem, radius: Real, parallel: int = 1) 
             calls += 1
             if inner.status != "optimal":
                 continue
-            if best is None or inner.value < best[0]:
-                best = (inner.value, point.ordinal, point.x, inner.y)
+            value = inner.value
+            if value < best[0] if best is not None else value == value:
+                best = (value, point.ordinal, point.x, inner.y)
         return best, calls, points
 
     best, calls, points = _run_partitioned(problem.n_int, radius, scan, parallel)
@@ -324,7 +321,9 @@ def fine_grid_reference(
         points += 1
         value, residuals = problem.evaluate(x)
         calls += 1
-        if all(g <= 0 for g in residuals) and (best is None or value < best[0]):
+        if not all(g <= 0 for g in residuals):
+            continue
+        if value < best[0] if best is not None else value == value:
             best = (value, x)
     if best is None:
         return ApproxSolution("no_feasible_grid_point", None, None, calls, points, per_coord, step)

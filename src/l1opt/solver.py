@@ -9,19 +9,33 @@ ordinal, in serial and parallel runs alike.
 
 Arithmetic is either exact rational (Fraction coefficients, zero
 feasibility tolerance) or float (absolute per-constraint tolerance).
+Rational problems built by :meth:`ProblemInstance.linear` or
+:meth:`ProblemInstance.quadratic` that still hold their built-in oracles
+are evaluated by an exact integer kernel instead: denominators are
+cleared once per solve, and each point costs work proportional to its
+support, not to the dimension.  Decisions and counts are the same as on
+the per-point oracle path.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .counting import Real, floor_radius
 from .errors import InvalidDimensionError, InvalidWeightsError, ShapeMismatchError
-from .lattice import EnumerationPartition, canonical_ordinal, enumeration_partitions, iter_l1_points
+from .lattice import (
+    EnumerationPartition,
+    LatticePoint,
+    canonical_ordinal,
+    enumeration_partitions,
+    iter_l1_points,
+)
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -46,6 +60,9 @@ class LinearPayload:
     c: tuple
     A: tuple[tuple, ...]
     b: tuple
+    # (objective, constraints) built from this data by the constructor;
+    # the exact kernel runs only while the instance still holds them.
+    oracles: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -53,6 +70,7 @@ class QuadraticPayload:
     Q: tuple[tuple, ...]
     c: tuple
     constraints: tuple[QuadraticConstraint, ...]
+    oracles: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -75,7 +93,11 @@ class SolveOptions:
     # runs place no purity requirement on oracles.
     tolerance: Optional[float] = None  # float mode only; rational mode is exact
     parallel: int = 1
-    stop_below: Optional[object] = None  # early exit once a feasible value reaches this
+    # Early exit at the lowest-ordinal feasible point whose value is at
+    # or below this.  The result and both counts are those of the serial
+    # walk up to that point, whatever ``parallel`` is; shards past it
+    # may still run to their end, and that work is not counted.
+    stop_below: Optional[object] = None
 
 
 @dataclass(frozen=True)
@@ -120,7 +142,7 @@ class ProblemInstance:
             objective=objective,
             constraints=constraints,
             arithmetic=arithmetic,
-            payload=LinearPayload(c=c, A=A, b=b),
+            payload=LinearPayload(c=c, A=A, b=b, oracles=(objective, constraints)),
         )
 
     @classmethod
@@ -138,7 +160,9 @@ class ProblemInstance:
             objective=objective,
             constraints=constraint_fn,
             arithmetic=arithmetic,
-            payload=QuadraticPayload(Q=Q, c=c, constraints=rows),
+            payload=QuadraticPayload(
+                Q=Q, c=c, constraints=rows, oracles=(objective, constraint_fn)
+            ),
         )
 
 
@@ -198,24 +222,13 @@ def solve_l1_ip(
     threshold cut the run short.
     """
     opts = options or SolveOptions()
-    tol = _feasibility_tolerance(problem, opts)
+    evaluate, scale, stop = _point_evaluator(problem, opts)
 
     def scan(partition: Optional[EnumerationPartition]):
-        best = None
-        calls = 0
-        points = 0
-        for point in iter_l1_points(problem.n, radius, partition):
-            points += 1
-            value, residuals = problem.evaluate(point.x)
-            calls += 1
-            if all(g <= tol for g in residuals) and (best is None or value < best[0]):
-                best = (value, point.ordinal, point.x)
-                if opts.stop_below is not None and value <= opts.stop_below:
-                    break
-        return best, calls, points
+        return _scan_points(iter_l1_points(problem.n, radius, partition), evaluate, stop=stop)
 
-    best, calls, points = _run_partitioned(problem.n, radius, scan, opts.parallel)
-    return _solution_from(best, calls, points)
+    best, calls, points = _run_partitioned(problem.n, radius, scan, opts.parallel, stop)
+    return _solution_from(best, calls, points, scale)
 
 
 def solve_weighted_l1_ip(
@@ -239,50 +252,46 @@ def solve_weighted_l1_ip(
             f"weights has {len(weighted.weights)} entries, expected {problem.n}"
         )
     opts = options or SolveOptions()
-    tol = _feasibility_tolerance(problem, opts)
+    evaluate, scale, stop = _point_evaluator(problem, opts)
+    n = problem.n
     exact = problem.arithmetic == RATIONAL
-    weights = tuple(Fraction(w) for w in weighted.weights) if exact else tuple(
-        float(w) for w in weighted.weights
-    )
-    radius = Fraction(weighted.radius) if exact else float(weighted.radius)
-    weight_tol = 0 if exact else _float_tolerance(opts)
+    conv = Fraction if exact else float
+    weights = tuple(conv(w) for w in weighted.weights)
+    radius = conv(weighted.radius)
 
     kept = [i for i, w in enumerate(weights) if w <= radius]
     if not kept:
-        zero = (0,) * problem.n
-        value, residuals = problem.evaluate(zero)
-        if all(g <= tol for g in residuals):
-            return Solution("optimal", zero, value, oracle_calls=1, points_enumerated=1)
-        return Solution("infeasible", None, None, oracle_calls=1, points_enumerated=1)
+        origin = LatticePoint(x=(0,) * n, l1=0, ordinal=0)
+        return _solution_from(*_scan_points([origin], evaluate), scale)
 
     effective_radius = radius / min(weights)
+    if exact:
+        # Clear denominators once: the budget test runs on Python ints.
+        unit = math.lcm(radius.denominator, *(w.denominator for w in weights))
+        costs = [int(weights[i] * unit) for i in kept]
+        budget = int(radius * unit)
+    else:
+        costs = [weights[i] for i in kept]
+        budget = radius + _float_tolerance(opts)
 
-    def embed(y: Sequence[int]) -> tuple:
-        x = [0] * problem.n
-        for j, i in enumerate(kept):
-            x[i] = y[j]
-        return tuple(x)
+    def embed_within_budget(y: Sequence[int]) -> Optional[tuple]:
+        # Zero and pinned entries add nothing to the weighted norm, so a
+        # sum over the support matches the full float sum bit for bit,
+        # and an infinite pinned weight cannot turn it into NaN.
+        x = [0] * n
+        norm = 0
+        for j, v in enumerate(y):
+            if v:
+                x[kept[j]] = v
+                norm += costs[j] * abs(v)
+        return None if norm > budget else tuple(x)
 
     def scan(partition: Optional[EnumerationPartition]):
-        best = None
-        calls = 0
-        points = 0
-        for point in iter_l1_points(len(kept), effective_radius, partition):
-            points += 1
-            x = embed(point.x)
-            weighted_norm = sum(w * abs(v) for w, v in zip(weights, x))
-            if weighted_norm > radius + weight_tol:
-                continue
-            value, residuals = problem.evaluate(x)
-            calls += 1
-            if all(g <= tol for g in residuals) and (best is None or value < best[0]):
-                best = (value, point.ordinal, x)
-                if opts.stop_below is not None and value <= opts.stop_below:
-                    break
-        return best, calls, points
+        points = iter_l1_points(len(kept), effective_radius, partition)
+        return _scan_points(points, evaluate, prepare=embed_within_budget, stop=stop)
 
-    best, calls, points = _run_partitioned(len(kept), effective_radius, scan, opts.parallel)
-    return _solution_from(best, calls, points)
+    best, calls, points = _run_partitioned(len(kept), effective_radius, scan, opts.parallel, stop)
+    return _solution_from(best, calls, points, scale)
 
 
 def brute_force_box_solve(
@@ -323,7 +332,57 @@ def brute_force_box_solve(
     return Solution("optimal", best[1], best[0][0], calls, points)
 
 
-def _run_partitioned(n: int, radius: Real, scan, parallel: int):
+def _scan_points(points, evaluate, prepare=None, stop=None):
+    """Best feasible ``(value, ordinal, x)`` over a walk, with its counts.
+
+    ``prepare`` maps a walked point to the point to evaluate, or to None
+    to skip it without an oracle step; ``evaluate`` returns the value of
+    a feasible point and None for an infeasible one.  Only a strict
+    improvement replaces the incumbent, so among equal values the
+    smallest ordinal wins.  A NaN value is never eligible: it compares
+    false with everything, so only the first candidate needs the test.
+    With a ``stop`` threshold the scan ends at the first incumbent at or
+    below it, which in canonical order is the lowest-ordinal feasible
+    point at or below the threshold.  Returns ``(best, calls, points)``.
+    """
+    best = None
+    calls = 0
+    walked = 0
+    for point in points:
+        walked += 1
+        x = point.x if prepare is None else prepare(point.x)
+        if x is None:
+            continue
+        calls += 1
+        value = evaluate(x)
+        if value is None:
+            continue
+        if value < best[0] if best is not None else value == value:
+            best = (value, point.ordinal, x)
+            if stop is not None and value <= stop:
+                break
+    return best, calls, walked
+
+
+def _oracle_evaluator(evaluate, tolerance):
+    """Per-point evaluator over joint oracles: the value when every
+    constraint is at most ``tolerance``, else None."""
+
+    def feasible_value(x):
+        value, residuals = evaluate(x)
+        return value if all(g <= tolerance for g in residuals) else None
+
+    return feasible_value
+
+
+def _run_partitioned(n: int, radius: Real, scan, parallel: int, stop=None):
+    """Run ``scan`` serially, or over first-entry slices on threads.
+
+    Slices are merged by (value, ordinal).  Under a ``stop`` threshold
+    the merge ends at the first slice, in canonical order, whose best
+    reached it: that hit is the serial result, and the counts of that
+    slice and the ones before it are the serial counts.
+    """
     if parallel <= 1:
         return scan(None)
     partitions = enumeration_partitions(n, radius)
@@ -337,14 +396,113 @@ def _run_partitioned(n: int, radius: Real, scan, parallel: int):
         points += part_points
         if part_best is not None and (best is None or part_best[:2] < best[:2]):
             best = part_best
+        if stop is not None and part_best is not None and part_best[0] <= stop:
+            break
     return best, calls, points
 
 
-def _solution_from(best, calls: int, points: int) -> Solution:
+def _solution_from(best, calls: int, points: int, scale: Optional[int] = None) -> Solution:
     if best is None:
         return Solution("infeasible", None, None, calls, points)
     value, _, x = best
+    if scale is not None:
+        value = Fraction(value, scale)
     return Solution("optimal", tuple(x), value, calls, points)
+
+
+def _point_evaluator(problem: ProblemInstance, opts: SolveOptions):
+    """``(evaluate, scale, stop)`` for a solve.
+
+    The exact kernel runs when the problem still holds its built-in
+    rational oracles and ``stop_below`` is absent, a rational or a
+    finite float, so that it converts to a Fraction exactly; its values
+    are the objective times ``scale``, and ``stop`` is the threshold in
+    the same units.  Otherwise the oracles run per point,
+    ``scale`` is None and ``stop`` is ``stop_below`` itself.
+    """
+    threshold = opts.stop_below
+    exact_threshold = (
+        threshold is None
+        or isinstance(threshold, numbers.Rational)
+        or (isinstance(threshold, float) and math.isfinite(threshold))
+    )
+    kernel = _exact_kernel(problem) if exact_threshold else None
+    if kernel is None:
+        tol = _feasibility_tolerance(problem, opts)
+        return _oracle_evaluator(problem.evaluate, tol), None, threshold
+    evaluate, scale = kernel
+    stop = None if threshold is None else math.floor(Fraction(threshold) * scale)
+    return evaluate, scale, stop
+
+
+def _exact_kernel(problem: ProblemInstance):
+    """Integer evaluator for a rational problem with its built-in oracles.
+
+    The objective is scaled by the lcm of its denominators and each
+    constraint row, constant included, by its own.  Returns
+    ``(evaluate, scale)``: ``evaluate(x)`` is ``scale * f(x)`` as an int
+    when every scaled row is at most 0, else None.  Returns None when
+    the per-point oracle path must run instead: float mode, custom or
+    replaced oracles, or coefficients that are not rationals.
+    """
+    payload = problem.payload
+    if (
+        problem.arithmetic != RATIONAL
+        or not isinstance(payload, (LinearPayload, QuadraticPayload))
+        or payload.oracles is None
+        or payload.oracles[0] is not problem.objective
+        or payload.oracles[1] is not problem.constraints
+        or len(payload.c) != problem.n
+    ):
+        return None
+    if isinstance(payload, LinearPayload):
+        objective = (None, payload.c, 0)
+        rows = [(None, a, -beta) for a, beta in zip(payload.A, payload.b)]
+    else:
+        objective = (payload.Q, payload.c, 0)
+        rows = [(row.A, row.b, row.c) for row in payload.constraints]
+    forms = [_integer_form(*form) for form in [objective, *rows]]
+    if None in forms:
+        return None
+    objective, scale = forms[0]
+    rows = [form for form, _ in forms[1:]]
+
+    def evaluate(x):
+        support = [(i, v) for i, v in enumerate(x) if v]
+        for row in rows:
+            if _form_value(row, support) > 0:
+                return None
+        return _form_value(objective, support)
+
+    return evaluate, scale
+
+
+def _integer_form(M, b, c):
+    """``((M, b, c), scale)`` scaled to ints by the lcm of all denominators,
+    or None when an entry is not a rational."""
+    entries = [c, *b, *(v for row in M or () for v in row)]
+    if not all(isinstance(v, (int, Fraction)) for v in entries):
+        return None
+    scale = math.lcm(*(Fraction(v).denominator for v in entries))
+
+    def ints(values):
+        return tuple(int(v * scale) for v in values)
+
+    matrix = None if M is None else tuple(ints(row) for row in M)
+    return (matrix, ints(b), int(c * scale)), scale
+
+
+def _form_value(form, support):
+    """x'Mx + b.x + c summed over the nonzero coordinates of x only."""
+    M, b, total = form
+    for i, v in support:
+        coeff = b[i]
+        if M is not None:
+            row = M[i]
+            for j, w in support:
+                coeff += row[j] * w
+        total += coeff * v
+    return total
 
 
 def _feasibility_tolerance(problem: ProblemInstance, opts: SolveOptions):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 ILP = {
     "kind": "ilp",
     "n": 2,
@@ -211,6 +213,25 @@ def test_ptas_no_feasible_point_exit_2(tmp_path):
     result = run_cli("ptas", write(tmp_path, doc))
     assert result.returncode == 2
     assert json.loads(result.stdout)["status"] == "no_feasible_grid_point"
+
+
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        (("--kappa", "inf"), LIPSCHITZ),
+        (("--epsilon", "inf"), LIPSCHITZ),
+        (("--epsilon", "nan"), LIPSCHITZ),
+        ((), dict(LIPSCHITZ, epsilon=float("inf"))),
+        ((), dict(LIPSCHITZ, kappa=float("nan"))),
+    ],
+)
+def test_ptas_non_finite_parameters_exit_1(tmp_path, flags, doc):
+    result = run_cli("ptas", write(tmp_path, doc), *flags)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "finite" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_ptas_mixed(tmp_path):

@@ -275,6 +275,55 @@ def test_mixed_infeasible_and_unbounded():
         solve_mixed_integer(mixed, 1)
 
 
+def test_nan_values_are_never_optimal():
+    # The origin is the first grid point and block; a NaN there must not
+    # become an incumbent that no later value can beat.
+    problem = LipschitzProblem(
+        n=2,
+        objective=lambda x: math.nan if x == (0.0, 0.0) else x[0] + x[1],
+        constraints=feasible_everywhere,
+        lipschitz=1.0,
+        radius=1.0,
+    )
+    for solution in (
+        solve_lipschitz_ptas(problem, 0.5),
+        solve_weighted_lipschitz_ptas(problem, (1.0, 1.0), 0.5),
+    ):
+        assert solution.status == "optimal"
+        assert solution.objective == -1.0
+
+    def inner(x):
+        return InnerSolution("optimal", (0.0,), math.nan if x == (0, 0) else float(sum(x)))
+
+    mixed = solve_mixed_integer(MixedProblem(n_int=2, n_cont=1, inner_solver=inner), 1)
+    assert mixed.status == "optimal"
+    assert mixed.objective == -1.0
+
+
+def test_weighted_budget_holds_with_an_infinite_weight():
+    problem = LipschitzProblem(
+        n=3,
+        objective=lambda x: -x[1] - 2 * x[2],
+        constraints=feasible_everywhere,
+        lipschitz=2.0,
+        radius=1.0,
+    )
+    solution = solve_weighted_lipschitz_ptas(problem, (math.inf, 1.0, 1.5), 1.0)
+    assert solution == solve_weighted_lipschitz_ptas(problem, (100.0, 1.0, 1.5), 1.0)
+    assert solution.x == (0.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_are_rejected(value):
+    with pytest.raises(ValueError):
+        LipschitzProblem(n=1, objective=abs, constraints=feasible_everywhere, lipschitz=value, radius=1.0)
+    with pytest.raises(ValueError):
+        LipschitzProblem(n=1, objective=abs, constraints=feasible_everywhere, lipschitz=1.0, radius=value)
+    for args in ((value, 1.0, 0.5), (1.0, value, 0.5), (1.0, 1.0, value)):
+        with pytest.raises(ValueError, match="finite"):
+            grid_radius(*args)
+
+
 def test_lipschitz_constant_helpers():
     assert linear_lipschitz_constant([1, -2], [[3, 0.5]]) == 3.5
     constant = quadratic_lipschitz_constant([[1, 0], [0, -2]], [1, 1], (), radius=2.0)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from l1opt.counting import count_l1_lattice
 from l1opt.errors import InvalidWeightsError, ShapeMismatchError
 from l1opt.lattice import canonical_ordinal, iter_l1_points
 from l1opt.solver import (
+    FLOAT,
     ProblemInstance,
     QuadraticConstraint,
     SolveOptions,
@@ -109,6 +112,53 @@ def test_early_stop_option():
     stopped = solve_l1_ip(problem, 3, SolveOptions(stop_below=-3))
     assert stopped.objective == full.objective == -3
     assert stopped.oracle_calls < full.oracle_calls
+
+
+@pytest.mark.parametrize("built_in", [False, True])
+def test_early_stop_does_not_depend_on_parallel(built_in):
+    # Serially the walk stops at (0, 0, -1), the third point, although
+    # (-3, 0, 0) in a later first-entry slice reaches the threshold too.
+    if built_in:
+        problem = ProblemInstance.linear((1, 1, 1), (), ())
+    else:
+        problem = unconstrained((1, 1, 1))
+    options = SolveOptions(stop_below=-1)
+    serial = solve_l1_ip(problem, 3, options)
+    assert serial.x == (0, 0, -1)
+    assert serial.oracle_calls == serial.points_enumerated == 3
+    for workers in (2, 3, 8):
+        assert solve_l1_ip(problem, 3, SolveOptions(stop_below=-1, parallel=workers)) == serial
+
+
+def test_nan_objective_is_never_optimal():
+    # The origin comes first in canonical order and is feasible; its NaN
+    # value must not become an incumbent that no later value can beat.
+    problem = ProblemInstance(
+        n=2,
+        objective=lambda x: math.nan if x == (0, 0) else float(sum(x)),
+        constraints=lambda x: (),
+        arithmetic=FLOAT,
+    )
+    for solution in (
+        solve_l1_ip(problem, 2),
+        solve_l1_ip(problem, 2, SolveOptions(parallel=2)),
+        solve_weighted_l1_ip(problem, WeightedL1Spec((1.0, 1.0), 2.0)),
+    ):
+        assert solution.status == "optimal"
+        assert solution.objective == -2.0
+        assert solution.x == (0, -2)
+    only_nan = dataclasses.replace(problem, objective=lambda x: math.nan)
+    assert solve_l1_ip(only_nan, 2).status == "infeasible"
+    assert solve_weighted_l1_ip(only_nan, WeightedL1Spec((5.0, 5.0), 2.0)).status == "infeasible"
+
+
+def test_float_weighted_budget_holds_with_an_infinite_weight():
+    # The pinned coordinate's term inf * 0 is NaN; it must not switch
+    # off the budget test for the other coordinates.
+    problem = ProblemInstance.linear((0.0, -1.0, -2.0), (), (), arithmetic=FLOAT)
+    solution = solve_weighted_l1_ip(problem, WeightedL1Spec((math.inf, 1.0, 1.5), 2.0))
+    assert solution.objective == -2.0
+    assert abs(solution.x[1]) + 1.5 * abs(solution.x[2]) <= 2.0
 
 
 def test_parallel_matches_serial():
