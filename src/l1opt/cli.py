@@ -358,10 +358,19 @@ def _parse_cli_number(text: str, label: str) -> Fraction:
 
 
 def _default_tolerance(flag_value):
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("L1OPT_TOLERANCE")
-    return float(env) if env else None
+    source, value = "--tolerance", flag_value
+    if value is None:
+        env = os.environ.get("L1OPT_TOLERANCE")
+        if not env:
+            return None
+        source = "L1OPT_TOLERANCE"
+        try:
+            value = float(env)
+        except ValueError:
+            raise ValueError(f"{source}: not a number: {env!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{source} must be finite, got {value}")
+    return value
 
 
 def _elapsed_ms(started: float) -> int:

@@ -21,7 +21,7 @@ Iterator state is O(n); the point set is never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .counting import Real, count_l1_lattice, floor_radius
 from .errors import InvalidDimensionError, OutOfBallError
@@ -56,9 +56,13 @@ class SignPattern:
     support: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """Integer point with its l1 norm and enumeration-order position."""
+class LatticePoint(NamedTuple):
+    """Integer point with its l1 norm and enumeration-order position.
+
+    A named tuple, so it compares equal to the plain ``(x, l1, ordinal)``
+    tuple; the walk builds one per point, and a tuple is the cheapest
+    record to build.
+    """
 
     x: tuple[int, ...]
     l1: int
@@ -218,6 +222,7 @@ def iter_l1_points(
         ordinal = partition.start_ordinal
     u = [first] * n
     gaps = [0] * n
+    new_point = tuple.__new__
     while True:
         gaps[0] = u[0] - 1
         for i in range(1, n):
@@ -229,7 +234,7 @@ def iter_l1_points(
             for j, pos in enumerate(support):
                 if (code >> j) & 1:
                     x[pos] = -gaps[pos]
-            yield LatticePoint(x=tuple(x), l1=norm, ordinal=ordinal)
+            yield new_point(LatticePoint, (tuple(x), norm, ordinal))
             ordinal += 1
         j = n - 1
         while j >= 0 and u[j] == bound:

@@ -147,7 +147,7 @@ def solve_lipschitz_ptas(
     evaluate = _oracle_evaluator(problem.evaluate, epsilon)
 
     def to_grid(y: tuple[int, ...]) -> tuple[float, ...]:
-        return tuple(step * v for v in y)
+        return tuple(map(step.__mul__, y))
 
     def scan(partition: Optional[EnumerationPartition]):
         return _scan_points(iter_l1_points(problem.n, radius, partition), evaluate, prepare=to_grid)

@@ -9,12 +9,17 @@ ordinal, in serial and parallel runs alike.
 
 Arithmetic is either exact rational (Fraction coefficients, zero
 feasibility tolerance) or float (absolute per-constraint tolerance).
-Rational problems built by :meth:`ProblemInstance.linear` or
+The built-in linear and quadratic oracles sum only over the nonzero
+coordinates of a point, of which a ball of radius lambda allows at most
+floor(lambda): a step costs O(support) for a linear form and
+O(support^2) for a quadratic one, not O(n) or O(n^2).  Their values,
+floats included, are bit for bit those of the dense left-to-right sums
+that ``tests/oracles.py`` keeps as the reference.  Rational problems
+built by :meth:`ProblemInstance.linear` or
 :meth:`ProblemInstance.quadratic` that still hold their built-in oracles
 are evaluated by an exact integer kernel instead: denominators are
-cleared once per solve, and each point costs work proportional to its
-support, not to the dimension.  Decisions and counts are the same as on
-the per-point oracle path.
+cleared once per solve, and decisions and counts are the same as on the
+per-point oracle path.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Optional, Sequence
+from itertools import chain, compress, product
+from typing import Callable, Iterable, Optional, Sequence
 
 from .counting import Real, floor_radius
 from .errors import InvalidDimensionError, InvalidWeightsError, ShapeMismatchError
@@ -99,6 +104,10 @@ class SolveOptions:
     # may still run to their end, and that work is not counted.
     stop_below: Optional[object] = None
 
+    def __post_init__(self) -> None:
+        if self.tolerance is not None and not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -167,25 +176,41 @@ class ProblemInstance:
 
 
 def make_linear_oracle(c: Sequence, A: Sequence[Sequence], b: Sequence):
-    """Oracles for f(x) = c.x and g(x) = A x - b."""
+    """Oracles for f(x) = c.x and g(x) = A x - b.
+
+    Each call sums over the nonzero coordinates of x only, with the
+    result of the dense left-to-right sum (see :func:`_sparse_dot`).
+    Infinite or NaN float coefficients raise ``ValueError``.
+    """
     n = len(c)
     for row in A:
         if len(row) != n:
             raise ShapeMismatchError(f"constraint row has {len(row)} entries, expected {n}")
     if len(A) != len(b):
         raise ShapeMismatchError("A and b disagree on the number of constraints")
+    for v in chain(c, b, *A):
+        _finite(v)
+    indices = range(n)
+    c_form = _sparse_form(c)
+    row_forms = [(_sparse_form(row), beta) for row, beta in zip(A, b)]
 
     def objective(x: Sequence):
-        return _dot(c, x)
+        return _sparse_dot(c_form, x, compress(indices, x))
 
     def constraints(x: Sequence):
-        return tuple(_dot(row, x) - beta for row, beta in zip(A, b))
+        support = list(compress(indices, x))
+        return tuple(_sparse_dot(form, x, support) - beta for form, beta in row_forms)
 
     return objective, constraints
 
 
 def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[QuadraticConstraint]):
-    """Oracles for f(x) = x'Qx + c.x and quadratic constraint rows."""
+    """Oracles for f(x) = x'Qx + c.x and quadratic constraint rows.
+
+    Each call sums over the nonzero coordinates of x only, with the
+    result of the dense left-to-right sums.  Infinite or NaN float
+    coefficients raise ``ValueError``.
+    """
     n = len(c)
     _check_square(Q, n, "Q")
     for k, row in enumerate(rows):
@@ -193,16 +218,30 @@ def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[Qua
             _check_square(row.A, n, f"constraints[{k}].A")
         if len(row.b) != n:
             raise ShapeMismatchError(f"constraints[{k}].b has {len(row.b)} entries, expected {n}")
+    for v in chain(c, *Q):
+        _finite(v)
+    for row in rows:
+        for v in chain(row.b, (row.c,), *(row.A or ())):
+            _finite(v)
+    indices = range(n)
+    q_forms = _sparse_matrix(Q)
+    c_form = _sparse_form(c)
+    row_forms = [
+        (None if row.A is None else _sparse_matrix(row.A), _sparse_form(row.b), row.c)
+        for row in rows
+    ]
 
     def objective(x: Sequence):
-        return _quad_form(Q, x) + _dot(c, x)
+        support = list(compress(indices, x))
+        return _sparse_quad_form(q_forms, x, support) + _sparse_dot(c_form, x, support)
 
     def constraints(x: Sequence):
+        support = list(compress(indices, x))
         values = []
-        for row in rows:
-            value = _dot(row.b, x) + row.c
-            if row.A is not None:
-                value += _quad_form(row.A, x)
+        for matrix, form, constant in row_forms:
+            value = _sparse_dot(form, x, support) + constant
+            if matrix is not None:
+                value += _sparse_quad_form(matrix, x, support)
             values.append(value)
         return tuple(values)
 
@@ -515,21 +554,57 @@ def _float_tolerance(opts: SolveOptions) -> float:
     return DEFAULT_FLOAT_TOLERANCE if opts.tolerance is None else float(opts.tolerance)
 
 
-def _dot(a: Sequence, x: Sequence):
-    total = 0
-    for ai, xi in zip(a, x):
+def _sparse_form(a: Sequence):
+    """``(a, first)``: a coefficient row and the index of its first nonzero
+    entry, or None when every entry is zero."""
+    return a, next((i for i, ai in enumerate(a) if ai), None)
+
+
+def _sparse_matrix(M: Sequence[Sequence]):
+    return tuple(_sparse_form(row) for row in M)
+
+
+def _sparse_dot(form, x: Sequence, support: Iterable[int]):
+    """a.x summed over ``support``, the ascending nonzero indices of x.
+
+    The result is bit for bit that of the dense sum ``total = 0`` plus
+    ``a_i * x_i`` for each nonzero ``a_i`` from left to right.  That sum
+    is int 0 when every coefficient is zero.  Otherwise its first term
+    fixes the result's type and turns a signed zero product into +0.0,
+    so that term is added even where x is zero.  Every later term the
+    support skips is a zero of the same type, which leaves a total that
+    is never -0.0 unchanged.  This holds for coefficients of one numeric
+    type evaluated at points of one numeric type.
+    """
+    a, first = form
+    if first is None:
+        return 0
+    x_first = x[first]
+    total = 0 if x_first else 0 + a[first] * x_first
+    for i in support:
+        ai = a[i]
         if ai:
-            total += ai * xi
+            total += ai * x[i]
     return total
 
 
-def _quad_form(M: Sequence[Sequence], x: Sequence):
+def _sparse_quad_form(matrix, x: Sequence, support: Sequence[int]):
+    """x'Mx over the support, as the dense sum of x_i * (M_i . x) over nonzero x_i."""
     total = 0
-    for i, row in enumerate(M):
-        xi = x[i]
-        if xi:
-            total += xi * _dot(row, x)
+    for i in support:
+        total += x[i] * _sparse_dot(matrix[i], x, support)
     return total
+
+
+def _finite(v):
+    """``v`` itself; ``ValueError`` when it is an infinite or NaN float.
+
+    An infinite coefficient times a zero coordinate is NaN in a dense sum
+    but skipped by a sparse one, so such data is refused.
+    """
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"coefficient {v} is not finite")
+    return v
 
 
 def _check_square(M: Sequence[Sequence], n: int, name: str) -> None:
@@ -537,8 +612,17 @@ def _check_square(M: Sequence[Sequence], n: int, name: str) -> None:
         raise ShapeMismatchError(f"{name} must be {n}x{n}")
 
 
-def _convert_linear(c, A, b, arithmetic: str):
+def _converter(arithmetic: str):
     conv = Fraction if arithmetic == RATIONAL else float
+
+    def convert(v):
+        return conv(_finite(v))
+
+    return convert
+
+
+def _convert_linear(c, A, b, arithmetic: str):
+    conv = _converter(arithmetic)
     return (
         tuple(conv(v) for v in c),
         tuple(tuple(conv(v) for v in row) for row in A),
@@ -547,7 +631,7 @@ def _convert_linear(c, A, b, arithmetic: str):
 
 
 def _convert_quadratic(Q, c, constraints, arithmetic: str):
-    conv = Fraction if arithmetic == RATIONAL else float
+    conv = _converter(arithmetic)
     rows = tuple(
         QuadraticConstraint(
             A=None if row.A is None else tuple(tuple(conv(v) for v in r) for r in row.A),

@@ -139,6 +139,55 @@ def _solve_square(M, v):
     return [aug[i][n] for i in range(n)]
 
 
+def dense_dot(a, x):
+    """a.x as the dense left-to-right sum over the nonzero coefficients."""
+    total = 0
+    for ai, xi in zip(a, x):
+        if ai:
+            total += ai * xi
+    return total
+
+
+def dense_quad_form(M, x):
+    """x'Mx as the dense sum of x_i * (M_i . x) over the nonzero x_i."""
+    total = 0
+    for i, row in enumerate(M):
+        xi = x[i]
+        if xi:
+            total += xi * dense_dot(row, x)
+    return total
+
+
+def dense_linear_oracle(c, A, b):
+    """Reference for ``make_linear_oracle``: dense sums over every coordinate."""
+
+    def objective(x):
+        return dense_dot(c, x)
+
+    def constraints(x):
+        return tuple(dense_dot(row, x) - beta for row, beta in zip(A, b))
+
+    return objective, constraints
+
+
+def dense_quadratic_oracle(Q, c, rows):
+    """Reference for ``make_quadratic_oracle``: dense sums over every coordinate."""
+
+    def objective(x):
+        return dense_quad_form(Q, x) + dense_dot(c, x)
+
+    def constraints(x):
+        values = []
+        for row in rows:
+            value = dense_dot(row.b, x) + row.c
+            if row.A is not None:
+                value += dense_quad_form(row.A, x)
+            values.append(value)
+        return tuple(values)
+
+    return objective, constraints
+
+
 def random_fraction(rng, lo=-5, hi=5, max_den=5) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 

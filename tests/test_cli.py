@@ -306,3 +306,44 @@ def test_tolerance_env_var(tmp_path):
     assert json.loads(loose.stdout)["x"] == [1]
     strict = run_cli("solve", path)
     assert json.loads(strict.stdout)["x"] == [0]
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [
+        (("--tolerance", "nan"), None),
+        (("--tolerance", "inf"), None),
+        ((), "nan"),
+        ((), "-inf"),
+    ],
+)
+def test_non_finite_tolerance_exit_1(tmp_path, flags, env):
+    # Under a NaN tolerance every point failed g <= nan and the solve
+    # reported infeasible (exit 2); an infinite one accepted every point.
+    import os
+
+    doc = {
+        "kind": "ilp",
+        "n": 1,
+        "m": 1,
+        "arithmetic": "float",
+        "lambda": 1.0,
+        "c": [-1.0],
+        "A": [[1.0]],
+        "b": [1.0],
+    }
+    environ = dict(os.environ)
+    environ.pop("L1OPT_TOLERANCE", None)
+    if env is not None:
+        environ["L1OPT_TOLERANCE"] = env
+    result = subprocess.run(
+        [sys.executable, "-m", "l1opt", "solve", write(tmp_path, doc), *flags],
+        capture_output=True,
+        text=True,
+        env=environ,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "finite" in result.stderr
+    assert ("--tolerance" if flags else "L1OPT_TOLERANCE") in result.stderr

@@ -5,6 +5,7 @@ import pytest
 from l1opt.counting import count_l1_lattice
 from l1opt.errors import InvalidDimensionError, OutOfBallError
 from l1opt.lattice import (
+    LatticePoint,
     MultisetVector,
     canonical_ordinal,
     enumeration_partitions,
@@ -111,6 +112,14 @@ def test_iter_points_small_examples():
     points = [p.x for p in iter_l1_points(2, 1)]
     assert points == [(0, 0), (0, 1), (0, -1), (1, 0), (-1, 0)]
     assert len(list(iter_l1_points(3, 2))) == 25
+
+
+def test_points_are_named_tuples():
+    points = list(iter_l1_points(2, 1))
+    assert all(isinstance(p, LatticePoint) for p in points)
+    assert points[2] == ((0, -1), 1, 2)
+    assert points[2] == LatticePoint(x=(0, -1), l1=1, ordinal=2)
+    assert [tuple(p) for p in points] == [(p.x, p.l1, p.ordinal) for p in points]
 
 
 def test_iter_points_rejects_dimension_zero():

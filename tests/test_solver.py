@@ -325,3 +325,31 @@ def test_float_mode_tolerance():
     assert default_tol.objective == -1.0
     strict = solve_l1_ip(problem, 1, SolveOptions(tolerance=0.0))
     assert strict.x == (0,)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_is_rejected(tolerance):
+    with pytest.raises(ValueError, match="finite"):
+        SolveOptions(tolerance=tolerance)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_coefficients_are_rejected(bad):
+    # inf * 0 is NaN in a dense sum and skipped by a sparse one, so the
+    # built-in oracles refuse such data instead of picking one answer.
+    for mode in (FLOAT, "rational"):
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance.linear((bad, 1.0), ((1.0, 1.0),), (1.0,), arithmetic=mode)
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance.linear((1.0, 1.0), ((1.0, 1.0),), (bad,), arithmetic=mode)
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance.quadratic(
+                ((0.0, bad), (0.0, 0.0)), (1.0, 1.0), (), arithmetic=mode
+            )
+        row = QuadraticConstraint(A=((1.0, 0.0), (0.0, bad)), b=(0.0, 0.0), c=-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance.quadratic(((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), (row,), arithmetic=mode)
+    with pytest.raises(ValueError, match="finite"):
+        make_linear_oracle((1.0,), ((bad,),), (0.0,))
+    with pytest.raises(ValueError, match="finite"):
+        make_quadratic_oracle(((1.0,),), (0.0,), (QuadraticConstraint(A=None, b=(1.0,), c=bad),))
