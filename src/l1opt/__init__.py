@@ -45,21 +45,7 @@ from .errors import (
     RegionUnboundedError,
     ShapeMismatchError,
 )
-from .lattice import (
-    EnumerationPartition,
-    LatticePoint,
-    MultisetVector,
-    SignPattern,
-    canonical_ordinal,
-    enumeration_partitions,
-    first_multiset,
-    gaps_to_multiset,
-    iter_l1_points,
-    iter_multisets,
-    multiset_gaps,
-    next_multiset,
-    sign_patterns,
-)
+from .lattice import LatticePoint, canonical_ordinal, iter_l1_points
 from .lp import LPResult, lp_solve
 from .ptas import (
     ApproxSolution,

@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--lambda", dest="radius", help="override the file's radius")
     p_solve.add_argument("--weights", help="comma-separated weights overriding the file")
-    p_solve.add_argument("--parallel", type=int, default=1, metavar="K")
+    _add_parallel(p_solve)
     p_solve.add_argument("--tolerance", type=float, default=None, help="float-mode feasibility tolerance")
     p_solve.set_defaults(handler=_cmd_solve)
 
@@ -125,18 +125,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ptas.add_argument("file")
     p_ptas.add_argument("--epsilon", type=float, default=None)
     p_ptas.add_argument("--kappa", type=float, default=None, help="override the Lipschitz constant")
-    p_ptas.add_argument("--parallel", type=int, default=1, metavar="K")
+    _add_parallel(p_ptas)
     p_ptas.set_defaults(handler=_cmd_ptas)
 
     p_enum = sub.add_parser("enumerate", help="stream l1-ball lattice points in canonical order")
     p_enum.add_argument("n", type=int)
     p_enum.add_argument("radius", metavar="lambda")
     p_enum.add_argument("--limit", type=int, default=None)
-    p_enum.add_argument("--parallel", type=int, default=1, metavar="K",
-                        help="accepted for interface parity; slices are contiguous, so the stream is identical")
+    _add_parallel(p_enum)
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     return parser
+
+
+def _add_parallel(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--parallel", type=_worker_count, default=1, metavar="K",
+                        help="accepted for interface parity; runs are serial, so output does not depend on K")
+
+
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _cmd_solve(args) -> int:

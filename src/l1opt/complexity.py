@@ -42,10 +42,6 @@ class ConvexOptBackend(ABC):
     :class:`RegionUnboundedError` when the objective is unbounded.
     """
 
-    #: whether concurrent calls are safe; the coordinate solves are
-    #: independent and callers may parallelize them when this is True
-    reentrant: bool = True
-
     @abstractmethod
     def maximize(
         self,

@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,9 +33,9 @@ from .errors import (
     InvalidDimensionError,
     ShapeMismatchError,
 )
-from .lattice import EnumerationPartition, LatticePoint, iter_l1_points
+from .lattice import LatticePoint, iter_l1_points
 from .lp import INFEASIBLE, OPTIMAL, lp_solve
-from .solver import WeightedL1Spec, _oracle_evaluator, _run_partitioned, _scan_points
+from .solver import WeightedL1Spec, _check_parallel, _oracle_evaluator, _scan_points
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,9 @@ def solve_lipschitz_ptas(
     epsilon, and ||x||_1 stays within the ball radius.  When no grid
     point passes the relaxed test the status reports it; no feasibility
     claim about the continuous problem is implied either way.
+    ``parallel`` is accepted for interface stability; the walk is serial.
     """
+    _check_parallel(parallel)
     radius = grid_radius(problem.radius, problem.lipschitz, epsilon)
     step = epsilon / problem.lipschitz
     evaluate = _oracle_evaluator(problem.evaluate, epsilon)
@@ -149,10 +152,8 @@ def solve_lipschitz_ptas(
     def to_grid(y: tuple[int, ...]) -> tuple[float, ...]:
         return tuple(map(step.__mul__, y))
 
-    def scan(partition: Optional[EnumerationPartition]):
-        return _scan_points(iter_l1_points(problem.n, radius, partition), evaluate, prepare=to_grid)
-
-    best, calls, points = _run_partitioned(problem.n, radius, scan, parallel)
+    walk = iter_l1_points(problem.n, radius)
+    best, calls, points = _scan_points(walk, evaluate, prepare=to_grid)
     if best is None:
         return ApproxSolution("no_feasible_grid_point", None, None, calls, points, radius, step)
     value, _, x = best
@@ -172,7 +173,9 @@ def solve_weighted_lipschitz_ptas(
     reduction applies verbatim: coordinates too expensive to ever leave
     zero are pinned, the rest are enumerated at the effective radius,
     and each candidate is re-checked against the exact weighted budget.
+    ``parallel`` is accepted for interface stability; the walk is serial.
     """
+    _check_parallel(parallel)
     if len(weights) != problem.n:
         raise ShapeMismatchError(f"weights has {len(weights)} entries, expected {problem.n}")
     spec = WeightedL1Spec(weights=tuple(float(w) for w in weights), radius=problem.radius)
@@ -184,23 +187,24 @@ def solve_weighted_lipschitz_ptas(
         effective_radius = floor_radius(
             Fraction(problem.radius) / (Fraction(min(spec.weights)) * Fraction(step))
         )
+        indices = range(len(kept))
+        costs = [spec.weights[i] for i in kept]
+        budget = problem.radius + 1e-12
 
         def to_grid(y: tuple[int, ...]) -> Optional[tuple[float, ...]]:
+            # Zero and pinned entries add nothing to the weighted norm, so
+            # a sum over the support, in ascending kept order, matches the
+            # sum over every kept coordinate bit for bit, and an infinite
+            # pinned weight cannot turn it into NaN.
             x = [0.0] * problem.n
-            for j, i in enumerate(kept):
-                x[i] = step * y[j]
-            x = tuple(x)
-            # Pinned coordinates stay out of the sum: an infinite weight
-            # times zero would make it NaN and pass every budget.
-            if sum(spec.weights[i] * abs(x[i]) for i in kept) > problem.radius + 1e-12:
-                return None
-            return x
+            norm = 0
+            for j in compress(indices, y):
+                x[kept[j]] = xi = step * y[j]
+                norm += costs[j] * abs(xi)
+            return None if norm > budget else tuple(x)
 
-        def scan(partition: Optional[EnumerationPartition]):
-            points = iter_l1_points(len(kept), effective_radius, partition)
-            return _scan_points(points, evaluate, prepare=to_grid)
-
-        best, calls, points = _run_partitioned(len(kept), effective_radius, scan, parallel)
+        walk = iter_l1_points(len(kept), effective_radius)
+        best, calls, points = _scan_points(walk, evaluate, prepare=to_grid)
     else:
         origin = LatticePoint(x=(0.0,) * problem.n, l1=0, ordinal=0)
         best, calls, points = _scan_points([origin], evaluate)
@@ -217,31 +221,26 @@ def solve_mixed_integer(problem: MixedProblem, radius: Real, parallel: int = 1) 
 
     Returns the pair minimizing the inner value among feasible
     subproblems, ties broken by the integer block's canonical ordinal;
-    a NaN inner value is never eligible.
-    Inner solver exceptions propagate to the caller.  The inner solver
-    must be reentrant when ``parallel`` exceeds 1.
+    a NaN inner value is never eligible.  The inner solver runs once per
+    integer point, so ``inner_calls`` equals ``points_enumerated``.
+    Inner solver exceptions propagate to the caller.  ``parallel`` is
+    accepted for interface stability; the walk is serial.
     """
+    _check_parallel(parallel)
 
-    def scan(partition: Optional[EnumerationPartition]):
-        best = None
-        calls = 0
-        points = 0
-        for point in iter_l1_points(problem.n_int, radius, partition):
-            points += 1
-            inner = problem.inner_solver(point.x)
-            calls += 1
-            if inner.status != "optimal":
-                continue
-            value = inner.value
-            if value < best[0] if best is not None else value == value:
-                best = (value, point.ordinal, point.x, inner.y)
-        return best, calls, points
+    def solve_inner(x: tuple[int, ...]):
+        return x, problem.inner_solver(x)
 
-    best, calls, points = _run_partitioned(problem.n_int, radius, scan, parallel)
+    def inner_value(solved):
+        inner = solved[1]
+        return inner.value if inner.status == "optimal" else None
+
+    walk = iter_l1_points(problem.n_int, radius)
+    best, calls, points = _scan_points(walk, inner_value, prepare=solve_inner)
     if best is None:
         return MixedSolution("infeasible", None, None, None, calls, points)
-    value, _, x, y = best
-    return MixedSolution("optimal", x, tuple(y), value, calls, points)
+    value, _, (x, inner) = best
+    return MixedSolution("optimal", x, tuple(inner.y), value, calls, points)
 
 
 def linear_mixed_inner_solver(

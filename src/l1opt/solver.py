@@ -5,7 +5,7 @@ point of the ball in the canonical enumeration order, evaluates the
 objective and all constraints jointly (one oracle step per point), and
 keeps the first strict improvement.  Combined with the pinned order
 this makes the returned optimum the one with the smallest canonical
-ordinal, in serial and parallel runs alike.
+ordinal.
 
 Arithmetic is either exact rational (Fraction coefficients, zero
 feasibility tolerance) or float (absolute per-constraint tolerance).
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress, product
@@ -34,13 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .counting import Real, floor_radius
 from .errors import InvalidDimensionError, InvalidWeightsError, ShapeMismatchError
-from .lattice import (
-    EnumerationPartition,
-    LatticePoint,
-    canonical_ordinal,
-    enumeration_partitions,
-    iter_l1_points,
-)
+from .lattice import LatticePoint, canonical_ordinal, iter_l1_points
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -93,20 +86,18 @@ class WeightedL1Spec:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    # parallel > 1 scans first-entry slices on worker threads and merges
-    # by (value, ordinal); oracles must be pure for that mode.  Serial
-    # runs place no purity requirement on oracles.
     tolerance: Optional[float] = None  # float mode only; rational mode is exact
+    # Accepted for interface stability; every solve is one serial walk.
     parallel: int = 1
     # Early exit at the lowest-ordinal feasible point whose value is at
-    # or below this.  The result and both counts are those of the serial
-    # walk up to that point, whatever ``parallel`` is; shards past it
-    # may still run to their end, and that work is not counted.
+    # or below this; the result and both counts are those of the walk up
+    # to that point.
     stop_below: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.tolerance is not None and not math.isfinite(self.tolerance):
             raise ValueError(f"tolerance must be finite, got {self.tolerance}")
+        _check_parallel(self.parallel)
 
 
 @dataclass(frozen=True)
@@ -262,12 +253,8 @@ def solve_l1_ip(
     """
     opts = options or SolveOptions()
     evaluate, scale, stop = _point_evaluator(problem, opts)
-
-    def scan(partition: Optional[EnumerationPartition]):
-        return _scan_points(iter_l1_points(problem.n, radius, partition), evaluate, stop=stop)
-
-    best, calls, points = _run_partitioned(problem.n, radius, scan, opts.parallel, stop)
-    return _solution_from(best, calls, points, scale)
+    walk = iter_l1_points(problem.n, radius)
+    return _solution_from(*_scan_points(walk, evaluate, stop=stop), scale)
 
 
 def solve_weighted_l1_ip(
@@ -304,6 +291,7 @@ def solve_weighted_l1_ip(
         return _solution_from(*_scan_points([origin], evaluate), scale)
 
     effective_radius = radius / min(weights)
+    indices = range(len(kept))
     if exact:
         # Clear denominators once: the budget test runs on Python ints.
         unit = math.lcm(radius.denominator, *(w.denominator for w in weights))
@@ -319,18 +307,15 @@ def solve_weighted_l1_ip(
         # and an infinite pinned weight cannot turn it into NaN.
         x = [0] * n
         norm = 0
-        for j, v in enumerate(y):
-            if v:
-                x[kept[j]] = v
-                norm += costs[j] * abs(v)
+        for j in compress(indices, y):
+            x[kept[j]] = v = y[j]
+            norm += costs[j] * abs(v)
         return None if norm > budget else tuple(x)
 
-    def scan(partition: Optional[EnumerationPartition]):
-        points = iter_l1_points(len(kept), effective_radius, partition)
-        return _scan_points(points, evaluate, prepare=embed_within_budget, stop=stop)
-
-    best, calls, points = _run_partitioned(len(kept), effective_radius, scan, opts.parallel, stop)
-    return _solution_from(best, calls, points, scale)
+    walk = iter_l1_points(len(kept), effective_radius)
+    return _solution_from(
+        *_scan_points(walk, evaluate, prepare=embed_within_budget, stop=stop), scale
+    )
 
 
 def brute_force_box_solve(
@@ -414,30 +399,10 @@ def _oracle_evaluator(evaluate, tolerance):
     return feasible_value
 
 
-def _run_partitioned(n: int, radius: Real, scan, parallel: int, stop=None):
-    """Run ``scan`` serially, or over first-entry slices on threads.
-
-    Slices are merged by (value, ordinal).  Under a ``stop`` threshold
-    the merge ends at the first slice, in canonical order, whose best
-    reached it: that hit is the serial result, and the counts of that
-    slice and the ones before it are the serial counts.
-    """
-    if parallel <= 1:
-        return scan(None)
-    partitions = enumeration_partitions(n, radius)
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        results = list(pool.map(scan, partitions))
-    best = None
-    calls = 0
-    points = 0
-    for part_best, part_calls, part_points in results:
-        calls += part_calls
-        points += part_points
-        if part_best is not None and (best is None or part_best[:2] < best[:2]):
-            best = part_best
-        if stop is not None and part_best is not None and part_best[0] <= stop:
-            break
-    return best, calls, points
+def _check_parallel(parallel: int) -> None:
+    """``ValueError`` unless ``parallel`` is a positive worker count."""
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
 
 
 def _solution_from(best, calls: int, points: int, scale: Optional[int] = None) -> Solution:

@@ -347,3 +347,17 @@ def test_non_finite_tolerance_exit_1(tmp_path, flags, env):
     assert result.stderr.startswith("error: ")
     assert "finite" in result.stderr
     assert ("--tolerance" if flags else "L1OPT_TOLERANCE") in result.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-5", "two"])
+def test_bad_parallel_exit_1(tmp_path, workers):
+    commands = [
+        ("solve", write(tmp_path, ILP)),
+        ("ptas", write(tmp_path, LIPSCHITZ, "lipschitz.json")),
+        ("enumerate", 2, 1),
+    ]
+    for command in commands:
+        result = run_cli(*command, "--parallel", workers)
+        assert result.returncode == 1, command
+        assert "--parallel" in result.stderr
+        assert result.stdout == ""

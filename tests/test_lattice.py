@@ -2,109 +2,9 @@ import math
 
 import pytest
 
-from l1opt.counting import count_l1_lattice
 from l1opt.errors import InvalidDimensionError, OutOfBallError
-from l1opt.lattice import (
-    LatticePoint,
-    MultisetVector,
-    canonical_ordinal,
-    enumeration_partitions,
-    first_multiset,
-    gaps_to_multiset,
-    iter_l1_points,
-    iter_multisets,
-    multiset_gaps,
-    next_multiset,
-    sign_patterns,
-)
+from l1opt.lattice import LatticePoint, canonical_ordinal, iter_l1_points
 from oracles import ball_points_brute, nonneg_ball_count_brute
-
-
-def test_first_multiset():
-    assert first_multiset(3, 2).values == (1, 1, 1)
-    assert first_multiset(1, 5).values == (1,)
-    assert first_multiset(2, 3).values == (1, 1)
-
-
-def test_first_multiset_rejects_empty():
-    with pytest.raises(InvalidDimensionError):
-        first_multiset(0, 3)
-    with pytest.raises(InvalidDimensionError):
-        first_multiset(3, 0)
-
-
-def test_next_multiset_examples():
-    assert next_multiset(MultisetVector((1, 1), 3)).values == (1, 2)
-    assert next_multiset(MultisetVector((3, 3), 3)) is None
-    assert list(iter_multisets(2, 2)) == [(1, 1), (1, 2), (2, 2)]
-
-
-@pytest.mark.parametrize("k,bound", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 3)])
-def test_multiset_count_matches_binomial(k, bound):
-    generated = list(iter_multisets(k, bound))
-    assert len(generated) == math.comb(bound + k - 1, k)
-    assert len(set(generated)) == len(generated)
-    assert generated == sorted(generated)
-
-
-def test_gaps_examples():
-    assert multiset_gaps(MultisetVector((1, 1, 1), 2)) == (0, 0, 0)
-    gaps = multiset_gaps(MultisetVector((2, 2, 4), 4))
-    assert gaps == (1, 0, 2)
-    assert sum(gaps) == 4 - 1
-    assert multiset_gaps(MultisetVector((3, 3), 3)) == (2, 0)
-
-
-def test_gaps_inverse_examples():
-    assert gaps_to_multiset((0, 0, 0), 2).values == (1, 1, 1)
-    assert gaps_to_multiset((1, 0, 2), 4).values == (2, 2, 4)
-    with pytest.raises(OutOfBallError):
-        gaps_to_multiset((2, 2), 3)
-
-
-def test_gaps_roundtrip_all_small_multisets():
-    for k in range(1, 6):
-        for bound in range(1, 6):
-            for values in iter_multisets(k, bound):
-                m = MultisetVector(values, bound)
-                gaps = multiset_gaps(m)
-                assert all(g >= 0 for g in gaps)
-                assert sum(gaps) <= bound - 1
-                assert gaps_to_multiset(gaps, bound) == m
-
-
-def test_gaps_inverse_roundtrip_over_ball():
-    # Every nonnegative vector of the 3-ball in dimension 4 (35 of them)
-    # round-trips through the multiset encoding.
-    import itertools
-
-    vectors = [
-        v
-        for v in itertools.product(range(4), repeat=4)
-        if sum(v) <= 3
-    ]
-    assert len(vectors) == 35
-    for v in vectors:
-        assert multiset_gaps(gaps_to_multiset(v, 4)) == v
-
-
-def test_sign_patterns_order():
-    assert [p.signs for p in sign_patterns((0, 0))] == [(0, 0)]
-    assert [p.signs for p in sign_patterns((1, 0))] == [(1, 0), (-1, 0)]
-    assert [p.signs for p in sign_patterns((1, 1))] == [
-        (1, 1),
-        (-1, 1),
-        (1, -1),
-        (-1, -1),
-    ]
-
-
-def test_sign_patterns_support_and_count():
-    patterns = list(sign_patterns((1, 0, 1, 1)))
-    assert len(patterns) == 8
-    for p in patterns:
-        assert p.support == (0, 2, 3)
-        assert all((s != 0) == (i in p.support) for i, s in enumerate(p.signs))
 
 
 def test_iter_points_small_examples():
@@ -169,23 +69,6 @@ def test_canonical_ordinal_replays_stream():
 def test_canonical_ordinal_out_of_ball():
     with pytest.raises(OutOfBallError):
         canonical_ordinal((2, 0), 1)
-
-
-@pytest.mark.parametrize("n,lam", [(1, 2), (2, 2), (3, 3), (4, 1)])
-def test_partitions_are_contiguous_and_complete(n, lam):
-    full = list(iter_l1_points(n, lam))
-    partitions = enumeration_partitions(n, lam)
-    assert partitions[0].start_ordinal == 0
-    merged = []
-    for part in partitions:
-        chunk = list(iter_l1_points(n, lam, part))
-        assert len(chunk) == part.num_points
-        assert [p.ordinal for p in chunk] == list(
-            range(part.start_ordinal, part.start_ordinal + part.num_points)
-        )
-        merged.extend(chunk)
-    assert merged == full
-    assert sum(part.num_points for part in partitions) == count_l1_lattice(n, lam)
 
 
 def test_non_integer_radius_floors():

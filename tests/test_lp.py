@@ -108,3 +108,65 @@ def test_random_lps_match_vertex_enumeration():
         reference = vertex_lp_brute(c, rows, rhs, sense)
         assert result.status == "optimal", f"trial {trial}"
         assert result.value == reference, f"trial {trial}"
+
+
+def _random_lp(rng):
+    """A seeded LP with n <= 8 variables and m <= 12 rows, of one of four
+    shapes: boxed (bounded), free, row-contradicting, or one-sided bounds."""
+    n = rng.randint(1, 8)
+    m = rng.randint(1, 12)
+    shape = rng.choice(["boxed", "free", "contradiction", "bounds"])
+    c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
+    anchor = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    rhs = [sum(a * x for a, x in zip(row, anchor)) + rng.randint(0, 5) for row in rows]
+    lower = [None] * n
+    upper = [None] * n
+    if shape == "boxed":
+        lower = [Fraction(rng.randint(-10, -4)) for _ in range(n)]
+        upper = [Fraction(rng.randint(4, 10)) for _ in range(n)]
+    elif shape == "contradiction":
+        # a.x <= beta and -a.x <= -beta - 1 cannot both hold.
+        k = rng.randrange(m)
+        rows.append([-a for a in rows[k]])
+        rhs.append(-rhs[k] - 1)
+    elif shape == "bounds":
+        # Random one-sided bounds; some may cut off every row-feasible point.
+        for j in range(n):
+            side = rng.choice(["lower", "upper", None])
+            if side == "lower":
+                lower[j] = Fraction(rng.randint(-4, 6))
+            elif side == "upper":
+                upper[j] = Fraction(rng.randint(-6, 4))
+    return c, rows, rhs, rng.choice(["min", "max"]), lower, upper
+
+
+def test_random_lps_match_scipy_highs():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    rng = random.Random(23)
+    seen = set()
+    for trial in range(150):
+        c, rows, rhs, sense, lower, upper = _random_lp(rng)
+        result = lp_solve(c, rows, rhs, sense=sense, lower=lower, upper=upper)
+        sign = -1 if sense == "max" else 1
+        reference = scipy_optimize.linprog(
+            [sign * float(v) for v in c],
+            A_ub=[[float(v) for v in row] for row in rows],
+            b_ub=[float(v) for v in rhs],
+            bounds=[
+                (None if lo is None else float(lo), None if hi is None else float(hi))
+                for lo, hi in zip(lower, upper)
+            ],
+            method="highs",
+        )
+        assert result.status == statuses[reference.status], f"trial {trial}"
+        seen.add(result.status)
+        if result.status == "optimal":
+            expected = sign * reference.fun
+            assert abs(float(result.value) - expected) <= 1e-7 * (1 + abs(expected)), f"trial {trial}"
+            assert result.value == sum(a * x for a, x in zip(c, result.x))
+            assert all(sum(a * x for a, x in zip(row, result.x)) <= beta for row, beta in zip(rows, rhs))
+            for x, lo, hi in zip(result.x, lower, upper):
+                assert (lo is None or lo <= x) and (hi is None or x <= hi), f"trial {trial}"
+    assert seen == {"optimal", "infeasible", "unbounded"}

@@ -350,3 +350,19 @@ def test_check_lipschitz_warns_on_underestimate():
     )
     with pytest.warns(UserWarning):
         check_lipschitz(lying, samples=100, seed=0)
+
+
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_nonpositive_parallel_is_rejected(parallel):
+    problem = LipschitzProblem(
+        n=1, objective=lambda x: abs(x[0]), constraints=feasible_everywhere, lipschitz=1.0, radius=1.0
+    )
+    mixed = MixedProblem(
+        n_int=1, n_cont=1, inner_solver=lambda x: InnerSolution("optimal", (0,), 0)
+    )
+    with pytest.raises(ValueError, match="parallel"):
+        solve_lipschitz_ptas(problem, 0.5, parallel=parallel)
+    with pytest.raises(ValueError, match="parallel"):
+        solve_weighted_lipschitz_ptas(problem, (1.0,), 0.5, parallel=parallel)
+    with pytest.raises(ValueError, match="parallel"):
+        solve_mixed_integer(mixed, 1, parallel=parallel)

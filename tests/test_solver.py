@@ -353,3 +353,9 @@ def test_non_finite_coefficients_are_rejected(bad):
         make_linear_oracle((1.0,), ((bad,),), (0.0,))
     with pytest.raises(ValueError, match="finite"):
         make_quadratic_oracle(((1.0,),), (0.0,), (QuadraticConstraint(A=None, b=(1.0,), c=bad),))
+
+
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_nonpositive_parallel_is_rejected(parallel):
+    with pytest.raises(ValueError, match="parallel"):
+        SolveOptions(parallel=parallel)
