@@ -24,7 +24,7 @@ import numpy as np
 
 from .counting import BigBound, DEFAULT_SLACK, Real, oracle_complexity_bound
 from .errors import InvalidDimensionError, RegionInfeasibleError, RegionUnboundedError
-from .lp import INFEASIBLE, UNBOUNDED, lp_solve
+from .lp import INFEASIBLE, UNBOUNDED, exact_rationals, lp_solve
 
 # Guards against a float backend reporting 1.9999999996 for an exactly
 # integral maximum; exact backends are floored without it.
@@ -52,11 +52,14 @@ class ConvexOptBackend(ABC):
 
 
 class LinearRegionBackend(ConvexOptBackend):
-    """Built-in backend for linear regions {x : A x <= b}, exact arithmetic."""
+    """Built-in backend for linear regions {x : A x <= b}, exact arithmetic.
+
+    Infinite or NaN entries of A or b raise ``ValueError``.
+    """
 
     def __init__(self, A: Sequence[Sequence], b: Sequence):
-        self.A = [[Fraction(v) for v in row] for row in A]
-        self.b = [Fraction(v) for v in b]
+        self.A = [exact_rationals(row, f"LinearRegionBackend: A[{i}]") for i, row in enumerate(A)]
+        self.b = exact_rationals(b, "LinearRegionBackend: b")
         self.n = len(self.A[0]) if self.A else 0
 
     def maximize(self, direction, lifted_bounds=None):

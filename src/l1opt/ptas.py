@@ -34,7 +34,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .lattice import LatticePoint, iter_l1_points
-from .lp import INFEASIBLE, OPTIMAL, lp_solve
+from .lp import INFEASIBLE, OPTIMAL, _scaled, exact_rationals, lp_solve
 from .solver import WeightedL1Spec, _check_parallel, _oracle_evaluator, _scan_points
 
 
@@ -256,27 +256,35 @@ def linear_mixed_inner_solver(
     min c_cont.y subject to A_cont y <= b - A_int x, and the reported
     value is the full objective c_int.x + c_cont.y.  An unbounded
     subproblem aborts the solve, since the mixed problem itself is then
-    unbounded.
+    unbounded.  Infinite or NaN data raises ``ValueError``.
     """
-    c_int = [Fraction(v) for v in c_int]
-    c_cont = [Fraction(v) for v in c_cont]
-    A_int = [[Fraction(v) for v in row] for row in A_int]
-    A_cont = [[Fraction(v) for v in row] for row in A_cont]
-    b = [Fraction(v) for v in b]
+    where = "linear_mixed_inner_solver: "
+    c_int = exact_rationals(c_int, where + "c_int")
+    c_cont = exact_rationals(c_cont, where + "c_cont")
+    A_int = [exact_rationals(row, f"{where}A_int[{i}]") for i, row in enumerate(A_int)]
+    A_cont = [exact_rationals(row, f"{where}A_cont[{i}]") for i, row in enumerate(A_cont)]
+    b = exact_rationals(b, where + "b")
     if not (len(A_int) == len(A_cont) == len(b)):
         raise ShapeMismatchError("A_int, A_cont, and b disagree on the number of constraints")
+    # Each row of [A_int | b] and c_int over its own common denominator,
+    # so that b - A_int x and c_int.x cost integer sums and one Fraction.
+    scaled_rows = []
+    for row, beta in zip(A_int, b):
+        ints, scale = _scaled(row + [beta])
+        scaled_rows.append((ints[:-1], ints[-1], scale))
+    c_ints, c_scale = _scaled(c_int)
 
     def inner(x: tuple[int, ...]) -> InnerSolution:
         rhs = [
-            beta - sum(a * v for a, v in zip(row, x))
-            for row, beta in zip(A_int, b)
+            Fraction(beta - sum(a * v for a, v in zip(row, x)), scale)
+            for row, beta, scale in scaled_rows
         ]
         result = lp_solve(c_cont, A_cont, rhs, sense="min")
         if result.status == INFEASIBLE:
             return InnerSolution("infeasible", None, None)
         if result.status != OPTIMAL:
             raise InnerSolverError("continuous subproblem is unbounded")
-        fixed = sum(ci * v for ci, v in zip(c_int, x))
+        fixed = Fraction(sum(ci * v for ci, v in zip(c_ints, x)), c_scale)
         return InnerSolution("optimal", result.x, fixed + result.value)
 
     return inner

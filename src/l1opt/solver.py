@@ -170,8 +170,9 @@ def make_linear_oracle(c: Sequence, A: Sequence[Sequence], b: Sequence):
     """Oracles for f(x) = c.x and g(x) = A x - b.
 
     Each call sums over the nonzero coordinates of x only, with the
-    result of the dense left-to-right sum (see :func:`_sparse_dot`).
-    Infinite or NaN float coefficients raise ``ValueError``.
+    result of the dense left-to-right sum (see :func:`_sparse_dot`);
+    data that mixes numeric types gets the dense sum itself.  Infinite or
+    NaN float coefficients raise ``ValueError``.
     """
     n = len(c)
     for row in A:
@@ -184,13 +185,14 @@ def make_linear_oracle(c: Sequence, A: Sequence[Sequence], b: Sequence):
     indices = range(n)
     c_form = _sparse_form(c)
     row_forms = [(_sparse_form(row), beta) for row, beta in zip(A, b)]
+    dot = _dense_dot if any(map(_mixes_types, chain((c,), A))) else _sparse_dot
 
     def objective(x: Sequence):
-        return _sparse_dot(c_form, x, compress(indices, x))
+        return dot(c_form, x, compress(indices, x))
 
     def constraints(x: Sequence):
         support = list(compress(indices, x))
-        return tuple(_sparse_dot(form, x, support) - beta for form, beta in row_forms)
+        return tuple(dot(form, x, support) - beta for form, beta in row_forms)
 
     return objective, constraints
 
@@ -199,8 +201,9 @@ def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[Qua
     """Oracles for f(x) = x'Qx + c.x and quadratic constraint rows.
 
     Each call sums over the nonzero coordinates of x only, with the
-    result of the dense left-to-right sums.  Infinite or NaN float
-    coefficients raise ``ValueError``.
+    result of the dense left-to-right sums; data that mixes numeric types
+    gets the dense sums themselves.  Infinite or NaN float coefficients
+    raise ``ValueError``.
     """
     n = len(c)
     _check_square(Q, n, "Q")
@@ -221,18 +224,20 @@ def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[Qua
         (None if row.A is None else _sparse_matrix(row.A), _sparse_form(row.b), row.c)
         for row in rows
     ]
+    forms = chain(Q, (c,), *((row.b, *(row.A or ())) for row in rows))
+    dot = _dense_dot if any(map(_mixes_types, forms)) else _sparse_dot
 
     def objective(x: Sequence):
         support = list(compress(indices, x))
-        return _sparse_quad_form(q_forms, x, support) + _sparse_dot(c_form, x, support)
+        return _sparse_quad_form(q_forms, x, support, dot) + dot(c_form, x, support)
 
     def constraints(x: Sequence):
         support = list(compress(indices, x))
         values = []
         for matrix, form, constant in row_forms:
-            value = _sparse_dot(form, x, support) + constant
+            value = dot(form, x, support) + constant
             if matrix is not None:
-                value += _sparse_quad_form(matrix, x, support)
+                value += _sparse_quad_form(matrix, x, support, dot)
             values.append(value)
         return tuple(values)
 
@@ -553,11 +558,30 @@ def _sparse_dot(form, x: Sequence, support: Iterable[int]):
     return total
 
 
-def _sparse_quad_form(matrix, x: Sequence, support: Sequence[int]):
+def _mixes_types(a: Sequence) -> bool:
+    """Whether the nonzero entries of ``a`` are of more than one numeric type."""
+    return len({type(ai) for ai in a if ai}) > 1
+
+
+def _dense_dot(form, x: Sequence, support: Iterable[int]):
+    """a.x as the dense sum itself, over every nonzero coefficient.
+
+    For data whose coefficients mix types (int, float, Fraction): there a
+    zero term the support skips can still change the total's type, as
+    ``0.5 * 0`` turns an int total into a float.  ``support`` is unused.
+    """
+    total = 0
+    for ai, xi in zip(form[0], x):
+        if ai:
+            total += ai * xi
+    return total
+
+
+def _sparse_quad_form(matrix, x: Sequence, support: Sequence[int], dot=_sparse_dot):
     """x'Mx over the support, as the dense sum of x_i * (M_i . x) over nonzero x_i."""
     total = 0
     for i in support:
-        total += x[i] * _sparse_dot(matrix[i], x, support)
+        total += x[i] * dot(matrix[i], x, support)
     return total
 
 

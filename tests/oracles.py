@@ -3,7 +3,8 @@
 Everything here is deliberately naive: box scans, vertex enumeration,
 exact rational arithmetic.  None of it shares code paths with the
 implementations under test beyond the canonical-ordinal helper, which
-has its own replay-based validation.
+has its own replay-based validation, and the ``LPResult`` record the
+Fraction simplex returns.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from fractions import Fraction
 
 from l1opt.lattice import canonical_ordinal
+from l1opt.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 
 def ball_points_brute(n: int, radius) -> set[tuple[int, ...]]:
@@ -117,6 +119,151 @@ def vertex_lp_brute(c, rows, rhs, sense="min"):
         if best is None or (value < best if sense == "min" else value > best):
             best = value
     return best
+
+
+def fraction_lp_solve(c, A, b, sense="min", lower=None, upper=None) -> LPResult:
+    """Reference for ``l1opt.lp.lp_solve``: the two-phase Bland simplex with
+    every tableau entry a Fraction.
+
+    The bound substitution, the slack and artificial columns and every
+    pivot choice are those ``lp_solve`` makes on its integer tableau, so
+    status, value, vertex and pivot count must all agree exactly.
+    """
+    n = len(c)
+    cost = [Fraction(v) for v in c]
+    rows = [[Fraction(v) for v in row] for row in A]
+    rhs = [Fraction(v) for v in b]
+    lo = [None] * n if lower is None else [None if v is None else Fraction(v) for v in lower]
+    hi = [None] * n if upper is None else [None if v is None else Fraction(v) for v in upper]
+    if any(l is not None and h is not None and l > h for l, h in zip(lo, hi)):
+        return LPResult(INFEASIBLE, None, None, 0)
+    if sense == "max":
+        cost = [-v for v in cost]
+    # x = L + z (lower bound), x = U - z (upper bound only), x = z+ - z- (free).
+    subs = []
+    num_z = 0
+    extra_rows = []
+    for j in range(n):
+        if lo[j] is not None:
+            subs.append(("shift_lo", lo[j], num_z))
+            if hi[j] is not None:
+                extra_rows.append((num_z, hi[j] - lo[j]))
+            num_z += 1
+        elif hi[j] is not None:
+            subs.append(("shift_hi", hi[j], num_z))
+            num_z += 1
+        else:
+            subs.append(("split", num_z, num_z + 1))
+            num_z += 2
+
+    def expand(row):
+        out = [Fraction(0)] * num_z
+        for j, coef in enumerate(row):
+            sub = subs[j]
+            if sub[0] == "shift_lo":
+                out[sub[2]] += coef
+            elif sub[0] == "shift_hi":
+                out[sub[2]] -= coef
+            else:
+                out[sub[1]] += coef
+                out[sub[2]] -= coef
+        return out
+
+    def constant_part(row):
+        return sum((coef * sub[1] for coef, sub in zip(row, subs) if sub[0] != "split"), Fraction(0))
+
+    std_rows = [expand(row) for row in rows]
+    std_rhs = [beta - constant_part(row) for row, beta in zip(rows, rhs)]
+    for col, bound in extra_rows:
+        unit = [Fraction(0)] * num_z
+        unit[col] = Fraction(1)
+        std_rows.append(unit)
+        std_rhs.append(bound)
+    status, z, value, pivots = _fraction_leq_form(expand(cost), std_rows, std_rhs)
+    if status != OPTIMAL:
+        return LPResult(status, None, None, pivots)
+    x = []
+    for sub in subs:
+        if sub[0] == "shift_lo":
+            x.append(sub[1] + z[sub[2]])
+        elif sub[0] == "shift_hi":
+            x.append(sub[1] - z[sub[2]])
+        else:
+            x.append(z[sub[1]] - z[sub[2]])
+    objective = value + constant_part(cost)
+    return LPResult(OPTIMAL, -objective if sense == "max" else objective, tuple(x), pivots)
+
+
+def _fraction_leq_form(cost, rows, rhs):
+    """min cost.z s.t. rows.z <= rhs, z >= 0: (status, z, value, pivots)."""
+    m = len(rows)
+    nz = len(cost)
+    neg = [i for i in range(m) if rhs[i] < 0]
+    width = nz + m + len(neg)
+    art_col = {i: nz + m + k for k, i in enumerate(neg)}
+    tableau = []
+    basis = []
+    for i in range(m):
+        sgn = -1 if rhs[i] < 0 else 1
+        row = [sgn * v for v in rows[i]] + [Fraction(0)] * (width - nz) + [sgn * rhs[i]]
+        row[nz + i] = Fraction(sgn)
+        if i in art_col:
+            row[art_col[i]] = Fraction(1)
+        basis.append(art_col.get(i, nz + i))
+        tableau.append(row)
+    pivots = [0]
+
+    def pivot(red, r, col):
+        pivot_row = tableau[r]
+        pivot_row[:] = [v / pivot_row[col] for v in pivot_row]
+        for target in tableau + [red]:
+            factor = target[col]
+            if target is not pivot_row and factor:
+                target[:] = [t - factor * p for t, p in zip(target, pivot_row)]
+        pivots[0] += 1
+
+    def reduced_costs(phase_cost):
+        red = list(phase_cost) + [Fraction(0)]
+        for row, var in zip(tableau, basis):
+            red = [r - phase_cost[var] * t for r, t in zip(red, row)]
+        return red
+
+    def optimize(red, limit):
+        while True:
+            enter = next((j for j in range(limit) if red[j] < 0), None)
+            if enter is None:
+                return OPTIMAL
+            leave = None
+            for i, row in enumerate(tableau):
+                if row[enter] > 0:
+                    ratio = row[width] / row[enter]
+                    if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best, leave = ratio, i
+            if leave is None:
+                return UNBOUNDED
+            pivot(red, leave, enter)
+            basis[leave] = enter
+
+    floor = nz + m
+    if neg:
+        red = reduced_costs([Fraction(0)] * floor + [Fraction(1)] * len(neg))
+        optimize(red, width)
+        if red[width] != 0:  # the minimized artificial sum stayed positive
+            return INFEASIBLE, [], Fraction(0), pivots[0]
+        for i, var in enumerate(basis):
+            if var >= floor:
+                col = next((j for j in range(floor) if tableau[i][j] != 0), None)
+                if col is not None:  # otherwise the row is redundant
+                    pivot([Fraction(0)] * (width + 1), i, col)
+                    basis[i] = col
+    red = reduced_costs(cost + [Fraction(0)] * (width - nz))
+    if optimize(red, floor) == UNBOUNDED:
+        return UNBOUNDED, [], Fraction(0), pivots[0]
+    z = [Fraction(0)] * nz
+    for row, var in zip(tableau, basis):
+        if var < nz:
+            z[var] = row[width]
+    return OPTIMAL, z, sum((a * v for a, v in zip(cost, z)), Fraction(0)), pivots[0]
 
 
 def _solve_square(M, v):

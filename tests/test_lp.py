@@ -1,11 +1,16 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from l1opt.complexity import LinearRegionBackend
 from l1opt.errors import ShapeMismatchError
 from l1opt.lp import lp_solve
-from oracles import vertex_lp_brute
+from l1opt.ptas import linear_mixed_inner_solver
+from oracles import fraction_lp_solve, vertex_lp_brute
 
 
 def test_simple_max():
@@ -170,3 +175,78 @@ def test_random_lps_match_scipy_highs():
             for x, lo, hi in zip(result.x, lower, upper):
                 assert (lo is None or lo <= x) and (hi is None or x <= hi), f"trial {trial}"
     assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# The lifted-bound shape: a bound or rhs with a denominator up to 10^30.
+HUGE_DENOMINATOR = st.builds(Fraction, st.integers(-(10**31), 10**31), st.integers(1, 10**30))
+DEGENERATE = st.sampled_from([-1, 0, 1, 2]).map(Fraction)
+LP_SHAPES = {
+    # (coefficients, rhs, bounds)
+    "small": (SMALL, SMALL, SMALL),
+    "lifted": (SMALL, st.one_of(SMALL, HUGE_DENOMINATOR), HUGE_DENOMINATOR),
+    # Zero rhs gives degenerate vertices, where Bland's tie-breaks decide.
+    "degenerate": (DEGENERATE, st.one_of(st.just(Fraction(0)), DEGENERATE), DEGENERATE),
+}
+
+
+@st.composite
+def lp_instances(draw):
+    """``(c, A, b, sense, lower, upper)`` with free, one-sided and boxed
+    variables, negative rhs (artificials) and duplicated rows (redundant
+    after phase 1)."""
+    entry, rhs_entry, bound = LP_SHAPES[draw(st.sampled_from(sorted(LP_SHAPES)))]
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 7))
+    c = draw(st.lists(entry, min_size=n, max_size=n))
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(rhs_entry, min_size=m, max_size=m))
+    if m and draw(st.booleans()):
+        A.append(list(A[0]))
+        b.append(b[0])
+    lower = draw(st.lists(st.one_of(st.none(), bound), min_size=n, max_size=n))
+    upper = draw(st.lists(st.one_of(st.none(), bound), min_size=n, max_size=n))
+    return c, A, b, draw(st.sampled_from(["min", "max"])), lower, upper
+
+
+@settings(max_examples=250, deadline=None)
+@given(lp_instances())
+def test_integer_simplex_matches_fraction_reference(instance):
+    # Equal pivot counts, not just equal answers: the integer tableau
+    # makes the Fraction tableau's pivot choices.
+    result = lp_solve(*instance)
+    reference = fraction_lp_solve(*instance)
+    assert (result.status, result.value, result.x, result.pivots) == (
+        reference.status,
+        reference.value,
+        reference.x,
+        reference.pivots,
+    )
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, where",
+    [
+        (lambda: lp_solve([1], [[1]], [INF]), "lp_solve: b[0]"),
+        (lambda: lp_solve([NAN], [[1]], [1]), "lp_solve: c[0]"),
+        (lambda: lp_solve([1, 2], [[1, -INF]], [1]), "lp_solve: A[0][1]"),
+        (lambda: lp_solve([1], [[1]], [1], lower=[-INF]), "lp_solve: lower[0]"),
+        (lambda: lp_solve([1], [[1]], [1], upper=[None], lower=[NAN]), "lp_solve: lower[0]"),
+        (lambda: LinearRegionBackend([[INF]], [1]), "LinearRegionBackend: A[0][0]"),
+        (lambda: LinearRegionBackend([[1]], [NAN]), "LinearRegionBackend: b[0]"),
+        (
+            lambda: linear_mixed_inner_solver([1], [1], [[1]], [[NAN]], [1]),
+            "linear_mixed_inner_solver: A_cont[0][0]",
+        ),
+        (
+            lambda: linear_mixed_inner_solver([INF], [1], [[1]], [[1]], [1]),
+            "linear_mixed_inner_solver: c_int[0]",
+        ),
+    ],
+)
+def test_lp_entry_points_reject_non_finite_input(call, where):
+    with pytest.raises(ValueError, match="^" + re.escape(where) + " = "):
+        call()

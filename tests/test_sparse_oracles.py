@@ -40,6 +40,10 @@ COEFFICIENTS = {
         st.floats(-5, 5),
     ),
 }
+# Forms whose nonzero coefficients mix int, float and Fraction; a mode's
+# own zeros still come up through the all-zero vectors.
+MIXED = st.one_of(st.integers(-5, 5), COEFFICIENTS[RATIONAL], COEFFICIENTS[FLOAT])
+MIXED_COEFFICIENTS = {RATIONAL: MIXED, FLOAT: MIXED}
 SMALL_COEFFICIENTS = {
     RATIONAL: COEFFICIENTS[RATIONAL],
     FLOAT: st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5, 5)),
@@ -100,8 +104,8 @@ def points(n):
     return st.one_of(ints, floats).map(tuple)
 
 
-@settings(max_examples=250, deadline=None)
-@given(problem=problem_data(), data=st.data())
+@settings(max_examples=300, deadline=None)
+@given(problem=st.one_of(problem_data(), problem_data(MIXED_COEFFICIENTS)), data=st.data())
 def test_sparse_oracles_match_dense_sums(problem, data):
     n, _, kind, coefficients = problem
     (objective, constraints), (dense_objective, dense_constraints) = oracle_pair(kind, coefficients)
@@ -120,6 +124,15 @@ def test_sparse_sum_keeps_type_and_sign_of_zero():
     assert repr(constraints((1, 2, 3))) == "(0,)"
     objective, _ = make_linear_oracle((Fraction(1, 2), 0), (), ())
     assert repr(objective((0, 7))) == "Fraction(0, 1)"
+
+
+def test_mixed_type_form_is_summed_like_the_dense_sum():
+    # The term the support skips, 0.5 * 0 = 0.0, makes the dense total a float.
+    objective, constraints = make_linear_oracle((1, 0.5), ((Fraction(1, 3), 1.5),), (0,))
+    assert repr(objective((1, 0))) == "1.0"
+    assert repr(constraints((3, 0))) == "(1.0,)"
+    objective, _ = make_linear_oracle((2, Fraction(1, 2)), (), ())
+    assert repr(objective((1, 0))) == "Fraction(2, 1)"
 
 
 def instances(n, mode, kind, data):
