@@ -85,6 +85,10 @@ def main(argv=None) -> int:
     except (InvalidDimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except OverflowError as exc:
+        # A bound whose log10 leaves the float range, say.
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -392,7 +396,17 @@ def _elapsed_ms(started: float) -> int:
 
 
 def _emit(result: dict) -> None:
-    sys.stdout.write(json.dumps(result) + "\n")
+    # Exact counts are written in full, past CPython's int-to-str limit;
+    # exact bounds never reach it (see counting.exact_digit_cap).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(result)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
 
 
 if __name__ == "__main__":

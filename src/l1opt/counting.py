@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -24,9 +25,9 @@ Real = Union[int, float, Fraction]
 # the simplified bound n^(4*rho^2).
 DEFAULT_SLACK = 0.83
 
-# Cap on the digit count of exact values we are willing to materialize
-# when probing whether a fractional power is integral.
-_EXACT_DIGIT_LIMIT = 30_000
+# Most decimal digits of an exact bound where CPython sets no limit on
+# int-to-str conversion; see :func:`exact_digit_cap`.
+_DEFAULT_DIGIT_CAP = 4300
 
 
 def floor_radius(radius: Real) -> int:
@@ -57,12 +58,31 @@ def _integer_root(value: int, degree: int) -> int:
     return lo
 
 
+def exact_digit_cap() -> int:
+    """Most decimal digits an exact bound value may have.
+
+    CPython's limit on int-to-str conversion (4,300 digits by default),
+    so every exact value can be printed; 4,300 where the limit is off.
+    Larger bounds carry only their ``log10``, and are never built.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(limit, _DEFAULT_DIGIT_CAP) if limit else _DEFAULT_DIGIT_CAP
+
+
+def _within_cap(log10: float) -> bool:
+    """Whether a value with this (float) log10 has at most
+    :func:`exact_digit_cap` digits, with a margin for rounding."""
+    return log10 < exact_digit_cap() - 1
+
+
 @dataclass(frozen=True)
 class BigBound:
     """A possibly astronomically large bound value.
 
-    ``exact`` is present when the value is an integer that we managed to
-    materialize; ``log10`` is always present (``-inf`` for a zero bound).
+    ``exact`` is present when the value is an integer of at most
+    :func:`exact_digit_cap` digits; ``log10`` is always present
+    (``-inf`` for a zero bound).  The size of a power is read from its
+    logarithm before any exact power is built.
     """
 
     exact: int | None
@@ -73,7 +93,7 @@ class BigBound:
         if value < 0:
             raise ValueError("bounds are nonnegative")
         log10 = float("-inf") if value == 0 else math.log10(value)
-        return cls(exact=value, log10=log10)
+        return cls(exact=value if _within_cap(log10) else None, log10=log10)
 
     @classmethod
     def from_power(cls, base: int, exponent: Real) -> "BigBound":
@@ -86,17 +106,17 @@ class BigBound:
             nearest = round(exponent)
             if abs(exponent - nearest) < 1e-9:
                 exponent = int(nearest)
-        if isinstance(exponent, int):
-            return cls.from_int(base**exponent)
         log10 = float(exponent) * math.log10(base)
+        if isinstance(exponent, int):
+            return cls.from_int(base**exponent) if _within_cap(log10) else cls(None, log10)
         exact = None
         if isinstance(exponent, Fraction):
+            # In lowest terms, base**(p/q) is an integer exactly when base
+            # is a perfect q-th power r**q, and then it is r**p.
             p, q = exponent.numerator, exponent.denominator
-            if p * math.log10(base) <= _EXACT_DIGIT_LIMIT:
-                power = base**p
-                root = _integer_root(power, q)
-                if root**q == power:
-                    exact = root
+            root = _integer_root(base, q)
+            if root**q == base and _within_cap(p * math.log10(root)):
+                exact = root**p
         elif log10 < 15.0:
             value = float(base) ** float(exponent)
             nearest = round(value)
@@ -114,12 +134,12 @@ class BigBound:
         if ratio == 0:
             return cls.from_int(0) if n > 0 else cls.from_int(1)
         if isinstance(ratio, int):
-            return cls.from_int(ratio**n)
+            log10 = n * math.log10(ratio)
+            return cls.from_int(ratio**n) if _within_cap(log10) else cls(None, log10)
         if isinstance(ratio, Fraction):
-            power = ratio**n
-            exact = int(power) if power.denominator == 1 else None
             log10 = n * (math.log10(ratio.numerator) - math.log10(ratio.denominator))
-            return cls(exact=exact, log10=log10)
+            integral = ratio.denominator == 1 and _within_cap(log10)
+            return cls(exact=ratio.numerator**n if integral else None, log10=log10)
         value = float(ratio) ** n
         exact = None
         if math.isfinite(value) and abs(value) < 1e15:

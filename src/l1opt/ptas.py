@@ -10,6 +10,16 @@ Accepting points with g(x) <= epsilon (relaxed feasibility) makes the
 best grid value land within epsilon of the true optimum whenever one
 exists.
 
+Both approximation schemes take the block path of :mod:`l1opt.blocks`
+when the problem's objective and constraints are built-in oracles
+(``make_linear_oracle`` or ``make_quadratic_oracle``) over float data
+and the step is a float: each block of integer points y becomes the
+grid block ``step * y`` in float64, and the weighted budget becomes a
+mask over the kept coordinates, summed in the scalar order.  Other
+oracles, rational data and the mixed solver keep the scalar walk; so
+does the command line's ``ptas``, whose oracles convert values to float
+around the built-in ones.
+
 kappa is caller-supplied.  Supplying an underestimate voids the
 guarantee; :func:`check_lipschitz` offers a sampling-based sanity check
 that warns on observed violations but certifies nothing.
@@ -35,6 +45,7 @@ from .errors import (
 )
 from .lattice import LatticePoint, iter_l1_points
 from .lp import INFEASIBLE, OPTIMAL, _scaled, exact_rationals, lp_solve
+from .blocks import block_scan
 from .solver import WeightedL1Spec, _check_parallel, _oracle_evaluator, _scan_points
 
 
@@ -152,8 +163,9 @@ def solve_lipschitz_ptas(
     def to_grid(y: tuple[int, ...]) -> tuple[float, ...]:
         return tuple(map(step.__mul__, y))
 
-    walk = iter_l1_points(problem.n, radius)
-    best, calls, points = _scan_points(walk, evaluate, prepare=to_grid)
+    best, calls, points = block_scan(problem, radius, epsilon, step=step) or _scan_points(
+        iter_l1_points(problem.n, radius), evaluate, prepare=to_grid
+    )
     if best is None:
         return ApproxSolution("no_feasible_grid_point", None, None, calls, points, radius, step)
     value, _, x = best
@@ -190,6 +202,9 @@ def solve_weighted_lipschitz_ptas(
         indices = range(len(kept))
         costs = [spec.weights[i] for i in kept]
         budget = problem.radius + 1e-12
+        found = block_scan(
+            problem, effective_radius, epsilon, step=step, kept=kept, costs=costs, budget=budget
+        )
 
         def to_grid(y: tuple[int, ...]) -> Optional[tuple[float, ...]]:
             # Zero and pinned entries add nothing to the weighted norm, so
@@ -203,8 +218,9 @@ def solve_weighted_lipschitz_ptas(
                 norm += costs[j] * abs(xi)
             return None if norm > budget else tuple(x)
 
-        walk = iter_l1_points(len(kept), effective_radius)
-        best, calls, points = _scan_points(walk, evaluate, prepare=to_grid)
+        best, calls, points = found or _scan_points(
+            iter_l1_points(len(kept), effective_radius), evaluate, prepare=to_grid
+        )
     else:
         origin = LatticePoint(x=(0.0,) * problem.n, l1=0, ordinal=0)
         best, calls, points = _scan_points([origin], evaluate)

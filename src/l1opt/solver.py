@@ -14,23 +14,39 @@ coordinates of a point, of which a ball of radius lambda allows at most
 floor(lambda): a step costs O(support) for a linear form and
 O(support^2) for a quadratic one, not O(n) or O(n^2).  Their values,
 floats included, are bit for bit those of the dense left-to-right sums
-that ``tests/oracles.py`` keeps as the reference.  Rational problems
-built by :meth:`ProblemInstance.linear` or
-:meth:`ProblemInstance.quadratic` that still hold their built-in oracles
-are evaluated by an exact integer kernel instead: denominators are
-cleared once per solve, and decisions and counts are the same as on the
-per-point oracle path.
+that ``tests/oracles.py`` keeps as the reference.
+
+Two paths run a solve, with the same results, ties and counts:
+
+- The block path (:mod:`l1opt.blocks`) runs whenever the objective and
+  the constraints are both built-in oracles (``make_linear_oracle``,
+  ``make_quadratic_oracle``, and so every problem of
+  :meth:`ProblemInstance.linear` and :meth:`ProblemInstance.quadratic`)
+  over data of one kind, all float or all rational.  It walks the ball
+  in support-indexed blocks of points (points x min(n, lambda) arrays
+  of indices and values, not dense points x n rows, which would cost
+  13 times the memory at n = 40, lambda = 3; :mod:`l1opt.blocks` gives
+  the measured peak RSS of both) and evaluates every form
+  of a block at once: float data in float64, summed as the oracles sum
+  it; rational data in int64 after clearing denominators, only where
+  max|Q| lambda^2 + max|a| lambda + |const| fits in int64.  The
+  winner's value is recomputed by the scalar objective.
+- The scalar path, :func:`_scan_points` over :func:`iter_l1_points`,
+  runs for every other case: generic callables, oracles replaced or
+  wrapped (say by ``dataclasses.replace``), data that mixes numeric
+  types, rational data past the int64 bound, and a ``stop_below`` that
+  is neither a float nor a rational.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product
 from typing import Callable, Iterable, Optional, Sequence
 
+from .blocks import Forms, block_scan
 from .counting import Real, floor_radius
 from .errors import InvalidDimensionError, InvalidWeightsError, ShapeMismatchError
 from .lattice import LatticePoint, canonical_ordinal, iter_l1_points
@@ -58,9 +74,6 @@ class LinearPayload:
     c: tuple
     A: tuple[tuple, ...]
     b: tuple
-    # (objective, constraints) built from this data by the constructor;
-    # the exact kernel runs only while the instance still holds them.
-    oracles: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,6 @@ class QuadraticPayload:
     Q: tuple[tuple, ...]
     c: tuple
     constraints: tuple[QuadraticConstraint, ...]
-    oracles: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -142,7 +154,7 @@ class ProblemInstance:
             objective=objective,
             constraints=constraints,
             arithmetic=arithmetic,
-            payload=LinearPayload(c=c, A=A, b=b, oracles=(objective, constraints)),
+            payload=LinearPayload(c=c, A=A, b=b),
         )
 
     @classmethod
@@ -160,9 +172,7 @@ class ProblemInstance:
             objective=objective,
             constraints=constraint_fn,
             arithmetic=arithmetic,
-            payload=QuadraticPayload(
-                Q=Q, c=c, constraints=rows, oracles=(objective, constraint_fn)
-            ),
+            payload=QuadraticPayload(Q=Q, c=c, constraints=rows),
         )
 
 
@@ -173,6 +183,15 @@ def make_linear_oracle(c: Sequence, A: Sequence[Sequence], b: Sequence):
     result of the dense left-to-right sum (see :func:`_sparse_dot`);
     data that mixes numeric types gets the dense sum itself.  Infinite or
     NaN float coefficients raise ``ValueError``.
+
+    The coordinates of a point must share one numeric type, as lattice
+    points (ints) and grid points (floats) do.  A point that mixes them
+    can get a value of another type: with int coefficients,
+    ``f((1, 0.0))`` is int 1 where the dense sum is 1.0, since the
+    skipped term ``c_1 * 0.0`` is what would make it a float.  Calls are
+    not checked for this.  The oracles carry their data as
+    ``block_forms``, which lets the solvers evaluate whole blocks of
+    points at once (see :mod:`l1opt.blocks`).
     """
     n = len(c)
     for row in A:
@@ -194,6 +213,8 @@ def make_linear_oracle(c: Sequence, A: Sequence[Sequence], b: Sequence):
         support = list(compress(indices, x))
         return tuple(dot(form, x, support) - beta for form, beta in row_forms)
 
+    objective.block_forms = Forms(n, ((None, c, 0),))
+    constraints.block_forms = Forms(n, tuple((None, row, -beta) for row, beta in zip(A, b)))
     return objective, constraints
 
 
@@ -203,7 +224,9 @@ def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[Qua
     Each call sums over the nonzero coordinates of x only, with the
     result of the dense left-to-right sums; data that mixes numeric types
     gets the dense sums themselves.  Infinite or NaN float coefficients
-    raise ``ValueError``.
+    raise ``ValueError``.  As for :func:`make_linear_oracle`, the
+    coordinates of a point must share one numeric type, calls are not
+    checked for it, and the oracles carry their data as ``block_forms``.
     """
     n = len(c)
     _check_square(Q, n, "Q")
@@ -241,6 +264,8 @@ def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[Qua
             values.append(value)
         return tuple(values)
 
+    objective.block_forms = Forms(n, ((Q, c, 0),))
+    constraints.block_forms = Forms(n, tuple((row.A, row.b, row.c) for row in rows))
     return objective, constraints
 
 
@@ -257,9 +282,14 @@ def solve_l1_ip(
     threshold cut the run short.
     """
     opts = options or SolveOptions()
-    evaluate, scale, stop = _point_evaluator(problem, opts)
-    walk = iter_l1_points(problem.n, radius)
-    return _solution_from(*_scan_points(walk, evaluate, stop=stop), scale)
+    tol = _feasibility_tolerance(problem, opts)
+    rho = floor_radius(radius)
+    found = block_scan(problem, rho, tol, opts.stop_below) or _scan_points(
+        iter_l1_points(problem.n, rho),
+        _oracle_evaluator(problem.evaluate, tol),
+        stop=opts.stop_below,
+    )
+    return _solution_from(*found)
 
 
 def solve_weighted_l1_ip(
@@ -283,7 +313,8 @@ def solve_weighted_l1_ip(
             f"weights has {len(weighted.weights)} entries, expected {problem.n}"
         )
     opts = options or SolveOptions()
-    evaluate, scale, stop = _point_evaluator(problem, opts)
+    tol = _feasibility_tolerance(problem, opts)
+    evaluate = _oracle_evaluator(problem.evaluate, tol)
     n = problem.n
     exact = problem.arithmetic == RATIONAL
     conv = Fraction if exact else float
@@ -293,10 +324,9 @@ def solve_weighted_l1_ip(
     kept = [i for i, w in enumerate(weights) if w <= radius]
     if not kept:
         origin = LatticePoint(x=(0,) * n, l1=0, ordinal=0)
-        return _solution_from(*_scan_points([origin], evaluate), scale)
+        return _solution_from(*_scan_points([origin], evaluate))
 
-    effective_radius = radius / min(weights)
-    indices = range(len(kept))
+    rho = floor_radius(radius / min(weights))
     if exact:
         # Clear denominators once: the budget test runs on Python ints.
         unit = math.lcm(radius.denominator, *(w.denominator for w in weights))
@@ -305,6 +335,10 @@ def solve_weighted_l1_ip(
     else:
         costs = [weights[i] for i in kept]
         budget = radius + _float_tolerance(opts)
+    found = block_scan(problem, rho, tol, opts.stop_below, kept=kept, costs=costs, budget=budget)
+    if found is not None:
+        return _solution_from(*found)
+    indices = range(len(kept))
 
     def embed_within_budget(y: Sequence[int]) -> Optional[tuple]:
         # Zero and pinned entries add nothing to the weighted norm, so a
@@ -317,9 +351,9 @@ def solve_weighted_l1_ip(
             norm += costs[j] * abs(v)
         return None if norm > budget else tuple(x)
 
-    walk = iter_l1_points(len(kept), effective_radius)
+    walk = iter_l1_points(len(kept), rho)
     return _solution_from(
-        *_scan_points(walk, evaluate, prepare=embed_within_budget, stop=stop), scale
+        *_scan_points(walk, evaluate, prepare=embed_within_budget, stop=opts.stop_below)
     )
 
 
@@ -410,108 +444,11 @@ def _check_parallel(parallel: int) -> None:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
 
 
-def _solution_from(best, calls: int, points: int, scale: Optional[int] = None) -> Solution:
+def _solution_from(best, calls: int, points: int) -> Solution:
     if best is None:
         return Solution("infeasible", None, None, calls, points)
     value, _, x = best
-    if scale is not None:
-        value = Fraction(value, scale)
     return Solution("optimal", tuple(x), value, calls, points)
-
-
-def _point_evaluator(problem: ProblemInstance, opts: SolveOptions):
-    """``(evaluate, scale, stop)`` for a solve.
-
-    The exact kernel runs when the problem still holds its built-in
-    rational oracles and ``stop_below`` is absent, a rational or a
-    finite float, so that it converts to a Fraction exactly; its values
-    are the objective times ``scale``, and ``stop`` is the threshold in
-    the same units.  Otherwise the oracles run per point,
-    ``scale`` is None and ``stop`` is ``stop_below`` itself.
-    """
-    threshold = opts.stop_below
-    exact_threshold = (
-        threshold is None
-        or isinstance(threshold, numbers.Rational)
-        or (isinstance(threshold, float) and math.isfinite(threshold))
-    )
-    kernel = _exact_kernel(problem) if exact_threshold else None
-    if kernel is None:
-        tol = _feasibility_tolerance(problem, opts)
-        return _oracle_evaluator(problem.evaluate, tol), None, threshold
-    evaluate, scale = kernel
-    stop = None if threshold is None else math.floor(Fraction(threshold) * scale)
-    return evaluate, scale, stop
-
-
-def _exact_kernel(problem: ProblemInstance):
-    """Integer evaluator for a rational problem with its built-in oracles.
-
-    The objective is scaled by the lcm of its denominators and each
-    constraint row, constant included, by its own.  Returns
-    ``(evaluate, scale)``: ``evaluate(x)`` is ``scale * f(x)`` as an int
-    when every scaled row is at most 0, else None.  Returns None when
-    the per-point oracle path must run instead: float mode, custom or
-    replaced oracles, or coefficients that are not rationals.
-    """
-    payload = problem.payload
-    if (
-        problem.arithmetic != RATIONAL
-        or not isinstance(payload, (LinearPayload, QuadraticPayload))
-        or payload.oracles is None
-        or payload.oracles[0] is not problem.objective
-        or payload.oracles[1] is not problem.constraints
-        or len(payload.c) != problem.n
-    ):
-        return None
-    if isinstance(payload, LinearPayload):
-        objective = (None, payload.c, 0)
-        rows = [(None, a, -beta) for a, beta in zip(payload.A, payload.b)]
-    else:
-        objective = (payload.Q, payload.c, 0)
-        rows = [(row.A, row.b, row.c) for row in payload.constraints]
-    forms = [_integer_form(*form) for form in [objective, *rows]]
-    if None in forms:
-        return None
-    objective, scale = forms[0]
-    rows = [form for form, _ in forms[1:]]
-
-    def evaluate(x):
-        support = [(i, v) for i, v in enumerate(x) if v]
-        for row in rows:
-            if _form_value(row, support) > 0:
-                return None
-        return _form_value(objective, support)
-
-    return evaluate, scale
-
-
-def _integer_form(M, b, c):
-    """``((M, b, c), scale)`` scaled to ints by the lcm of all denominators,
-    or None when an entry is not a rational."""
-    entries = [c, *b, *(v for row in M or () for v in row)]
-    if not all(isinstance(v, (int, Fraction)) for v in entries):
-        return None
-    scale = math.lcm(*(Fraction(v).denominator for v in entries))
-
-    def ints(values):
-        return tuple(int(v * scale) for v in values)
-
-    matrix = None if M is None else tuple(ints(row) for row in M)
-    return (matrix, ints(b), int(c * scale)), scale
-
-
-def _form_value(form, support):
-    """x'Mx + b.x + c summed over the nonzero coordinates of x only."""
-    M, b, total = form
-    for i, v in support:
-        coeff = b[i]
-        if M is not None:
-            row = M[i]
-            for j, w in support:
-                coeff += row[j] * w
-        total += coeff * v
-    return total
 
 
 def _feasibility_tolerance(problem: ProblemInstance, opts: SolveOptions):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -128,6 +129,35 @@ def test_count_bounds():
     assert doc["bounds"]["upper"]["exact"] == 16
 
 
+def test_count_bounds_past_the_digit_cap():
+    # n^(4 rho^2) = 40^14400 has 23,070 digits: only its log10 is written.
+    result = run_cli("count", 40, 60, "--bounds")
+    assert result.returncode == 0, result.stderr
+    upper = json.loads(result.stdout)["bounds"]["upper"]
+    assert upper["exact"] is None
+    assert upper["log10"] == pytest.approx(14400 * math.log10(40))
+
+
+def test_count_writes_a_huge_count_in_full():
+    radius = 10**2200
+    result = run_cli("count", 2, radius)
+    assert result.returncode == 0, result.stderr
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(result.stdout)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert doc["count"] == 2 * radius * radius + 2 * radius + 1  # 4,401 digits
+
+
+def test_count_bound_beyond_the_float_range_exit_1():
+    result = run_cli("count", 2, 10**200, "--bounds")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: numeric overflow")
+    assert "Traceback" not in result.stderr
+
+
 def test_count_bounds_dimension_one_fails():
     result = run_cli("count", 1, 2, "--bounds")
     assert result.returncode == 1
@@ -179,6 +209,27 @@ def test_bound_simplex(tmp_path):
     report = json.loads(run_cli("bound", write(tmp_path, doc)).stdout)["bound_report"]
     assert report["rho"] == 1
     assert report["bnd"]["exact"] == 243
+
+
+def test_bound_past_the_digit_cap(tmp_path):
+    # The lifted LP of the box |x_i| <= 15 gives rho = 60, so
+    # bnd = 2^14401 has 4,336 digits.
+    doc = {
+        "kind": "ilp",
+        "n": 2,
+        "m": 4,
+        "arithmetic": "rational",
+        "lambda": "1",
+        "c": ["0", "0"],
+        "A": [["-1", "0"], ["0", "-1"], ["1", "0"], ["0", "1"]],
+        "b": ["15", "15", "15", "15"],
+    }
+    result = run_cli("bound", write(tmp_path, doc))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)["bound_report"]
+    assert report["rho"] == 60
+    assert report["bnd"]["exact"] is None
+    assert report["bnd"]["log10"] == pytest.approx(14401 * math.log10(2))
 
 
 def test_bound_unbounded_exit_3(tmp_path):

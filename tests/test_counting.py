@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from l1opt.counting import (
     covering_bound_l1,
     covering_bounds_linf,
     estimate_gaussian_width,
+    exact_digit_cap,
     gaussian_width_bound,
     l1_count_lower_bound,
     l1_count_upper_bound,
@@ -141,6 +143,26 @@ def test_bigbound_fractional_power_fallback():
     bound = BigBound.from_power(3, Fraction(1, 2))
     assert bound.exact is None
     assert abs(bound.log10 - 0.5 * math.log10(3)) < 1e-12
+
+
+def test_bigbound_exact_values_stop_at_the_digit_cap():
+    # One cap for every exact path; past it only log10 is reported.
+    assert exact_digit_cap() <= (sys.get_int_max_str_digits() or exact_digit_cap())
+    assert BigBound.from_power(10, 4298).exact == 10**4298
+    assert BigBound.from_power(10, 4300).exact is None
+    assert BigBound.from_int(10**5000).exact is None
+    assert BigBound.from_int(10**5000).log10 == pytest.approx(5000)
+    assert BigBound.from_power(4, Fraction(7, 2)).exact == 128
+    assert BigBound.from_power(4, Fraction(20001, 2)).exact is None
+    assert covering_bounds_linf(10_000, 3, 1)[0].exact is None
+
+
+def test_huge_radius_bound_is_never_built():
+    # 2^(4 * 10^12) would need half a terabyte; its log10 comes at once.
+    bound = l1_count_upper_bound(2, 10**6)
+    assert bound.exact is None
+    assert bound.log10 == pytest.approx(4e12 * math.log10(2))
+    assert oracle_complexity_bound(40, 60).exact is None
 
 
 def test_l2_bounds_and_brute():

@@ -1,9 +1,9 @@
-"""The exact integer kernel against the per-point oracle path.
+"""The exact integer block path against the per-point oracle path.
 
 Rational problems built by ``ProblemInstance.linear`` and
-``ProblemInstance.quadratic`` run on the kernel; wrapping their oracles
-with ``dataclasses.replace`` forces the oracle path on the same data.
-Both must return equal solutions, counts included.
+``ProblemInstance.quadratic`` run on the block path in int64; wrapping
+their oracles with ``dataclasses.replace`` forces the oracle path on the
+same data.  Both must return equal solutions, counts included.
 """
 
 import dataclasses
@@ -13,13 +13,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l1opt.blocks import block_evaluator
 from l1opt.solver import (
     FLOAT,
     ProblemInstance,
     QuadraticConstraint,
     SolveOptions,
     WeightedL1Spec,
-    _exact_kernel,
     solve_l1_ip,
     solve_weighted_l1_ip,
 )
@@ -61,6 +61,10 @@ def problems(draw):
     return ProblemInstance.quadratic(Q, c, rows)
 
 
+def on_block_path(problem, radius=3, tolerance=0):
+    return block_evaluator(problem, radius, tolerance, None, None) is not None
+
+
 def with_wrapped_oracles(problem):
     objective, constraints = problem.objective, problem.constraints
     return dataclasses.replace(
@@ -79,8 +83,8 @@ def with_wrapped_oracles(problem):
 )
 def test_kernel_matches_oracle_path(problem, radius, stop_below, parallel):
     wrapped = with_wrapped_oracles(problem)
-    assert _exact_kernel(problem) is not None
-    assert _exact_kernel(wrapped) is None
+    assert on_block_path(problem)
+    assert not on_block_path(wrapped)
     options = SolveOptions(parallel=parallel, stop_below=stop_below)
     assert solve_l1_ip(problem, radius, options) == solve_l1_ip(wrapped, radius, options)
 
@@ -111,10 +115,13 @@ def test_kernel_returns_exact_objective():
     assert isinstance(solution.objective, Fraction)
 
 
-def test_oracle_path_keeps_float_and_custom_problems():
-    float_problem = ProblemInstance.linear((1.0, -1.0), ((1.0, 1.0),), (1.0,), arithmetic=FLOAT)
-    assert _exact_kernel(float_problem) is None
+def test_oracle_path_keeps_custom_and_wrapped_problems():
     custom = ProblemInstance(n=2, objective=sum, constraints=lambda x: ())
-    assert _exact_kernel(custom) is None
+    assert not on_block_path(custom)
     rational = ProblemInstance.linear((1, -1), ((1, 1),), (1,))
-    assert _exact_kernel(dataclasses.replace(rational, arithmetic=FLOAT)) is None
+    assert not on_block_path(with_wrapped_oracles(rational))
+    # Float data and a float tolerance on rational data run on the block
+    # path too; only the oracles decide.
+    float_problem = ProblemInstance.linear((1.0, -1.0), ((1.0, 1.0),), (1.0,), arithmetic=FLOAT)
+    assert on_block_path(float_problem, tolerance=1e-9)
+    assert on_block_path(dataclasses.replace(rational, arithmetic=FLOAT), tolerance=1e-9)
