@@ -281,17 +281,27 @@ def _cmd_ptas(args) -> int:
     if kappa is None:
         kappa = _derived_kappa(problem)
     instance = problem.instance()
+    if problem.arithmetic == FLOAT:
+        # The built-in float oracles themselves, so the block path runs.
+        objective, constraints = instance.objective, instance.constraints
+    else:
+        def objective(x):
+            return float(instance.objective(x))
+
+        def constraints(x):
+            return tuple(float(g) for g in instance.constraints(x))
+
     lipschitz = LipschitzProblem(
         n=problem.n,
-        objective=lambda x: float(instance.objective(x)),
-        constraints=lambda x: tuple(float(g) for g in instance.constraints(x)),
+        objective=objective,
+        constraints=constraints,
         lipschitz=kappa,
         radius=float(problem.radius),
     )
     solution = solve_lipschitz_ptas(lipschitz, epsilon, parallel=args.parallel)
     result = {
         "status": solution.status,
-        "objective": solution.objective,
+        "objective": None if solution.objective is None else float(solution.objective),
         "x": list(solution.x) if solution.x is not None else None,
         "oracle_calls": solution.oracle_calls,
         "points_enumerated": solution.points_enumerated,
@@ -333,8 +343,7 @@ def _cmd_enumerate(args) -> int:
     for point in iter_l1_points(args.n, radius):
         if args.limit is not None and emitted >= args.limit:
             break
-        out.write(json.dumps(list(point.x), separators=(",", ":")))
-        out.write("\n")
+        out.write("[" + ",".join(map(str, point.x)) + "]\n")
         emitted += 1
     return EXIT_OK
 
@@ -369,10 +378,18 @@ def _parse_weights(text: str, problem: ParsedProblem) -> tuple:
 
 
 def _parse_cli_number(text: str, label: str) -> Fraction:
+    text = str(text)
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{label}: not a number: {text!r}")
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        # Past CPython's int-to-str digit limit an int cannot be parsed;
+        # say so instead of calling the value not a number.
+        digits = sum(map(str.isdigit, text))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and digits > limit:
+            raise ValueError(f"{label}: too many digits ({digits}, at most {limit}): {shown!r}")
+        raise ValueError(f"{label}: not a number: {shown!r}")
 
 
 def _default_tolerance(flag_value):

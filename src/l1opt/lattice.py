@@ -13,15 +13,23 @@ significant bit at the smallest support index).  Every emitted point
 carries its position in this order as an ``ordinal``, which callers use
 for deterministic tie-breaking.
 
-Iterator state is O(n); the point set is never materialized.
-
-:func:`point_blocks` walks the same order a block of points at a time,
-for the solvers' numpy evaluator: the magnitude vectors are walked in
-Python, and each block's sign expansion is done in numpy.
+There is one walk, :func:`point_blocks`: the magnitude vectors are
+walked in Python, a block of them at a time, and each block's sign
+expansion is done in numpy.  The solvers' numpy evaluator reads its
+blocks directly; :func:`iter_l1_points` turns them into one record per
+point, built in C (``struct`` unpacks the rows of a dense block into
+tuples of Python ints).  The point set is never materialized: a walk
+holds one block, at most ``BLOCK_CELLS // min(n, rho)`` points as
+support-indexed ``(pos, val)`` arrays, and :func:`iter_l1_points` also
+a dense points x (n + 1) int64 array of at most ``DENSE_CELLS`` cells
+(or one row, when n + 1 is larger).
 """
 
 from __future__ import annotations
 
+import struct
+from functools import partial
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -56,26 +64,44 @@ def iter_l1_points(n: int, radius: Real) -> Iterator[LatticePoint]:
     """Every integer point of the radius-scaled l1 ball, exactly once.
 
     Integer points of the ball only depend on floor(radius), so a radius
-    below 1 yields just the origin.
+    below 1 yields just the origin.  The points are those of
+    :func:`point_blocks`, turned into records a block at a time.
     """
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
-    rho = floor_radius(radius)
+    return chain.from_iterable(_point_records(n, floor_radius(radius)))
+
+
+# Cells of the dense points x (n + 1) array that :func:`iter_l1_points`
+# scatters a block into, a slice of it at a time (512 KB).  At n = 40 a
+# whole block fits; at n = 10,000 and radius 1, a whole block of 4,096
+# points would take 328 MB.
+DENSE_CELLS = 1 << 16
+
+
+def _point_records(n: int, rho: int):
+    """One iterator of :class:`LatticePoint` per slice of a block.
+
+    Each slice is scattered into a dense int64 array with a padding
+    column n, which ``struct`` unpacks row by row into tuples of Python
+    ints, skipping the padding; the records are built in C, and Python
+    code runs once per slice, which is one point only when n + 1 exceeds
+    ``DENSE_CELLS``.
+    """
+    unpack = struct.Struct(f"{n}q8x").iter_unpack
+    record = partial(tuple.__new__, LatticePoint)
+    step = max(1, DENSE_CELLS // (n + 1))
     ordinal = 0
-    new_point = tuple.__new__
-    zero = [0] * n
-    for support, mags in _magnitudes(n, rho):
-        base = zero[:]
-        for pos, mag in zip(support, mags):
-            base[pos] = mag
-        norm = sum(mags)
-        for code in range(1 << len(support)):
-            x = base[:]
-            for j, pos in enumerate(support):
-                if (code >> j) & 1:
-                    x[pos] = -x[pos]
-            yield new_point(LatticePoint, (tuple(x), norm, ordinal))
-            ordinal += 1
+    for block_pos, block_val in point_blocks(n, rho):
+        for start in range(0, len(block_pos), step):
+            pos = block_pos[start : start + step]
+            val = block_val[start : start + step]
+            dense = np.zeros((len(pos), n + 1), dtype=np.int64)
+            dense[np.arange(len(pos))[:, None], pos] = val
+            end = ordinal + len(pos)
+            norms = np.abs(val).sum(axis=1).tolist()
+            yield map(record, zip(unpack(dense), norms, range(ordinal, end)))
+            ordinal = end
 
 
 # Cells (points times columns) per block of :func:`point_blocks`: 32 KB
@@ -95,6 +121,8 @@ def point_blocks(n: int, rho: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     blocks before it.  Blocks hold at most ``BLOCK_CELLS // min(n, rho)``
     points (at least one), so memory does not grow with n: a dense
     points x n block at n = 40 would be 13 times larger at radius 3.
+    No entry leaves int64 in a walk that can run: an entry of
+    magnitude m first shows up after at least m points.
     """
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
@@ -102,27 +130,32 @@ def point_blocks(n: int, rho: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     cap = max(1, BLOCK_CELLS // max(width, 1))
     pad_pos = [[n] * (width - k) for k in range(width + 1)]
     pad_val = [[0] * (width - k) for k in range(width + 1)]
-    rows_pos, rows_val, firsts, counts = [], [], [], []
-    total = 0
+    # The rows of a block, flat; each row but the first starts at sign
+    # code 0, and the first starts at ``first``.
+    flat_pos, flat_val, counts = [], [], []
+    total = first = 0
     for support, mags in _magnitudes(n, rho):
         k = len(support)
-        size = 1 << k
-        first = 0
-        while size:
-            take = min(size, cap - total)
-            rows_pos.append(support + pad_pos[k])
-            rows_val.append(mags + pad_val[k])
-            firsts.append(first)
-            counts.append(take)
-            total += take
-            first += take
-            size -= take
-            if total == cap:
-                yield _expand_signs(rows_pos, rows_val, firsts, counts, width)
-                rows_pos, rows_val, firsts, counts = [], [], [], []
-                total = 0
+        flat_pos += support
+        flat_pos += pad_pos[k]
+        flat_val += mags
+        flat_val += pad_val[k]
+        counts.append(1 << k)
+        total += 1 << k
+        while total >= cap:
+            # The last row fills the block; the rest of its codes, if
+            # any, open the next one.
+            rest = total - cap
+            counts[-1] -= rest
+            yield _expand_signs(flat_pos, flat_val, first, counts, width)
+            first = counts[-1] + (first if len(counts) == 1 else 0)
+            if rest:
+                flat_pos, flat_val, counts = support + pad_pos[k], mags + pad_val[k], [rest]
+            else:
+                flat_pos, flat_val, counts, first = [], [], [], 0
+            total = rest
     if total:
-        yield _expand_signs(rows_pos, rows_val, firsts, counts, width)
+        yield _expand_signs(flat_pos, flat_val, first, counts, width)
 
 
 def _magnitudes(n: int, rho: int):
@@ -155,17 +188,18 @@ def _magnitudes(n: int, rho: int):
             mags.append(1)
 
 
-def _expand_signs(rows_pos, rows_val, firsts, counts, width):
-    """Block arrays for magnitude rows, each taking ``count`` consecutive
-    sign codes from ``first`` on: bit j of a code negates column j."""
+def _expand_signs(flat_pos, flat_val, first, counts, width):
+    """Block arrays for magnitude rows, given row after row in the flat
+    lists, each taking ``count`` consecutive sign codes, from ``first``
+    on for the first row and from 0 on for the others: bit j of a code
+    negates column j."""
     shape = (len(counts), width)
     counts = np.array(counts)
-    pos = np.repeat(np.array(rows_pos, dtype=np.intp).reshape(shape), counts, axis=0)
-    val = np.repeat(np.array(rows_val, dtype=np.int64).reshape(shape), counts, axis=0)
-    starts = np.cumsum(counts) - counts
-    codes = np.arange(len(pos)) - np.repeat(starts - np.array(firsts), counts)
-    negative = ((codes[:, None] >> np.arange(width)) & 1).astype(bool)
-    np.negative(val, out=val, where=negative)
+    pos = np.repeat(np.array(flat_pos, dtype=np.intp).reshape(shape), counts, axis=0)
+    val = np.repeat(np.array(flat_val, dtype=np.int64).reshape(shape), counts, axis=0)
+    codes = np.arange(len(pos)) - np.repeat(np.cumsum(counts) - counts, counts)
+    codes[: counts[0]] += first
+    val *= 1 - 2 * ((codes[:, None] >> np.arange(width)) & 1)
     return pos, val
 
 

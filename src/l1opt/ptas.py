@@ -16,9 +16,9 @@ when the problem's objective and constraints are built-in oracles
 and the step is a float: each block of integer points y becomes the
 grid block ``step * y`` in float64, and the weighted budget becomes a
 mask over the kept coordinates, summed in the scalar order.  Other
-oracles, rational data and the mixed solver keep the scalar walk; so
-does the command line's ``ptas``, whose oracles convert values to float
-around the built-in ones.
+oracles, rational data and the mixed solver keep the scalar walk.  The
+command line's ``ptas`` passes the built-in oracles of float files as
+they are, and wraps those of rational files to return floats.
 
 kappa is caller-supplied.  Supplying an underestimate voids the
 guarantee; :func:`check_lipschitz` offers a sampling-based sanity check

@@ -13,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from l1opt.lattice import canonical_ordinal
+from l1opt.lattice import LatticePoint, canonical_ordinal
 from l1opt.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 
@@ -38,6 +38,40 @@ def nonneg_ball_count_brute(n: int, rho: int) -> int:
 def linf_count_brute(n: int, radius) -> int:
     rho = int(math.floor(radius))
     return sum(1 for _ in itertools.product(range(-rho, rho + 1), repeat=n))
+
+
+def reference_l1_points(n: int, radius):
+    """The canonical walk, one point at a time, as ``LatticePoint`` records.
+
+    Reference for ``iter_l1_points``, sharing no code with it: it steps
+    through the nondecreasing multisets u of {1, ..., rho + 1} in
+    lexicographic order, takes each one's gap encoding (u_0 - 1, then
+    successive differences) as the magnitude vector, and counts through
+    its sign codes in binary (bit j negates the j-th nonzero entry).
+    Each point costs O(n) Python steps.
+    """
+    rho = int(math.floor(radius))
+    bound = rho + 1
+    ordinal = 0
+    u = [1] * n
+    while True:
+        gaps = [u[0] - 1] + [u[i] - u[i - 1] for i in range(1, n)]
+        support = [i for i in range(n) if gaps[i]]
+        for code in range(1 << len(support)):
+            x = gaps[:]
+            for j, pos in enumerate(support):
+                if (code >> j) & 1:
+                    x[pos] = -x[pos]
+            yield LatticePoint(tuple(x), u[-1] - 1, ordinal)
+            ordinal += 1
+        j = n - 1
+        while j >= 0 and u[j] == bound:
+            j -= 1
+        if j < 0:
+            return
+        u[j] += 1
+        for i in range(j + 1, n):
+            u[i] = u[j]
 
 
 def solve_ball_brute(problem, radius, tolerance=0):

@@ -32,6 +32,7 @@ from l1opt.solver import (
     solve_l1_ip,
     solve_weighted_l1_ip,
 )
+from oracles import reference_l1_points
 
 COEFFICIENTS = {
     RATIONAL: st.one_of(
@@ -294,7 +295,7 @@ def test_block_walk_matches_the_point_walk():
                             if v:
                                 x[i] = v
                         points.append(tuple(x))
-                assert points == [p.x for p in iter_l1_points(n, rho)]
+                assert points == [p.x for p in reference_l1_points(n, rho)]
                 cap = max(1, cells // max(min(n, rho), 1))
                 assert all(size == cap for size in sizes[:-1]) and sizes[-1] <= cap
 

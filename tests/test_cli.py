@@ -2,8 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+
+import l1opt
+from l1opt import cli, ptas
 
 ILP = {
     "kind": "ilp",
@@ -151,6 +155,25 @@ def test_count_writes_a_huge_count_in_full():
     assert doc["count"] == 2 * radius * radius + 2 * radius + 1  # 4,401 digits
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+def test_radius_past_the_int_digit_limit_exit_1():
+    # Past the limit the radius was reported as "not a number", and the
+    # message echoed every digit.
+    limit = sys.get_int_max_str_digits()
+    for command in (("count", 2), ("enumerate", 1)):
+        result = run_cli(*command, "1" + "0" * limit)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        message = f"error: lambda: too many digits ({limit + 1}, at most {limit}): '1000"
+        assert result.stderr.startswith(message)
+        assert len(result.stderr) < 200
+    result = run_cli("enumerate", 1, "9" * limit, "--limit", 3)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0]\n[1]\n[-1]\n"
+
+
 def test_count_bound_beyond_the_float_range_exit_1():
     result = run_cli("count", 2, 10**200, "--bounds")
     assert result.returncode == 1
@@ -257,6 +280,33 @@ def test_ptas_linear(tmp_path):
     assert doc["objective"] == -1.0
     assert doc["kappa"] == 1.0
     assert doc["grid_radius"] == 4
+
+
+def test_ptas_float_file_takes_the_block_path(tmp_path, capsys):
+    # Every feasible grid point ties at an all-zero objective, so the
+    # smallest ordinal wins.  The built-in oracle returns int 0 there;
+    # stdout writes every ptas objective as a float.
+    doc = dict(LIPSCHITZ, c=[0.0, 0.0], A=[[-1.0, 0.0]], b=[-0.5])
+    path = write(tmp_path, doc)
+    found = []
+
+    def spy(*args, **kwargs):
+        result = block_scan(*args, **kwargs)
+        found.append(result is not None)
+        return result
+
+    block_scan = ptas.block_scan
+    with mock.patch.object(ptas, "block_scan", spy):
+        assert cli.main(["ptas", path]) == 0
+    assert found == [True]
+    out = capsys.readouterr().out
+    head, wall_time = out.rsplit(", ", 1)
+    assert head == (
+        '{"status": "optimal", "objective": 0.0, "x": [0.25, 0.0], "oracle_calls": 41, '
+        '"points_enumerated": 41, "epsilon": 0.25, "kappa": 1.0, "grid_radius": 4, '
+        f'"step": 0.25, "version": "{l1opt.__version__}"'
+    )
+    assert wall_time.startswith('"wall_time_ms": ') and wall_time.endswith("}\n")
 
 
 def test_ptas_no_feasible_point_exit_2(tmp_path):
