@@ -24,7 +24,7 @@ import numpy as np
 
 from .counting import BigBound, DEFAULT_SLACK, Real, oracle_complexity_bound
 from .errors import InvalidDimensionError, RegionInfeasibleError, RegionUnboundedError
-from .lp import INFEASIBLE, UNBOUNDED, exact_rationals, lp_solve
+from .lp import INFEASIBLE, UNBOUNDED, exact_rationals, lp_optimum
 
 # Guards against a float backend reporting 1.9999999996 for an exactly
 # integral maximum; exact backends are floored without it.
@@ -54,6 +54,11 @@ class ConvexOptBackend(ABC):
 class LinearRegionBackend(ConvexOptBackend):
     """Built-in backend for linear regions {x : A x <= b}, exact arithmetic.
 
+    Each solve is :func:`l1opt.lp.lp_optimum`: the optimal value is exact
+    and the maximizer is an exact optimal point, which at a tie need not
+    be the vertex ``lp_solve`` would pick.  ``lp_calls`` counts the
+    solves, ``certified_solves`` those answered by a certified guide basis
+    and ``fallback_pivots`` the exact simplex pivots of the others.
     Infinite or NaN entries of A or b raise ``ValueError``.
     """
 
@@ -61,15 +66,18 @@ class LinearRegionBackend(ConvexOptBackend):
         self.A = [exact_rationals(row, f"LinearRegionBackend: A[{i}]") for i, row in enumerate(A)]
         self.b = exact_rationals(b, "LinearRegionBackend: b")
         self.n = len(self.A[0]) if self.A else 0
+        self.lp_calls = 0
+        self.certified_solves = 0
+        self.fallback_pivots = 0
 
     def maximize(self, direction, lifted_bounds=None):
         if lifted_bounds is None:
-            result = lp_solve(direction, self.A, self.b, sense="max")
+            result = lp_optimum(direction, self.A, self.b, sense="max")
         else:
             s_upper, t_upper = lifted_bounds
             n = self.n
             rows = [list(row) + [-v for v in row] for row in self.A]
-            result = lp_solve(
+            result = lp_optimum(
                 direction,
                 rows,
                 self.b,
@@ -77,6 +85,9 @@ class LinearRegionBackend(ConvexOptBackend):
                 lower=[0] * (2 * n),
                 upper=list(s_upper) + list(t_upper),
             )
+        self.lp_calls += 1
+        self.certified_solves += result.certified
+        self.fallback_pivots += result.pivots
         if result.status == INFEASIBLE:
             raise RegionInfeasibleError("the region {x : Ax <= b} is empty")
         if result.status == UNBOUNDED:

@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -270,6 +272,17 @@ def test_bound_unbounded_exit_3(tmp_path):
     result = run_cli("bound", write(tmp_path, doc))
     assert result.returncode == 3
     assert result.stdout == ""
+
+
+def test_bound_stdout_of_a_12_by_48_region():
+    # Pinned from the exact Bland simplex: the certified solves that now
+    # answer the bound must print the same bytes, apart from wall_time_ms.
+    data = pathlib.Path(__file__).parent / "data"
+    result = run_cli("bound", data / "bound_12x48.json")
+    assert result.returncode == 0, result.stderr
+    head, tail = result.stdout.rsplit(', "version"', 1)
+    assert head + "\n" == (data / "bound_12x48.stdout").read_text()
+    assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
 
 
 def test_ptas_linear(tmp_path):

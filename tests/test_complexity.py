@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import random
 from fractions import Fraction
 
@@ -11,7 +12,10 @@ from l1opt.complexity import (
 )
 from l1opt.counting import oracle_complexity_bound
 from l1opt.errors import RegionInfeasibleError, RegionUnboundedError
+from l1opt.files import load_problem
 from l1opt.solver import ProblemInstance
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def unit_box(n):
@@ -184,3 +188,27 @@ def test_random_regions_cover_soundness():
         report = estimate_bound(LinearRegionBackend(rows, rhs), n)
         check = verify_cover(report, feasibility(rows, rhs))
         assert check.passed, f"trial {trial}: counterexample {check.counterexample}"
+
+
+def test_benchmark_shaped_region_is_answered_by_certified_solves():
+    # 12 variables and 48 rational rows, the size of the benchmark's bound jobs.
+    problem = load_problem(str(DATA / "bound_12x48.json"))
+    backend = LinearRegionBackend(problem.A, problem.b)
+    report = estimate_bound(backend, problem.n)
+    assert report.backend_calls == backend.lp_calls == 25
+    assert backend.certified_solves == 25
+    assert backend.fallback_pivots == 0
+
+
+def test_backend_counts_the_pivots_of_fallbacks():
+    # A coefficient past the float range keeps the float guide out, so
+    # every solve is the exact simplex and its pivots are counted.
+    huge = 10**400
+    A = [[huge, 0], [0, 1], [-1, 0], [0, -1]]
+    b = [huge, 1, 0, 0]
+    backend = LinearRegionBackend(A, b)
+    report = estimate_bound(backend, 2)
+    assert (report.l, report.u, report.rho) == ((0, 0), (1, 1), 2)
+    assert backend.lp_calls == 5
+    assert backend.certified_solves == 0
+    assert backend.fallback_pivots > 0

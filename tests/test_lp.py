@@ -1,5 +1,6 @@
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from l1opt.complexity import LinearRegionBackend
 from l1opt.errors import ShapeMismatchError
-from l1opt.lp import lp_solve
+from l1opt import lp
+from l1opt.lp import lp_optimum, lp_solve
 from l1opt.ptas import linear_mixed_inner_solver
 from oracles import fraction_lp_solve, vertex_lp_brute
 
@@ -191,11 +193,11 @@ LP_SHAPES = {
 
 
 @st.composite
-def lp_instances(draw):
+def lp_instances(draw, shapes=LP_SHAPES):
     """``(c, A, b, sense, lower, upper)`` with free, one-sided and boxed
     variables, negative rhs (artificials) and duplicated rows (redundant
     after phase 1)."""
-    entry, rhs_entry, bound = LP_SHAPES[draw(st.sampled_from(sorted(LP_SHAPES)))]
+    entry, rhs_entry, bound = shapes[draw(st.sampled_from(sorted(shapes)))]
     n = draw(st.integers(1, 5))
     m = draw(st.integers(0, 7))
     c = draw(st.lists(entry, min_size=n, max_size=n))
@@ -222,6 +224,95 @@ def test_integer_simplex_matches_fraction_reference(instance):
         reference.x,
         reference.pivots,
     )
+
+
+PAST_FLOAT = 10**400  # float(PAST_FLOAT) raises OverflowError
+OPTIMUM_SHAPES = dict(
+    LP_SHAPES,
+    past_float=(
+        st.one_of(DEGENERATE, st.sampled_from([PAST_FLOAT, -PAST_FLOAT]).map(Fraction)),
+        st.one_of(DEGENERATE, st.just(Fraction(PAST_FLOAT))),
+        DEGENERATE,
+    ),
+)
+
+
+def check_optimum(instance):
+    """``lp_optimum`` agrees with ``lp_solve`` on ``instance``; returns the
+    result and whether the certificate called the optimum unique."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = lp_optimum(*instance)
+    reference = lp_solve(*instance)
+    assert (result.status, result.value) == (reference.status, reference.value)
+    c, A, b, sense, lower, upper = instance
+    if any(abs(v) >= PAST_FLOAT for v in c + [a for row in A for a in row]):
+        assert not result.certified
+    if result.status != "optimal":
+        assert result.x is None and not result.certified
+        return result, False
+    x = result.x
+    assert all(type(v) is Fraction for v in x)
+    assert sum(a * v for a, v in zip(c, x)) == result.value
+    assert all(sum(a * v for a, v in zip(row, x)) <= beta for row, beta in zip(A, b))
+    for v, lo, hi in zip(x, lower, upper):
+        assert (lo is None or lo <= v) and (hi is None or v <= hi)
+    form = lp._leq_form("lp_optimum", *instance)
+    basis = lp._guide_basis(form)
+    certificate = None if basis is None else lp._certify(form, basis)
+    assert result.certified == (certificate is not None)
+    unique = certificate is not None and certificate.unique
+    if unique:
+        assert x == reference.x
+    else:
+        assert result.certified or x == reference.x  # the fallback is lp_solve
+    return result, unique
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_instances(OPTIMUM_SHAPES))
+def test_lp_optimum_matches_lp_solve(instance):
+    check_optimum(instance)
+
+
+def test_lp_optimum_takes_every_path_on_seeded_lps():
+    # The property test cannot require that its examples reach each
+    # outcome; these seeded LPs do.
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(150):
+        result, unique = check_optimum(_random_lp(rng))
+        seen.add((result.status, result.certified, unique))
+    assert {("optimal", True, True), ("infeasible", False, False), ("unbounded", False, False)} <= seen
+
+
+def test_certificate_rejects_a_wrong_basis():
+    # min -x - y with x + 2y <= 4, 3x + y <= 6 and x, y >= 0: the optimum
+    # is the vertex (8/5, 6/5).  z_0 = x, z_1 = y; the slacks are 2 and 3.
+    form = lp._leq_form("lp_optimum", [-1, -1], [[1, 2], [3, 1]], [4, 6], "min", [0, 0], None)
+    assert lp._certify(form, [2, 3]) is None  # feasible, but y prices out
+    assert lp._certify(form, [0, 2]) is None  # x = 2 leaves y pricing out
+    assert lp._certify(form, [0, 3]) is None  # x = 4 breaks 3x + y <= 6
+    assert lp._certify(form, [0, 0]) is None  # not a basis
+    certificate = lp._certify(form, [1, 0])
+    assert certificate == (
+        [Fraction(8, 5), Fraction(6, 5)],
+        Fraction(-14, 5),
+        True,
+    )
+    assert lp._guide_basis(form) in ([0, 1], [1, 0])
+    # Parallel rows make the basic columns singular.
+    form = lp._leq_form("lp_optimum", [-1, -1], [[1, 1], [2, 2]], [1, 3], "min", [0, 0], None)
+    assert lp._certify(form, [0, 1]) is None
+    # min x over x >= 0 and -x <= 1: the tight row puts x at -1, below
+    # its bound, although the dual of that basis is >= 0.
+    form = lp._leq_form("lp_optimum", [1], [[-1]], [1], "min", [0], None)
+    assert lp._certify(form, [0]) is None
+    # min x over x >= 0 and x <= 1: x = 1 at the tight row is feasible,
+    # but the row's dual is negative.
+    form = lp._leq_form("lp_optimum", [1], [[1]], [1], "min", [0], None)
+    assert lp._certify(form, [0]) is None
+    assert lp._certify(form, [1]) == ([Fraction(0)], Fraction(0), True)
 
 
 INF, NAN = float("inf"), float("nan")
