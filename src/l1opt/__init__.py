@@ -23,19 +23,14 @@ from .complexity import (
 from .counting import (
     BigBound,
     count_l1_lattice,
-    count_l2_lattice_brute,
     count_linf_lattice,
-    covering_bound_l1,
-    covering_bounds_linf,
     estimate_gaussian_width,
     gaussian_width_bound,
     l1_count_lower_bound,
     l1_count_upper_bound,
-    l2_count_bounds,
     oracle_complexity_bound,
 )
 from .errors import (
-    GridTooLargeError,
     InnerSolverError,
     InvalidDimensionError,
     InvalidWeightsError,
@@ -53,8 +48,6 @@ from .ptas import (
     LipschitzProblem,
     MixedProblem,
     MixedSolution,
-    check_lipschitz,
-    fine_grid_reference,
     grid_radius,
     linear_lipschitz_constant,
     linear_mixed_inner_solver,
@@ -69,7 +62,6 @@ from .solver import (
     Solution,
     SolveOptions,
     WeightedL1Spec,
-    brute_force_box_solve,
     make_linear_oracle,
     make_quadratic_oracle,
     solve_l1_ip,

@@ -27,7 +27,9 @@ raise it by about 0.8 MB on the ``wide`` workload.
 
 Generic callables, mixed-type data, grid points over rational data,
 thresholds that are not floats or rationals and walks beyond these
-bounds keep the scalar path (``_scan_points`` in :mod:`l1opt.solver`).
+bounds keep the scalar path.  :func:`l1opt.solver.scan_ball` is the one
+caller of :func:`block_scan`, and runs the scalar path when it returns
+None.
 """
 
 from __future__ import annotations

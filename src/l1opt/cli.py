@@ -32,12 +32,7 @@ from .counting import (
     l1_count_lower_bound,
     l1_count_upper_bound,
 )
-from .errors import (
-    InvalidDimensionError,
-    ProblemFileError,
-    RegionInfeasibleError,
-    RegionUnboundedError,
-)
+from .errors import ProblemFileError, RegionInfeasibleError, RegionUnboundedError
 from .files import ParsedProblem, format_value, load_problem
 from .lattice import iter_l1_points
 from .ptas import (
@@ -73,18 +68,13 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.handler(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except RegionInfeasibleError as exc:
+    except (ValueError, RegionInfeasibleError) as exc:
+        # ValueError covers ProblemFileError and InvalidDimensionError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RegionUnboundedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED
-    except (InvalidDimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except OverflowError as exc:
         # A bound whose log10 leaves the float range, say.
         print(f"error: numeric overflow: {exc}", file=sys.stderr)

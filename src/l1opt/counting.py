@@ -8,7 +8,6 @@ one exists alongside a base-10 logarithm that always exists.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GridTooLargeError, InvalidDimensionError
+from .errors import InvalidDimensionError
 
 Real = Union[int, float, Fraction]
 
@@ -124,30 +123,6 @@ class BigBound:
                 exact = int(nearest)
         return cls(exact=exact, log10=log10)
 
-    @classmethod
-    def from_ratio_power(cls, ratio: Real, n: int) -> "BigBound":
-        """ratio**n for a nonnegative, possibly fractional ratio."""
-        if ratio < 0:
-            raise ValueError("ratio must be nonnegative")
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if ratio == 0:
-            return cls.from_int(0) if n > 0 else cls.from_int(1)
-        if isinstance(ratio, int):
-            log10 = n * math.log10(ratio)
-            return cls.from_int(ratio**n) if _within_cap(log10) else cls(None, log10)
-        if isinstance(ratio, Fraction):
-            log10 = n * (math.log10(ratio.numerator) - math.log10(ratio.denominator))
-            integral = ratio.denominator == 1 and _within_cap(log10)
-            return cls(exact=ratio.numerator**n if integral else None, log10=log10)
-        value = float(ratio) ** n
-        exact = None
-        if math.isfinite(value) and abs(value) < 1e15:
-            nearest = round(value)
-            if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
-                exact = int(nearest)
-        return cls(exact=exact, log10=n * math.log10(ratio))
-
 
 def count_l1_lattice(n: int, radius: Real) -> int:
     """Exact number of integer points x with sum_i |x_i| <= radius in Z^n.
@@ -199,61 +174,6 @@ def l1_count_lower_bound(n: int) -> int:
     """Lower bound 2n on the l1 lattice count; valid whenever radius >= 1."""
     _require_bound_dimension(n)
     return 2 * n
-
-
-def l2_count_bounds(n: int, radius: Real) -> tuple[int, int]:
-    """(lower, upper) bounds on the number of integer points of the l2 ball.
-
-    The lower bound 2n needs radius >= 1; the upper bound
-    (1 + 2*floor(radius))^n holds unconditionally.  No exact closed form
-    is exposed; see :func:`count_l2_lattice_brute` for small cases.
-    """
-    _require_bound_dimension(n)
-    return 2 * n, count_linf_lattice(n, radius)
-
-
-def count_l2_lattice_brute(n: int, radius: Real) -> int:
-    """Brute-force l2 lattice count for small instances (test utility)."""
-    if n < 1:
-        raise InvalidDimensionError("dimension must be >= 1")
-    rho = floor_radius(radius)
-    if (1 + 2 * rho) ** n > 5_000_000:
-        raise GridTooLargeError(f"brute-force box (1+2*{rho})^{n} is too large")
-    limit = Fraction(radius) ** 2 if isinstance(radius, (int, Fraction)) else float(radius) ** 2
-    count = 0
-    for x in itertools.product(range(-rho, rho + 1), repeat=n):
-        if sum(v * v for v in x) <= limit:
-            count += 1
-    return count
-
-
-def covering_bound_l1(n: int, radius: Real, r: Real) -> BigBound:
-    """Upper bound n^((radius/(sqrt(2)*r))^2) on covering the l1 ball by r-cubes."""
-    _require_bound_dimension(n)
-    if r <= 0:
-        raise ValueError("covering radius r must be positive")
-    if isinstance(radius, (int, Fraction)) and isinstance(r, (int, Fraction)):
-        exponent = Fraction(radius) ** 2 / (2 * Fraction(r) ** 2)
-    else:
-        exponent = float(radius) ** 2 / (2.0 * float(r) ** 2)
-    return BigBound.from_power(n, exponent)
-
-
-def covering_bounds_linf(n: int, radius: Real, r: Real) -> tuple[BigBound, BigBound]:
-    """((radius/r)^n, (2 + radius/r)^n) bounds for covering a cube by cubes.
-
-    The lower bound is meaningful only when r <= radius; the upper bound
-    holds for all radius >= 0.
-    """
-    if n < 1:
-        raise InvalidDimensionError("dimension must be >= 1")
-    if r <= 0:
-        raise ValueError("covering radius r must be positive")
-    if isinstance(radius, (int, Fraction)) and isinstance(r, (int, Fraction)):
-        ratio: Real = Fraction(radius) / Fraction(r)
-    else:
-        ratio = float(radius) / float(r)
-    return BigBound.from_ratio_power(ratio, n), BigBound.from_ratio_power(2 + ratio, n)
 
 
 def oracle_complexity_bound(

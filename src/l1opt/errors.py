@@ -14,7 +14,7 @@ class ShapeMismatchError(ValueError):
 
 
 class InvalidWeightsError(ValueError):
-    """A weighted-l1 specification contains a nonpositive weight."""
+    """A weighted-l1 specification contains a weight that is not positive, or NaN."""
 
 
 class RegionUnboundedError(RuntimeError):
@@ -27,10 +27,6 @@ class RegionInfeasibleError(RuntimeError):
 
 class InnerSolverError(RuntimeError):
     """The convex inner solver of a mixed problem failed."""
-
-
-class GridTooLargeError(RuntimeError):
-    """A brute-force grid exceeds the configured safety budget."""
 
 
 class ProblemFileError(ValueError):

@@ -33,10 +33,6 @@ PROBLEM_KINDS = (
     "mixed",
 )
 
-_INTEGER_KINDS = ("ilp", "iqp", "iqcqp")
-_LIPSCHITZ_KINDS = ("lipschitz-linear", "lipschitz-quadratic")
-
-
 @dataclass(frozen=True)
 class ParsedProblem:
     """Validated problem document with coefficients in their target type."""

@@ -10,43 +10,34 @@ Accepting points with g(x) <= epsilon (relaxed feasibility) makes the
 best grid value land within epsilon of the true optimum whenever one
 exists.
 
-Both approximation schemes take the block path of :mod:`l1opt.blocks`
-when the problem's objective and constraints are built-in oracles
-(``make_linear_oracle`` or ``make_quadratic_oracle``) over float data
-and the step is a float: each block of integer points y becomes the
-grid block ``step * y`` in float64, and the weighted budget becomes a
-mask over the kept coordinates, summed in the scalar order.  Other
-oracles, rational data and the mixed solver keep the scalar walk.  The
+Both approximation schemes walk the ball through
+:func:`l1opt.solver.scan_ball`, the walk of the exact solvers, with the
+grid step: each integer point y becomes the grid point ``step * y``,
+and the weighted budget is tested over the kept coordinates.  The block
+path of :mod:`l1opt.blocks` runs when the problem's objective and
+constraints are built-in oracles (``make_linear_oracle`` or
+``make_quadratic_oracle``) over float data and the step is a float;
+other oracles and rational data take the scalar path.  The mixed
+solver keeps its own scalar walk, one inner solve per point.  The
 command line's ``ptas`` passes the built-in oracles of float files as
 they are, and wraps those of rational files to return floats.
 
 kappa is caller-supplied.  Supplying an underestimate voids the
-guarantee; :func:`check_lipschitz` offers a sampling-based sanity check
-that warns on observed violations but certifies nothing.
+guarantee, and nothing here checks it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .counting import Real, floor_radius
-from .errors import (
-    GridTooLargeError,
-    InnerSolverError,
-    InvalidDimensionError,
-    ShapeMismatchError,
-)
-from .lattice import LatticePoint, iter_l1_points
+from .errors import InnerSolverError, InvalidDimensionError, ShapeMismatchError
+from .lattice import iter_l1_points
 from .lp import INFEASIBLE, OPTIMAL, _scaled, exact_rationals, lp_solve
-from .blocks import block_scan
-from .solver import WeightedL1Spec, _check_parallel, _oracle_evaluator, _scan_points
+from .solver import WeightedL1Spec, _check_parallel, _scan_points, scan_ball
 
 
 @dataclass(frozen=True)
@@ -158,14 +149,7 @@ def solve_lipschitz_ptas(
     _check_parallel(parallel)
     radius = grid_radius(problem.radius, problem.lipschitz, epsilon)
     step = epsilon / problem.lipschitz
-    evaluate = _oracle_evaluator(problem.evaluate, epsilon)
-
-    def to_grid(y: tuple[int, ...]) -> tuple[float, ...]:
-        return tuple(map(step.__mul__, y))
-
-    best, calls, points = block_scan(problem, radius, epsilon, step=step) or _scan_points(
-        iter_l1_points(problem.n, radius), evaluate, prepare=to_grid
-    )
+    best, calls, points = scan_ball(problem, radius, epsilon, step=step)
     if best is None:
         return ApproxSolution("no_feasible_grid_point", None, None, calls, points, radius, step)
     value, _, x = best
@@ -194,36 +178,23 @@ def solve_weighted_lipschitz_ptas(
     scaled_radius = grid_radius(problem.radius, problem.lipschitz, epsilon)
     step = epsilon / problem.lipschitz
     kept = [i for i, w in enumerate(spec.weights) if w * step <= problem.radius]
-    evaluate = _oracle_evaluator(problem.evaluate, epsilon)
-    if kept:
-        effective_radius = floor_radius(
-            Fraction(problem.radius) / (Fraction(min(spec.weights)) * Fraction(step))
-        )
-        indices = range(len(kept))
-        costs = [spec.weights[i] for i in kept]
-        budget = problem.radius + 1e-12
-        found = block_scan(
-            problem, effective_radius, epsilon, step=step, kept=kept, costs=costs, budget=budget
-        )
-
-        def to_grid(y: tuple[int, ...]) -> Optional[tuple[float, ...]]:
-            # Zero and pinned entries add nothing to the weighted norm, so
-            # a sum over the support, in ascending kept order, matches the
-            # sum over every kept coordinate bit for bit, and an infinite
-            # pinned weight cannot turn it into NaN.
-            x = [0.0] * problem.n
-            norm = 0
-            for j in compress(indices, y):
-                x[kept[j]] = xi = step * y[j]
-                norm += costs[j] * abs(xi)
-            return None if norm > budget else tuple(x)
-
-        best, calls, points = found or _scan_points(
-            iter_l1_points(len(kept), effective_radius), evaluate, prepare=to_grid
-        )
-    else:
-        origin = LatticePoint(x=(0.0,) * problem.n, l1=0, ordinal=0)
-        best, calls, points = _scan_points([origin], evaluate)
+    # With every weight infinite min(weights) has no Fraction, and with
+    # every coordinate pinned the walk is the origin alone at any radius.
+    effective_radius = (
+        floor_radius(Fraction(problem.radius) / (Fraction(min(spec.weights)) * Fraction(step)))
+        if kept
+        else 0
+    )
+    costs = [spec.weights[i] for i in kept]
+    best, calls, points = scan_ball(
+        problem,
+        effective_radius,
+        epsilon,
+        step=step,
+        kept=kept,
+        costs=costs,
+        budget=problem.radius + 1e-12,
+    )
     if best is None:
         return ApproxSolution(
             "no_feasible_grid_point", None, None, calls, points, scaled_radius, step
@@ -306,65 +277,6 @@ def linear_mixed_inner_solver(
     return inner
 
 
-def fine_grid_reference(
-    problem: LipschitzProblem,
-    step: float,
-    max_points: int = 5_000_000,
-) -> ApproxSolution:
-    """Brute-force reference: minimize f over a fine grid, strict feasibility.
-
-    Scans the step-grid restricted to the l1 ball and to g(x) <= 0.
-    Because the scan is a subset of the continuous feasible set, its
-    minimum is an upper bound on the true optimum, which is what the
-    approximation guarantee is tested against.  Only for small
-    dimensions; raises :class:`GridTooLargeError` past ``max_points``.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    # The relative guard keeps a boundary multiple like 10 * 0.1 in the
-    # grid even when float(step) sits a hair above the intended value;
-    # the exact ball re-check below rejects anything genuinely outside.
-    per_coord = floor_radius(
-        Fraction(problem.radius) / Fraction(step) * (1 + Fraction(1, 10**12))
-    )
-    estimated = (2 * per_coord + 1) ** problem.n
-    if estimated > max_points:
-        raise GridTooLargeError(
-            f"fine grid holds about {estimated} points, over the {max_points} budget"
-        )
-    best = None
-    calls = 0
-    points = 0
-    # Integer multiples k of the step with sum |k| <= per_coord stay in
-    # the ball up to float noise; the exact ball test below settles it.
-    for assignment in _budgeted_grid(problem.n, per_coord):
-        x = tuple(step * k for k in assignment)
-        if sum(abs(v) for v in x) > problem.radius + 1e-12:
-            continue
-        points += 1
-        value, residuals = problem.evaluate(x)
-        calls += 1
-        if not all(g <= 0 for g in residuals):
-            continue
-        if value < best[0] if best is not None else value == value:
-            best = (value, x)
-    if best is None:
-        return ApproxSolution("no_feasible_grid_point", None, None, calls, points, per_coord, step)
-    value, x = best
-    return ApproxSolution("optimal", x, value, calls, points, per_coord, step)
-
-
-def _budgeted_grid(n: int, budget: int):
-    """Integer vectors with sum of absolute entries at most the budget."""
-    if n == 1:
-        for k in range(-budget, budget + 1):
-            yield (k,)
-        return
-    for k in range(-budget, budget + 1):
-        for rest in _budgeted_grid(n - 1, budget - abs(k)):
-            yield (k,) + rest
-
-
 def linear_lipschitz_constant(c: Sequence, A: Sequence[Sequence]) -> float:
     """Shared sup-norm Lipschitz constant for c.x and the rows of A x - b.
 
@@ -407,46 +319,3 @@ def quadratic_lipschitz_constant(
     for row in rows:
         best = max(best, term(getattr(row, "A", None), row.b))
     return best
-
-
-def check_lipschitz(
-    problem: LipschitzProblem,
-    samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Sampling-based sanity check of the declared Lipschitz constant.
-
-    Draws random pairs in the ball and returns the largest observed
-    slope max(|f(x)-f(y)|, |g_i(x)-g_i(y)|) / ||x-y||_inf, warning when
-    it exceeds the declared constant.  Passing proves nothing.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = _random_ball_point(rng, problem.n, problem.radius)
-        y = _random_ball_point(rng, problem.n, problem.radius)
-        gap = max(abs(a - b) for a, b in zip(x, y))
-        if gap == 0:
-            continue
-        fx, gx = problem.evaluate(x)
-        fy, gy = problem.evaluate(y)
-        slope = abs(fx - fy) / gap
-        for u, v in zip(gx, gy):
-            slope = max(slope, abs(u - v) / gap)
-        worst = max(worst, slope)
-    if worst > problem.lipschitz * (1 + 1e-9):
-        warnings.warn(
-            f"observed Lipschitz slope {worst:.6g} exceeds the declared "
-            f"constant {problem.lipschitz:.6g}; the additive guarantee is void",
-            stacklevel=2,
-        )
-    return worst
-
-
-def _random_ball_point(rng: np.random.Generator, n: int, radius: float) -> tuple[float, ...]:
-    raw = rng.standard_normal(n)
-    norm = np.abs(raw).sum()
-    if norm == 0:
-        return (0.0,) * n
-    scale = radius * rng.random() / norm
-    return tuple(float(v) for v in raw * scale)

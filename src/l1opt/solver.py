@@ -16,7 +16,12 @@ O(support^2) for a quadratic one, not O(n) or O(n^2).  Their values,
 floats included, are bit for bit those of the dense left-to-right sums
 that ``tests/oracles.py`` keeps as the reference.
 
-Two paths run a solve, with the same results, ties and counts:
+Two paths run a walk, with the same results, ties and counts, and they
+meet in one function, :func:`scan_ball`.  Every solver of a problem's
+oracles calls it: :func:`solve_l1_ip` and :func:`solve_weighted_l1_ip`
+here, and the approximation schemes of :mod:`l1opt.ptas`, which pass a
+grid step.  The solvers only compute the ball's radius and, for a
+weighted budget, the kept coordinates, their costs and the budget.
 
 - The block path (:mod:`l1opt.blocks`) runs whenever the objective and
   the constraints are both built-in oracles (``make_linear_oracle``,
@@ -35,7 +40,9 @@ Two paths run a solve, with the same results, ties and counts:
   runs for every other case: generic callables, oracles replaced or
   wrapped (say by ``dataclasses.replace``), data that mixes numeric
   types, rational data past the int64 bound, and a ``stop_below`` that
-  is neither a float nor a rational.
+  is neither a float nor a rational.  Per point it applies the grid map
+  ``step * y`` or the weighted embedding with its budget test, as the
+  block path does per block.
 """
 
 from __future__ import annotations
@@ -43,13 +50,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, product
+from itertools import chain, compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from .blocks import Forms, block_scan
 from .counting import Real, floor_radius
 from .errors import InvalidDimensionError, InvalidWeightsError, ShapeMismatchError
-from .lattice import LatticePoint, canonical_ordinal, iter_l1_points
+from .lattice import LatticePoint, iter_l1_points
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -70,30 +77,23 @@ class QuadraticConstraint:
 
 
 @dataclass(frozen=True)
-class LinearPayload:
-    c: tuple
-    A: tuple[tuple, ...]
-    b: tuple
-
-
-@dataclass(frozen=True)
-class QuadraticPayload:
-    Q: tuple[tuple, ...]
-    c: tuple
-    constraints: tuple[QuadraticConstraint, ...]
-
-
-@dataclass(frozen=True)
 class WeightedL1Spec:
-    """Constraint sum_i weights_i * |x_i| <= radius with positive weights."""
+    """Constraint sum_i weights_i * |x_i| <= radius with positive weights.
+
+    A weight may be infinite, which pins its coordinate to zero; a NaN
+    weight, and a radius that is negative, infinite or NaN, raise
+    ``ValueError``.
+    """
 
     weights: tuple
     radius: Real
 
     def __post_init__(self) -> None:
         for i, w in enumerate(self.weights):
-            if w <= 0:
+            if not w > 0:
                 raise InvalidWeightsError(f"weights[{i}] = {w} is not positive")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError(f"radius must be finite and nonnegative, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,6 @@ class ProblemInstance:
     objective: Objective
     constraints: Constraints
     arithmetic: str = RATIONAL
-    payload: object = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -154,7 +153,6 @@ class ProblemInstance:
             objective=objective,
             constraints=constraints,
             arithmetic=arithmetic,
-            payload=LinearPayload(c=c, A=A, b=b),
         )
 
     @classmethod
@@ -172,7 +170,6 @@ class ProblemInstance:
             objective=objective,
             constraints=constraint_fn,
             arithmetic=arithmetic,
-            payload=QuadraticPayload(Q=Q, c=c, constraints=rows),
         )
 
 
@@ -283,13 +280,7 @@ def solve_l1_ip(
     """
     opts = options or SolveOptions()
     tol = _feasibility_tolerance(problem, opts)
-    rho = floor_radius(radius)
-    found = block_scan(problem, rho, tol, opts.stop_below) or _scan_points(
-        iter_l1_points(problem.n, rho),
-        _oracle_evaluator(problem.evaluate, tol),
-        stop=opts.stop_below,
-    )
-    return _solution_from(*found)
+    return _solution_from(*scan_ball(problem, floor_radius(radius), tol, opts.stop_below))
 
 
 def solve_weighted_l1_ip(
@@ -314,18 +305,12 @@ def solve_weighted_l1_ip(
         )
     opts = options or SolveOptions()
     tol = _feasibility_tolerance(problem, opts)
-    evaluate = _oracle_evaluator(problem.evaluate, tol)
-    n = problem.n
     exact = problem.arithmetic == RATIONAL
     conv = Fraction if exact else float
     weights = tuple(conv(w) for w in weighted.weights)
     radius = conv(weighted.radius)
 
     kept = [i for i, w in enumerate(weights) if w <= radius]
-    if not kept:
-        origin = LatticePoint(x=(0,) * n, l1=0, ordinal=0)
-        return _solution_from(*_scan_points([origin], evaluate))
-
     rho = floor_radius(radius / min(weights))
     if exact:
         # Clear denominators once: the budget test runs on Python ints.
@@ -335,64 +320,52 @@ def solve_weighted_l1_ip(
     else:
         costs = [weights[i] for i in kept]
         budget = radius + _float_tolerance(opts)
-    found = block_scan(problem, rho, tol, opts.stop_below, kept=kept, costs=costs, budget=budget)
-    if found is not None:
-        return _solution_from(*found)
-    indices = range(len(kept))
-
-    def embed_within_budget(y: Sequence[int]) -> Optional[tuple]:
-        # Zero and pinned entries add nothing to the weighted norm, so a
-        # sum over the support matches the full float sum bit for bit,
-        # and an infinite pinned weight cannot turn it into NaN.
-        x = [0] * n
-        norm = 0
-        for j in compress(indices, y):
-            x[kept[j]] = v = y[j]
-            norm += costs[j] * abs(v)
-        return None if norm > budget else tuple(x)
-
-    walk = iter_l1_points(len(kept), rho)
-    return _solution_from(
-        *_scan_points(walk, evaluate, prepare=embed_within_budget, stop=opts.stop_below)
-    )
+    found = scan_ball(problem, rho, tol, opts.stop_below, kept=kept, costs=costs, budget=budget)
+    return _solution_from(*found)
 
 
-def brute_force_box_solve(
-    problem: ProblemInstance,
-    box: Sequence[tuple[int, int]],
-    extra_l1: Optional[Real] = None,
-    options: Optional[SolveOptions] = None,
-) -> Solution:
-    """Independent cross-validation solver scanning an integer box.
+def scan_ball(problem, rho, tolerance, stop=None, step=None, kept=None, costs=None, budget=None):
+    """Best feasible ``(value, ordinal, x)`` over one walk of the rho-ball,
+    with its counts: ``(best, calls, points)``.
 
-    Applies the same feasibility rule as the ball solver.  Ties break to
-    the smallest canonical ordinal when ``extra_l1`` restricts the scan
-    to a ball, and to the lexicographically smallest optimum otherwise.
+    The one walk of :func:`solve_l1_ip`, :func:`solve_weighted_l1_ip`
+    and both approximation schemes, with the arguments of
+    :func:`l1opt.blocks.block_scan`: with ``kept`` the ball spans only
+    those coordinates and each point must pass the weighted budget
+    ``sum(costs[j] * |x_j|) <= budget`` before its oracle call; with a
+    ``step`` the point evaluated is ``step * y``.  The block path runs
+    when it accepts the problem; else :func:`_scan_points` walks
+    :func:`iter_l1_points` with the same embedding, budget and grid map
+    per point.  An empty ``kept`` pins every coordinate, so the walk is
+    the origin alone.
     """
-    if len(box) != problem.n:
-        raise ShapeMismatchError(f"box has {len(box)} ranges, expected {problem.n}")
-    opts = options or SolveOptions()
-    tol = _feasibility_tolerance(problem, opts)
-    rho = None if extra_l1 is None else floor_radius(extra_l1)
-    best = None
-    calls = 0
-    points = 0
-    for x in product(*(range(lo, hi + 1) for lo, hi in box)):
-        if rho is not None and sum(abs(v) for v in x) > rho:
-            continue
-        points += 1
-        value, residuals = problem.evaluate(x)
-        calls += 1
-        if not all(g <= tol for g in residuals):
-            continue
-        key = (value, canonical_ordinal(x, rho)) if rho is not None else (value,)
-        # Scan order over the box is lexicographic, so a strict compare
-        # on the value alone already keeps the lexicographic minimum.
-        if best is None or key < best[0]:
-            best = (key, x)
-    if best is None:
-        return Solution("infeasible", None, None, calls, points)
-    return Solution("optimal", best[1], best[0][0], calls, points)
+    n = problem.n
+    if kept is None or kept:
+        found = block_scan(problem, rho, tolerance, stop, step, kept, costs, budget)
+        if found is not None:
+            return found
+    if kept is None:
+        walk = iter_l1_points(n, rho)
+        prepare = None if step is None else (lambda y: tuple(map(step.__mul__, y)))
+    else:
+        walk = iter_l1_points(len(kept), rho) if kept else [LatticePoint(x=(), l1=0, ordinal=0)]
+        indices = range(len(kept))
+        zero = 0 if step is None else 0.0
+
+        def prepare(y: Sequence[int]) -> Optional[tuple]:
+            # Zero and pinned entries add nothing to the weighted norm, so
+            # a sum over the support, in ascending kept order, matches the
+            # sum over every kept coordinate bit for bit, and an infinite
+            # pinned weight cannot turn it into NaN.
+            x = [zero] * n
+            norm = 0
+            for j in compress(indices, y):
+                x[kept[j]] = v = y[j] if step is None else step * y[j]
+                norm += costs[j] * abs(v)
+            return None if norm > budget else tuple(x)
+
+    evaluate = _oracle_evaluator(problem.evaluate, tolerance)
+    return _scan_points(walk, evaluate, prepare=prepare, stop=stop)
 
 
 def _scan_points(points, evaluate, prepare=None, stop=None):

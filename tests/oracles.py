@@ -5,16 +5,42 @@ exact rational arithmetic.  None of it shares code paths with the
 implementations under test beyond the canonical-ordinal helper, which
 has its own replay-based validation, and the ``LPResult`` record the
 Fraction simplex returns.
+
+The references that only tests call live here too, not in the package:
+the fine-grid reference for the approximation schemes
+(:func:`fine_grid_reference`), the sampled Lipschitz check
+(:func:`check_lipschitz`), and the l2 counts and covering formulas
+(:func:`count_l2_lattice_brute`, :func:`l2_count_bounds`,
+:func:`covering_bound_l1`, :func:`covering_bounds_linf`, built on
+:func:`big_bound_ratio_power`).  Past their size budgets the brute-force
+scans raise :class:`GridTooLargeError`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
+
+from l1opt.counting import (
+    BigBound,
+    Real,
+    _require_bound_dimension,
+    _within_cap,
+    count_linf_lattice,
+    floor_radius,
+)
+from l1opt.errors import InvalidDimensionError
 from l1opt.lattice import LatticePoint, canonical_ordinal
 from l1opt.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+from l1opt.ptas import ApproxSolution, LipschitzProblem
+
+
+class GridTooLargeError(RuntimeError):
+    """A brute-force grid exceeds the configured safety budget."""
 
 
 def ball_points_brute(n: int, radius) -> set[tuple[int, ...]]:
@@ -401,3 +427,184 @@ def random_quadratic(rng, max_n=3, max_m=2):
             )
         )
     return n, Q, c, constraints
+
+
+def fine_grid_reference(
+    problem: LipschitzProblem,
+    step: float,
+    max_points: int = 5_000_000,
+) -> ApproxSolution:
+    """Brute-force reference: minimize f over a fine grid, strict feasibility.
+
+    Scans the step-grid restricted to the l1 ball and to g(x) <= 0.
+    Because the scan is a subset of the continuous feasible set, its
+    minimum is an upper bound on the true optimum, which is what the
+    approximation guarantee is tested against.  Only for small
+    dimensions; raises :class:`GridTooLargeError` past ``max_points``.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    # The relative guard keeps a boundary multiple like 10 * 0.1 in the
+    # grid even when float(step) sits a hair above the intended value;
+    # the exact ball re-check below rejects anything genuinely outside.
+    per_coord = floor_radius(
+        Fraction(problem.radius) / Fraction(step) * (1 + Fraction(1, 10**12))
+    )
+    estimated = (2 * per_coord + 1) ** problem.n
+    if estimated > max_points:
+        raise GridTooLargeError(
+            f"fine grid holds about {estimated} points, over the {max_points} budget"
+        )
+    best = None
+    calls = 0
+    points = 0
+    # Integer multiples k of the step with sum |k| <= per_coord stay in
+    # the ball up to float noise; the exact ball test below settles it.
+    for assignment in _budgeted_grid(problem.n, per_coord):
+        x = tuple(step * k for k in assignment)
+        if sum(abs(v) for v in x) > problem.radius + 1e-12:
+            continue
+        points += 1
+        value, residuals = problem.evaluate(x)
+        calls += 1
+        if not all(g <= 0 for g in residuals):
+            continue
+        if value < best[0] if best is not None else value == value:
+            best = (value, x)
+    if best is None:
+        return ApproxSolution("no_feasible_grid_point", None, None, calls, points, per_coord, step)
+    value, x = best
+    return ApproxSolution("optimal", x, value, calls, points, per_coord, step)
+
+
+def _budgeted_grid(n: int, budget: int):
+    """Integer vectors with sum of absolute entries at most the budget."""
+    if n == 1:
+        for k in range(-budget, budget + 1):
+            yield (k,)
+        return
+    for k in range(-budget, budget + 1):
+        for rest in _budgeted_grid(n - 1, budget - abs(k)):
+            yield (k,) + rest
+
+
+def check_lipschitz(
+    problem: LipschitzProblem,
+    samples: int = 200,
+    seed: int = 0,
+) -> float:
+    """Sampling-based sanity check of the declared Lipschitz constant.
+
+    Draws random pairs in the ball and returns the largest observed
+    slope max(|f(x)-f(y)|, |g_i(x)-g_i(y)|) / ||x-y||_inf, warning when
+    it exceeds the declared constant.  Passing proves nothing.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        x = _random_ball_point(rng, problem.n, problem.radius)
+        y = _random_ball_point(rng, problem.n, problem.radius)
+        gap = max(abs(a - b) for a, b in zip(x, y))
+        if gap == 0:
+            continue
+        fx, gx = problem.evaluate(x)
+        fy, gy = problem.evaluate(y)
+        slope = abs(fx - fy) / gap
+        for u, v in zip(gx, gy):
+            slope = max(slope, abs(u - v) / gap)
+        worst = max(worst, slope)
+    if worst > problem.lipschitz * (1 + 1e-9):
+        warnings.warn(
+            f"observed Lipschitz slope {worst:.6g} exceeds the declared "
+            f"constant {problem.lipschitz:.6g}; the additive guarantee is void",
+            stacklevel=2,
+        )
+    return worst
+
+
+def _random_ball_point(rng: np.random.Generator, n: int, radius: float) -> tuple[float, ...]:
+    raw = rng.standard_normal(n)
+    norm = np.abs(raw).sum()
+    if norm == 0:
+        return (0.0,) * n
+    scale = radius * rng.random() / norm
+    return tuple(float(v) for v in raw * scale)
+
+
+def big_bound_ratio_power(ratio: Real, n: int) -> BigBound:
+    """ratio**n for a nonnegative, possibly fractional ratio."""
+    if ratio < 0:
+        raise ValueError("ratio must be nonnegative")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if ratio == 0:
+        return BigBound.from_int(0) if n > 0 else BigBound.from_int(1)
+    if isinstance(ratio, int):
+        log10 = n * math.log10(ratio)
+        return BigBound.from_int(ratio**n) if _within_cap(log10) else BigBound(None, log10)
+    if isinstance(ratio, Fraction):
+        log10 = n * (math.log10(ratio.numerator) - math.log10(ratio.denominator))
+        integral = ratio.denominator == 1 and _within_cap(log10)
+        return BigBound(exact=ratio.numerator**n if integral else None, log10=log10)
+    value = float(ratio) ** n
+    exact = None
+    if math.isfinite(value) and abs(value) < 1e15:
+        nearest = round(value)
+        if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
+            exact = int(nearest)
+    return BigBound(exact=exact, log10=n * math.log10(ratio))
+
+
+def l2_count_bounds(n: int, radius: Real) -> tuple[int, int]:
+    """(lower, upper) bounds on the number of integer points of the l2 ball.
+
+    The lower bound 2n needs radius >= 1; the upper bound
+    (1 + 2*floor(radius))^n holds unconditionally.  No exact closed form
+    is exposed; see :func:`count_l2_lattice_brute` for small cases.
+    """
+    _require_bound_dimension(n)
+    return 2 * n, count_linf_lattice(n, radius)
+
+
+def count_l2_lattice_brute(n: int, radius: Real) -> int:
+    """Brute-force l2 lattice count for small instances (test utility)."""
+    if n < 1:
+        raise InvalidDimensionError("dimension must be >= 1")
+    rho = floor_radius(radius)
+    if (1 + 2 * rho) ** n > 5_000_000:
+        raise GridTooLargeError(f"brute-force box (1+2*{rho})^{n} is too large")
+    limit = Fraction(radius) ** 2 if isinstance(radius, (int, Fraction)) else float(radius) ** 2
+    count = 0
+    for x in itertools.product(range(-rho, rho + 1), repeat=n):
+        if sum(v * v for v in x) <= limit:
+            count += 1
+    return count
+
+
+def covering_bound_l1(n: int, radius: Real, r: Real) -> BigBound:
+    """Upper bound n^((radius/(sqrt(2)*r))^2) on covering the l1 ball by r-cubes."""
+    _require_bound_dimension(n)
+    if r <= 0:
+        raise ValueError("covering radius r must be positive")
+    if isinstance(radius, (int, Fraction)) and isinstance(r, (int, Fraction)):
+        exponent = Fraction(radius) ** 2 / (2 * Fraction(r) ** 2)
+    else:
+        exponent = float(radius) ** 2 / (2.0 * float(r) ** 2)
+    return BigBound.from_power(n, exponent)
+
+
+def covering_bounds_linf(n: int, radius: Real, r: Real) -> tuple[BigBound, BigBound]:
+    """((radius/r)^n, (2 + radius/r)^n) bounds for covering a cube by cubes.
+
+    The lower bound is meaningful only when r <= radius; the upper bound
+    holds for all radius >= 0.
+    """
+    if n < 1:
+        raise InvalidDimensionError("dimension must be >= 1")
+    if r <= 0:
+        raise ValueError("covering radius r must be positive")
+    if isinstance(radius, (int, Fraction)) and isinstance(r, (int, Fraction)):
+        ratio: Real = Fraction(radius) / Fraction(r)
+    else:
+        ratio = float(radius) / float(r)
+    return big_bound_ratio_power(ratio, n), big_bound_ratio_power(2 + ratio, n)

@@ -26,7 +26,6 @@ from l1opt.complexity import LinearRegionBackend, estimate_bound, verify_cover
 from l1opt.lattice import iter_l1_points
 from l1opt.ptas import (
     LipschitzProblem,
-    fine_grid_reference,
     linear_lipschitz_constant,
     quadratic_lipschitz_constant,
     solve_lipschitz_ptas,
@@ -35,11 +34,17 @@ from l1opt.solver import (
     ProblemInstance,
     QuadraticConstraint,
     WeightedL1Spec,
-    brute_force_box_solve,
     solve_l1_ip,
     solve_weighted_l1_ip,
 )
-from oracles import ball_points_brute, random_ilp, random_quadratic, solve_weighted_brute
+from oracles import (
+    ball_points_brute,
+    fine_grid_reference,
+    random_ilp,
+    random_quadratic,
+    solve_ball_brute,
+    solve_weighted_brute,
+)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -101,14 +106,8 @@ def test_criterion_4_solver_exactness_randomized():
 
     def check(problem, lam):
         nonlocal mismatches
-        rho = int(lam)
         mine = solve_l1_ip(problem, lam)
-        reference = brute_force_box_solve(problem, [(-rho, rho)] * problem.n, extra_l1=lam)
-        if (mine.status, mine.objective, mine.x) != (
-            reference.status,
-            reference.objective,
-            reference.x,
-        ):
+        if (mine.status, mine.objective, mine.x) != solve_ball_brute(problem, lam):
             mismatches += 1
 
     for _ in range(100):

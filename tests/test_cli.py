@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 import l1opt
-from l1opt import cli, ptas
+from l1opt import cli, solver
 
 ILP = {
     "kind": "ilp",
@@ -308,8 +308,8 @@ def test_ptas_float_file_takes_the_block_path(tmp_path, capsys):
         found.append(result is not None)
         return result
 
-    block_scan = ptas.block_scan
-    with mock.patch.object(ptas, "block_scan", spy):
+    block_scan = solver.block_scan
+    with mock.patch.object(solver, "block_scan", spy):
         assert cli.main(["ptas", path]) == 0
     assert found == [True]
     out = capsys.readouterr().out

@@ -7,20 +7,23 @@ import pytest
 from l1opt.counting import (
     BigBound,
     count_l1_lattice,
-    count_l2_lattice_brute,
     count_linf_lattice,
-    covering_bound_l1,
-    covering_bounds_linf,
     estimate_gaussian_width,
     exact_digit_cap,
     gaussian_width_bound,
     l1_count_lower_bound,
     l1_count_upper_bound,
-    l2_count_bounds,
     oracle_complexity_bound,
 )
 from l1opt.errors import InvalidDimensionError
-from oracles import ball_points_brute, linf_count_brute
+from oracles import (
+    ball_points_brute,
+    count_l2_lattice_brute,
+    covering_bound_l1,
+    covering_bounds_linf,
+    l2_count_bounds,
+    linf_count_brute,
+)
 
 
 def test_count_l1_examples():

@@ -6,14 +6,12 @@ from fractions import Fraction
 import pytest
 
 from l1opt.counting import count_l1_lattice
-from l1opt.errors import GridTooLargeError, InnerSolverError
+from l1opt.errors import InnerSolverError
 from l1opt.lattice import iter_l1_points
 from l1opt.ptas import (
     InnerSolution,
     LipschitzProblem,
     MixedProblem,
-    check_lipschitz,
-    fine_grid_reference,
     grid_radius,
     linear_lipschitz_constant,
     linear_mixed_inner_solver,
@@ -22,6 +20,7 @@ from l1opt.ptas import (
     solve_mixed_integer,
     solve_weighted_lipschitz_ptas,
 )
+from oracles import GridTooLargeError, check_lipschitz, fine_grid_reference
 
 
 def feasible_everywhere(x):
@@ -298,6 +297,19 @@ def test_nan_values_are_never_optimal():
     mixed = solve_mixed_integer(MixedProblem(n_int=2, n_cont=1, inner_solver=inner), 1)
     assert mixed.status == "optimal"
     assert mixed.objective == -1.0
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.nan)])
+def test_weighted_ptas_rejects_nan_weight(weights):
+    problem = LipschitzProblem(
+        n=2,
+        objective=lambda x: x[0] + x[1],
+        constraints=feasible_everywhere,
+        lipschitz=1.0,
+        radius=1.0,
+    )
+    with pytest.raises(ValueError, match="not positive"):
+        solve_weighted_lipschitz_ptas(problem, weights, 0.5)
 
 
 def test_weighted_budget_holds_with_an_infinite_weight():

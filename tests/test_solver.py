@@ -7,14 +7,14 @@ import pytest
 
 from l1opt.counting import count_l1_lattice
 from l1opt.errors import InvalidWeightsError, ShapeMismatchError
-from l1opt.lattice import canonical_ordinal, iter_l1_points
+from l1opt.lattice import iter_l1_points
+from l1opt.ptas import LipschitzProblem, solve_weighted_lipschitz_ptas
 from l1opt.solver import (
     FLOAT,
     ProblemInstance,
     QuadraticConstraint,
     SolveOptions,
     WeightedL1Spec,
-    brute_force_box_solve,
     make_linear_oracle,
     make_quadratic_oracle,
     solve_l1_ip,
@@ -30,6 +30,14 @@ def unconstrained(c, n=None):
         n=n,
         objective=lambda x: sum(Fraction(a) * v for a, v in zip(c, x)),
         constraints=lambda x: (),
+    )
+
+
+def wrap_oracles(problem):
+    """The same problem behind generic callables, which take the scalar path."""
+    objective, constraints = problem.objective, problem.constraints
+    return dataclasses.replace(
+        problem, objective=lambda x: objective(x), constraints=lambda x: constraints(x)
     )
 
 
@@ -192,15 +200,8 @@ def test_agreement_with_box_brute_force_linear():
         lam = rng.choice([1, 2, 3])
         problem = ProblemInstance.linear(c, A, b)
         mine = solve_l1_ip(problem, lam)
-        rho = lam
-        reference = brute_force_box_solve(
-            problem, [(-rho, rho)] * n, extra_l1=lam
-        )
-        assert (mine.status, mine.objective, mine.x) == (
-            reference.status,
-            reference.objective,
-            reference.x,
-        ), f"trial {trial}"
+        reference = solve_ball_brute(problem, lam)
+        assert (mine.status, mine.objective, mine.x) == reference, f"trial {trial}"
 
 
 def test_agreement_with_independent_scan_quadratic():
@@ -242,10 +243,43 @@ def test_weighted_example_pins_heavy_coordinate():
 
 
 def test_weighted_all_heavy_leaves_origin():
+    # Every weight (times the grid step, for the approximation scheme) is
+    # above the radius: every coordinate is pinned and the walk is the
+    # origin alone, with built-in oracles and with wrapped ones.
     problem = ProblemInstance.linear((1, 1), ((0, 0),), (0,))
-    solution = solve_weighted_l1_ip(problem, WeightedL1Spec((Fraction(3), Fraction(3)), Fraction(2)))
-    assert solution.status == "optimal"
-    assert solution.x == (0, 0)
+    spec = WeightedL1Spec((Fraction(3), Fraction(3)), Fraction(2))
+    for instance in (problem, wrap_oracles(problem)):
+        solution = solve_weighted_l1_ip(instance, spec)
+        assert solution.status == "optimal"
+        assert solution.x == (0, 0)
+        assert solution.oracle_calls == solution.points_enumerated == 1
+    floats = ProblemInstance.linear((1.0, 1.0), ((0.0, 0.0),), (0.0,), arithmetic=FLOAT)
+    for instance in (floats, wrap_oracles(floats)):
+        lipschitz = LipschitzProblem(
+            n=2,
+            objective=instance.objective,
+            constraints=instance.constraints,
+            lipschitz=2.0,
+            radius=1.0,
+        )
+        # The step is 0.5 / 2 = 0.25, and 5 * 0.25 > 1.
+        for weights in ((5.0, 8.0), (math.inf, math.inf)):
+            solution = solve_weighted_lipschitz_ptas(lipschitz, weights, 0.5)
+            assert solution.status == "optimal"
+            assert solution.x == (0.0, 0.0)
+            assert solution.oracle_calls == solution.points_enumerated == 1
+
+
+@pytest.mark.parametrize("radius", [-1, Fraction(-1, 2), math.nan, math.inf, -math.inf])
+def test_weighted_rejects_negative_or_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+        WeightedL1Spec((1.0, 1.0), radius)
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.nan)])
+def test_weighted_rejects_nan_weight(weights):
+    with pytest.raises(InvalidWeightsError, match="not positive"):
+        WeightedL1Spec(weights, 2.0)
 
 
 def test_weighted_unit_weights_reduce_to_plain():
@@ -287,28 +321,6 @@ def test_weighted_solution_respects_budget_exactly():
         solution = solve_weighted_l1_ip(problem, WeightedL1Spec(weights, lam))
         if solution.status == "optimal":
             assert sum(w * abs(v) for w, v in zip(weights, solution.x)) <= lam
-
-
-def test_box_solver_without_ball_uses_lex_tiebreak():
-    problem = unconstrained((0, 0))
-    solution = brute_force_box_solve(problem, [(-1, 1), (-1, 1)])
-    assert solution.x == (-1, -1)
-
-
-def test_box_solver_origin_only():
-    problem = unconstrained((1, 1, 1))
-    solution = brute_force_box_solve(problem, [(0, 0)] * 3)
-    assert solution.points_enumerated == 1
-    assert solution.x == (0, 0, 0)
-
-
-def test_box_solver_ordinal_tiebreak_matches_ball_order():
-    problem = unconstrained((1, 1, 1))
-    solution = brute_force_box_solve(problem, [(-1, 1)] * 3, extra_l1=1)
-    assert solution.x == (0, 0, -1)
-    assert canonical_ordinal(solution.x, 1) == min(
-        canonical_ordinal(p.x, 1) for p in iter_l1_points(3, 1) if sum(p.x) == -1
-    )
 
 
 def test_float_mode_tolerance():
