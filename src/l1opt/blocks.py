@@ -5,17 +5,26 @@ The solvers walk the ball a block of points at a time
 are the built-in ones of :func:`l1opt.solver.make_linear_oracle` or
 :func:`l1opt.solver.make_quadratic_oracle`.  Those oracles carry their
 data as a :class:`Forms` (attribute ``block_forms``), so the data is
-found through the oracles themselves.  One evaluator serves both
-arithmetic modes:
+found through the oracles themselves.  One evaluator serves every
+arithmetic: each form is summed column by column over the support, from
+left to right and starting from zero.
 
-- Float data is summed in float64 column by column, over the support
-  from left to right and starting from +0.0.  These are the scalar
-  oracles' operations in the scalar oracles' order, so every value is
-  theirs bit for bit.
+- Float data is summed in float64.  These are the scalar oracles'
+  operations in the scalar oracles' order, so every value is theirs bit
+  for bit.
 - Rational data (int and Fraction) is scaled to ints by the lcm of the
-  denominators of each form and summed in int64.  This runs only when
+  denominators of each form.  The sums run in int64 when
   max|M| rho^2 + max|a| rho + |const| fits in int64 for every form,
-  which bounds every partial sum; otherwise the scalar path runs.
+  which bounds every partial sum, and else over Python ints (numpy
+  arrays of dtype object), which are exact at any size.  The same bound
+  picks the dtype of the weighted budget's sums.
+- Rational data at grid points (``step * y`` for a float step) is
+  summed in float64 over each form's float image, since a rational
+  coefficient times a float is the float product of its float image.
+  A constraint row with no coefficient at all has the exact value of
+  its constant, so it is decided once, exactly.  A row with no linear
+  coefficient but a matrix is exact at the origin only, so such a
+  problem keeps the scalar path.
 
 A block is support-indexed: points x min(n, rho) arrays of indices and
 values, not dense points x n rows.  At n = 40 and rho = 3 a dense block
@@ -25,11 +34,11 @@ raised peak RSS by 10.3 MB and support-indexed ones by 1.3 MB, and the
 dense ones took twice as long; the blocks of ``lattice.BLOCK_CELLS``
 raise it by about 0.8 MB on the ``wide`` workload.
 
-Generic callables, mixed-type data, grid points over rational data,
-thresholds that are not floats or rationals and walks beyond these
-bounds keep the scalar path.  :func:`l1opt.solver.scan_ball` is the one
-caller of :func:`block_scan`, and runs the scalar path when it returns
-None.
+Generic and wrapped callables, data that mixes float with rational
+values, the rows above and thresholds that are neither floats nor
+rationals keep the scalar path.  :func:`l1opt.solver.scan_ball` is the
+one caller of :func:`block_scan`, and runs the scalar path when it
+returns None.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import numbers
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,10 +130,10 @@ def block_evaluator(problem, rho, tolerance, stop, step):
     mask of its feasible points with a value that is not NaN;  ``stop``
     is ``stop_below`` in the units of those values.  Both oracles must
     carry their forms, of one dimension, and their data must be all
-    float or all rational (int and Fraction); grid points need float
-    data.  Float data is summed in float64 as the scalar oracles sum it.
-    Rational data is scaled to ints per form and summed in int64, which
-    needs a proof that no sum overflows.
+    float or all rational (int and Fraction).  Float data, and rational
+    data at grid points, is summed in float64 as the scalar oracles sum
+    it; rational data at integer points is scaled to ints per form and
+    summed in int64 or, past the int64 bound, over Python ints.
     """
     objective = getattr(problem.objective, "block_forms", None)
     rows = getattr(problem.constraints, "block_forms", None)
@@ -133,32 +142,51 @@ def block_evaluator(problem, rho, tolerance, stop, step):
     if not objective.n == rows.n == problem.n:
         return None
     types = objective.types | rows.types
-    if types <= {float}:
-        tol = _float_floor(tolerance)
-        threshold = None if stop is None else _float_floor(stop)
-        if tol is None or (stop is not None and threshold is None):
-            return None
+    if types <= {float} or (step is not None and types <= {int, Fraction}):
+        return _float_evaluator(objective, rows, tolerance, stop, step, types <= {float})
+    if types <= {int, Fraction}:
+        return _int_evaluator(objective, rows, rho, tolerance, stop)
+    return None
 
-        def evaluate(pos, val):
-            x = val.astype(np.float64) if step is None else step * val
-            values = objective.float_values(pos, x)[0]
-            feasible = (rows.float_values(pos, x) <= tol).all(axis=0)
-            return values, feasible & (values == values)
 
-        return evaluate, threshold
-    if not types <= {int, Fraction} or step is not None:
+def _float_evaluator(objective, rows, tolerance, stop, step, floats):
+    """The evaluator in float64, for float data (``floats``) or for
+    rational data at grid points."""
+    tol = _float_floor(tolerance)
+    threshold = None if stop is None else _float_floor(stop)
+    if tol is None or (stop is not None and threshold is None):
         return None
-    if objective.ints is None or rows.ints is None:
+    live = [(M, a, const) for M, a, const in rows.forms if M is not None or any(a)]
+    if not floats and any(not any(a) for M, a, const in live):
         return None
-    if not (objective.fits_int64(rho) and rows.fits_int64(rho)):
-        return None
-    limits = [_scaled_floor(tolerance, scale) for scale in rows.ints.scales]
-    threshold = None if stop is None else _scaled_floor(stop, objective.ints.scales[0])
-    if None in limits or (stop is not None and threshold is None):
-        return None
-    limits = np.array(limits, dtype=np.int64)[:, None]
+    # A row with no coefficient is its constant at every point.
+    passes = all(const <= tolerance for M, a, const in rows.forms if M is None and not any(a))
+    if len(live) < len(rows.forms):
+        rows = Forms(rows.n, tuple(live))
 
     def evaluate(pos, val):
+        x = val.astype(np.float64) if step is None else step * val
+        values = objective.float_values(pos, x)[0]
+        feasible = (rows.float_values(pos, x) <= tol).all(axis=0)
+        return values, feasible & (values == values) & passes
+
+    return evaluate, threshold
+
+
+def _int_evaluator(objective, rows, rho, tolerance, stop):
+    """The evaluator over scaled ints for rational data at integer
+    points: int64 within the bound of :meth:`Forms.fits_int64`, Python
+    ints (``big``) past it."""
+    big = not (objective.fits_int64(rho) and rows.fits_int64(rho))
+    limits = [_scaled_floor(tolerance, scale, big) for scale in rows.ints.scales]
+    threshold = None if stop is None else _scaled_floor(stop, objective.ints.scales[0], big)
+    if None in limits or (stop is not None and threshold is None):
+        return None
+    limits = np.array(limits, dtype=object if big else np.int64)[:, None]
+
+    def evaluate(pos, val):
+        if big:
+            val = val.astype(object)
         values = objective.int_values(pos, val)[0]
         return values, (rows.int_values(pos, val) <= limits).all(axis=0)
 
@@ -170,10 +198,10 @@ def _budget_mask(costs, budget, rho, step):
     weighted budget, summed as the scalar path sums it; None when the
     costs are neither all ints (scaled, exact) nor all floats."""
     if all(type(c) is int for c in costs) and type(budget) is int:
-        if max(costs) * rho > _INT64_MAX:
-            return None
-        table = np.array([*costs, 0], dtype=np.int64)
-        limit = min(budget, _INT64_MAX)
+        if max(costs) * rho <= _INT64_MAX:
+            table, limit = np.array([*costs, 0], dtype=np.int64), min(budget, _INT64_MAX)
+        else:
+            table, limit = np.array([*costs, 0], dtype=object), budget
         return lambda pos, val: (table[pos] * np.abs(val)).sum(axis=1) <= limit
     if not (all(type(c) is float for c in costs) and isinstance(budget, float)):
         return None
@@ -191,7 +219,8 @@ def _budget_mask(costs, budget, rho, step):
 
 class _IntForms(NamedTuple):
     """Forms scaled to ints: each form times ``scales[f]``, the lcm of its
-    denominators; ``sizes[f]`` is ``(max |a|, |const|, max |M|)``."""
+    denominators; ``sizes[f]`` is ``(max |a|, |const|, max |M|)``.  The
+    arrays are int64 when every entry fits, else Python ints."""
 
     L: np.ndarray
     consts: np.ndarray
@@ -242,9 +271,8 @@ class Forms:
         return L, consts, quads
 
     @cached_property
-    def ints(self) -> Optional[_IntForms]:
-        """The forms scaled to ints in int64, or None when an entry leaves
-        int64.  Zero entries of any type are int 0."""
+    def ints(self) -> _IntForms:
+        """The forms scaled to ints.  Zero entries of any type are int 0."""
         rows, consts, quads, scales, sizes = [], [], [], [], []
         for f, (M, a, const) in enumerate(self.forms):
             matrix = list(M or ())
@@ -263,12 +291,12 @@ class Forms:
             sizes.append((max(map(abs, row), default=0), abs(consts[-1]), peak))
             if M is not None:
                 quads.append((f, [[*r, 0] for r in matrix] + [[0] * (self.n + 1)]))
-        if max(chain.from_iterable(sizes), default=0) > _INT64_MAX:
-            return None
+        fits = max(chain.from_iterable(sizes), default=0) <= _INT64_MAX
+        dtype = np.int64 if fits else object
         return _IntForms(
-            np.array(rows, dtype=np.int64).reshape(len(rows), self.n + 1),
-            np.array(consts, dtype=np.int64),
-            [(f, np.array(M, dtype=np.int64)) for f, M in quads],
+            np.array(rows, dtype=dtype).reshape(len(rows), self.n + 1),
+            np.array(consts, dtype=dtype),
+            [(f, np.array(M, dtype=dtype)) for f, M in quads],
             scales,
             sizes,
         )
@@ -280,32 +308,35 @@ class Forms:
         return all(a * rho + c + m * rho * rho <= _INT64_MAX for a, c, m in self.ints.sizes)
 
     def float_values(self, pos, x):
-        """Values of every form at a block, summed as the scalar oracles sum:
-        over the support in ascending order, from +0.0."""
-        L, consts, quads = self.floats
-        width = pos.shape[1]
-        values = np.zeros((len(L), len(pos)))
-        for j in range(width):
-            values += L[:, pos[:, j]] * x[:, j]
-        values += consts[:, None]
-        for f, M in quads:
-            total = np.zeros(len(pos))
-            for i in range(width):
-                row = np.zeros(len(pos))
-                for j in range(width):
-                    row += M[pos[:, i], pos[:, j]] * x[:, j]
-                total += x[:, i] * row
-            values[f] += total
-        return values
+        """Values of every form at a block in float64, summed as the scalar
+        oracles sum: over the support in ascending order, from +0.0."""
+        return _form_values(*self.floats, pos, x)
 
     def int_values(self, pos, val):
-        """Scaled values of every form at a block, in int64."""
-        ints = self.ints
-        values = np.einsum("kpw,pw->kp", ints.L[:, pos], val)
-        values += ints.consts[:, None]
-        for f, M in ints.quads:
-            values[f] += np.einsum("pij,pi,pj->p", M[pos[:, :, None], pos[:, None, :]], val, val)
-        return values
+        """Scaled values of every form at a block: int64 when the forms and
+        ``val`` are int64, else Python ints."""
+        return _form_values(*self.ints[:3], pos, val)
+
+
+def _form_values(L, consts, quads, pos, x):
+    """The values of forms ``(L, consts, quads)`` at a block with entries
+    ``x``, each summed column by column over the support from zero, in
+    the dtype of the arrays and ``x``."""
+    width = pos.shape[1]
+    dtype = np.result_type(L, x)
+    values = np.zeros((len(L), len(pos)), dtype=dtype)
+    for j in range(width):
+        values += L[:, pos[:, j]] * x[:, j]
+    values += consts[:, None]
+    for f, M in quads:
+        total = np.zeros(len(pos), dtype=dtype)
+        for i in range(width):
+            row = np.zeros(len(pos), dtype=dtype)
+            for j in range(width):
+                row += M[pos[:, i], pos[:, j]] * x[:, j]
+            total += x[:, i] * row
+        values[f] += total
+    return values
 
 
 def _float_floor(t):
@@ -323,12 +354,14 @@ def _float_floor(t):
     return math.nextafter(f, -math.inf) if f > t else f
 
 
-def _scaled_floor(t, scale: int):
-    """floor(t * scale) clamped to int64, so that an int64 value v has
-    v / scale <= t exactly when v <= this; None when ``t`` is neither a
-    float nor a rational."""
+def _scaled_floor(t, scale: int, big: bool):
+    """floor(t * scale), so that an int value v has v / scale <= t
+    exactly when v <= this; for values in int64 clamped to int64, and
+    for Python int values (``big``) an infinite or NaN ``t`` itself.
+    None when ``t`` is neither a float nor a rational."""
     if isinstance(t, float) and not math.isfinite(t):
-        return _INT64_MAX if t > 0 else _INT64_MIN
+        return t if big else (_INT64_MAX if t > 0 else _INT64_MIN)
     if not isinstance(t, (float, numbers.Rational)):
         return None
-    return min(max(math.floor(Fraction(t) * scale), _INT64_MIN), _INT64_MAX)
+    floor = math.floor(Fraction(t) * scale)
+    return floor if big else min(max(floor, _INT64_MIN), _INT64_MAX)

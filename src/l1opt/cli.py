@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="stream l1-ball lattice points in canonical order")
     p_enum.add_argument("n", type=int)
     p_enum.add_argument("radius", metavar="lambda")
-    p_enum.add_argument("--limit", type=int, default=None)
+    p_enum.add_argument("--limit", type=_at_least(0), default=None)
     _add_parallel(p_enum)
     p_enum.set_defaults(handler=_cmd_enumerate)
 
@@ -133,18 +133,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_parallel(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--parallel", type=_worker_count, default=1, metavar="K",
+    parser.add_argument("--parallel", type=_at_least(1), default=1, metavar="K",
                         help="accepted for interface parity; runs are serial, so output does not depend on K")
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(minimum: int):
+    """An argparse type: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _cmd_solve(args) -> int:
@@ -271,20 +276,10 @@ def _cmd_ptas(args) -> int:
     if kappa is None:
         kappa = _derived_kappa(problem)
     instance = problem.instance()
-    if problem.arithmetic == FLOAT:
-        # The built-in float oracles themselves, so the block path runs.
-        objective, constraints = instance.objective, instance.constraints
-    else:
-        def objective(x):
-            return float(instance.objective(x))
-
-        def constraints(x):
-            return tuple(float(g) for g in instance.constraints(x))
-
     lipschitz = LipschitzProblem(
         n=problem.n,
-        objective=objective,
-        constraints=constraints,
+        objective=instance.objective,
+        constraints=instance.constraints,
         lipschitz=kappa,
         radius=float(problem.radius),
     )

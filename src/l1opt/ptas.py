@@ -16,11 +16,13 @@ grid step: each integer point y becomes the grid point ``step * y``,
 and the weighted budget is tested over the kept coordinates.  The block
 path of :mod:`l1opt.blocks` runs when the problem's objective and
 constraints are built-in oracles (``make_linear_oracle`` or
-``make_quadratic_oracle``) over float data and the step is a float;
-other oracles and rational data take the scalar path.  The mixed
-solver keeps its own scalar walk, one inner solve per point.  The
-command line's ``ptas`` passes the built-in oracles of float files as
-they are, and wraps those of rational files to return floats.
+``make_quadratic_oracle``) over float or rational data and the step is
+a float; rational data is summed in float64 over its float image, as
+``Fraction * float`` computes it.  Other oracles take the scalar path,
+and so does rational data with a constraint row that has a matrix but
+no linear coefficient.  The mixed solver keeps its own scalar walk, one
+inner solve per point.  The command line's ``ptas`` passes the built-in
+oracles of float and rational files as they are.
 
 kappa is caller-supplied.  Supplying an underestimate voids the
 guarantee, and nothing here checks it.

@@ -9,12 +9,10 @@ ordinal.
 
 Arithmetic is either exact rational (Fraction coefficients, zero
 feasibility tolerance) or float (absolute per-constraint tolerance).
-The built-in linear and quadratic oracles sum only over the nonzero
-coordinates of a point, of which a ball of radius lambda allows at most
-floor(lambda): a step costs O(support) for a linear form and
-O(support^2) for a quadratic one, not O(n) or O(n^2).  Their values,
-floats included, are bit for bit those of the dense left-to-right sums
-that ``tests/oracles.py`` keeps as the reference.
+The built-in linear and quadratic oracles are the dense left-to-right
+sums over the nonzero coefficients that ``tests/oracles.py`` keeps as
+the reference.  The scalar path below calls them at every point, the
+block path only for the winner's value.
 
 Two paths run a walk, with the same results, ties and counts, and they
 meet in one function, :func:`scan_ball`.  Every solver of a problem's
@@ -31,18 +29,21 @@ weighted budget, the kept coordinates, their costs and the budget.
   in support-indexed blocks of points (points x min(n, lambda) arrays
   of indices and values, not dense points x n rows, which would cost
   13 times the memory at n = 40, lambda = 3; :mod:`l1opt.blocks` gives
-  the measured peak RSS of both) and evaluates every form
-  of a block at once: float data in float64, summed as the oracles sum
-  it; rational data in int64 after clearing denominators, only where
-  max|Q| lambda^2 + max|a| lambda + |const| fits in int64.  The
-  winner's value is recomputed by the scalar objective.
+  the measured peak RSS of both) and evaluates every form of a block at
+  once: float data, and rational data at grid points, in float64,
+  summed as the oracles sum it; rational data at integer points over
+  ints after clearing denominators, in int64 where
+  max|Q| lambda^2 + max|a| lambda + |const| fits in int64 and over
+  Python ints past it.  The winner's value is recomputed by the scalar
+  objective.
 - The scalar path, :func:`_scan_points` over :func:`iter_l1_points`,
   runs for every other case: generic callables, oracles replaced or
-  wrapped (say by ``dataclasses.replace``), data that mixes numeric
-  types, rational data past the int64 bound, and a ``stop_below`` that
-  is neither a float nor a rational.  Per point it applies the grid map
-  ``step * y`` or the weighted embedding with its budget test, as the
-  block path does per block.
+  wrapped (say by ``dataclasses.replace``), data that mixes float with
+  rational values, rational data at grid points with a constraint row
+  that has a matrix but no linear coefficient, and a ``stop_below`` or
+  tolerance that is neither a float nor a rational.  Per point it
+  applies the grid map ``step * y`` or the weighted embedding with its
+  budget test, as the block path does per block.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .blocks import Forms, block_scan
 from .counting import Real, floor_radius
@@ -176,19 +177,11 @@ class ProblemInstance:
 def make_linear_oracle(c: Sequence, A: Sequence[Sequence], b: Sequence):
     """Oracles for f(x) = c.x and g(x) = A x - b.
 
-    Each call sums over the nonzero coordinates of x only, with the
-    result of the dense left-to-right sum (see :func:`_sparse_dot`);
-    data that mixes numeric types gets the dense sum itself.  Infinite or
-    NaN float coefficients raise ``ValueError``.
-
-    The coordinates of a point must share one numeric type, as lattice
-    points (ints) and grid points (floats) do.  A point that mixes them
-    can get a value of another type: with int coefficients,
-    ``f((1, 0.0))`` is int 1 where the dense sum is 1.0, since the
-    skipped term ``c_1 * 0.0`` is what would make it a float.  Calls are
-    not checked for this.  The oracles carry their data as
-    ``block_forms``, which lets the solvers evaluate whole blocks of
-    points at once (see :mod:`l1opt.blocks`).
+    Each call is the dense left-to-right sum over the nonzero
+    coefficients, the reference sum of ``tests/oracles.py``.  Infinite or
+    NaN float coefficients raise ``ValueError``.  The oracles carry their
+    data as ``block_forms``, which lets the solvers evaluate whole blocks
+    of points at once (see :mod:`l1opt.blocks`).
     """
     n = len(c)
     for row in A:
@@ -198,17 +191,12 @@ def make_linear_oracle(c: Sequence, A: Sequence[Sequence], b: Sequence):
         raise ShapeMismatchError("A and b disagree on the number of constraints")
     for v in chain(c, b, *A):
         _finite(v)
-    indices = range(n)
-    c_form = _sparse_form(c)
-    row_forms = [(_sparse_form(row), beta) for row, beta in zip(A, b)]
-    dot = _dense_dot if any(map(_mixes_types, chain((c,), A))) else _sparse_dot
 
     def objective(x: Sequence):
-        return dot(c_form, x, compress(indices, x))
+        return _dot(c, x)
 
     def constraints(x: Sequence):
-        support = list(compress(indices, x))
-        return tuple(dot(form, x, support) - beta for form, beta in row_forms)
+        return tuple(_dot(row, x) - beta for row, beta in zip(A, b))
 
     objective.block_forms = Forms(n, ((None, c, 0),))
     constraints.block_forms = Forms(n, tuple((None, row, -beta) for row, beta in zip(A, b)))
@@ -218,12 +206,10 @@ def make_linear_oracle(c: Sequence, A: Sequence[Sequence], b: Sequence):
 def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[QuadraticConstraint]):
     """Oracles for f(x) = x'Qx + c.x and quadratic constraint rows.
 
-    Each call sums over the nonzero coordinates of x only, with the
-    result of the dense left-to-right sums; data that mixes numeric types
-    gets the dense sums themselves.  Infinite or NaN float coefficients
-    raise ``ValueError``.  As for :func:`make_linear_oracle`, the
-    coordinates of a point must share one numeric type, calls are not
-    checked for it, and the oracles carry their data as ``block_forms``.
+    Each call is the dense left-to-right sums over the nonzero
+    coefficients, as for :func:`make_linear_oracle`.  Infinite or NaN
+    float coefficients raise ``ValueError``, and the oracles carry their
+    data as ``block_forms``.
     """
     n = len(c)
     _check_square(Q, n, "Q")
@@ -237,27 +223,16 @@ def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[Qua
     for row in rows:
         for v in chain(row.b, (row.c,), *(row.A or ())):
             _finite(v)
-    indices = range(n)
-    q_forms = _sparse_matrix(Q)
-    c_form = _sparse_form(c)
-    row_forms = [
-        (None if row.A is None else _sparse_matrix(row.A), _sparse_form(row.b), row.c)
-        for row in rows
-    ]
-    forms = chain(Q, (c,), *((row.b, *(row.A or ())) for row in rows))
-    dot = _dense_dot if any(map(_mixes_types, forms)) else _sparse_dot
 
     def objective(x: Sequence):
-        support = list(compress(indices, x))
-        return _sparse_quad_form(q_forms, x, support, dot) + dot(c_form, x, support)
+        return _quad_form(Q, x) + _dot(c, x)
 
     def constraints(x: Sequence):
-        support = list(compress(indices, x))
         values = []
-        for matrix, form, constant in row_forms:
-            value = dot(form, x, support) + constant
-            if matrix is not None:
-                value += _sparse_quad_form(matrix, x, support, dot)
+        for row in rows:
+            value = _dot(row.b, x) + row.c
+            if row.A is not None:
+                value += _quad_form(row.A, x)
             values.append(value)
         return tuple(values)
 
@@ -307,14 +282,15 @@ def solve_weighted_l1_ip(
     tol = _feasibility_tolerance(problem, opts)
     exact = problem.arithmetic == RATIONAL
     conv = Fraction if exact else float
-    weights = tuple(conv(w) for w in weighted.weights)
+    # An infinite weight has no Fraction; it pins its coordinate as is.
+    weights = tuple(w if w == math.inf else conv(w) for w in weighted.weights)
     radius = conv(weighted.radius)
 
     kept = [i for i, w in enumerate(weights) if w <= radius]
     rho = floor_radius(radius / min(weights))
     if exact:
         # Clear denominators once: the budget test runs on Python ints.
-        unit = math.lcm(radius.denominator, *(w.denominator for w in weights))
+        unit = math.lcm(radius.denominator, *(weights[i].denominator for i in kept))
         costs = [int(weights[i] * unit) for i in kept]
         budget = int(radius * unit)
     else:
@@ -434,64 +410,21 @@ def _float_tolerance(opts: SolveOptions) -> float:
     return DEFAULT_FLOAT_TOLERANCE if opts.tolerance is None else float(opts.tolerance)
 
 
-def _sparse_form(a: Sequence):
-    """``(a, first)``: a coefficient row and the index of its first nonzero
-    entry, or None when every entry is zero."""
-    return a, next((i for i, ai in enumerate(a) if ai), None)
-
-
-def _sparse_matrix(M: Sequence[Sequence]):
-    return tuple(_sparse_form(row) for row in M)
-
-
-def _sparse_dot(form, x: Sequence, support: Iterable[int]):
-    """a.x summed over ``support``, the ascending nonzero indices of x.
-
-    The result is bit for bit that of the dense sum ``total = 0`` plus
-    ``a_i * x_i`` for each nonzero ``a_i`` from left to right.  That sum
-    is int 0 when every coefficient is zero.  Otherwise its first term
-    fixes the result's type and turns a signed zero product into +0.0,
-    so that term is added even where x is zero.  Every later term the
-    support skips is a zero of the same type, which leaves a total that
-    is never -0.0 unchanged.  This holds for coefficients of one numeric
-    type evaluated at points of one numeric type.
-    """
-    a, first = form
-    if first is None:
-        return 0
-    x_first = x[first]
-    total = 0 if x_first else 0 + a[first] * x_first
-    for i in support:
-        ai = a[i]
-        if ai:
-            total += ai * x[i]
-    return total
-
-
-def _mixes_types(a: Sequence) -> bool:
-    """Whether the nonzero entries of ``a`` are of more than one numeric type."""
-    return len({type(ai) for ai in a if ai}) > 1
-
-
-def _dense_dot(form, x: Sequence, support: Iterable[int]):
-    """a.x as the dense sum itself, over every nonzero coefficient.
-
-    For data whose coefficients mix types (int, float, Fraction): there a
-    zero term the support skips can still change the total's type, as
-    ``0.5 * 0`` turns an int total into a float.  ``support`` is unused.
-    """
+def _dot(a: Sequence, x: Sequence):
+    """a.x as the dense left-to-right sum over the nonzero coefficients."""
     total = 0
-    for ai, xi in zip(form[0], x):
+    for ai, xi in zip(a, x):
         if ai:
             total += ai * xi
     return total
 
 
-def _sparse_quad_form(matrix, x: Sequence, support: Sequence[int], dot=_sparse_dot):
-    """x'Mx over the support, as the dense sum of x_i * (M_i . x) over nonzero x_i."""
+def _quad_form(M: Sequence[Sequence], x: Sequence):
+    """x'Mx as the dense sum of x_i * (M_i . x) over the nonzero x_i."""
     total = 0
-    for i in support:
-        total += x[i] * dot(matrix[i], x, support)
+    for row, xi in zip(M, x):
+        if xi:
+            total += xi * _dot(row, x)
     return total
 
 
@@ -499,7 +432,7 @@ def _finite(v):
     """``v`` itself; ``ValueError`` when it is an infinite or NaN float.
 
     An infinite coefficient times a zero coordinate is NaN in a dense sum
-    but skipped by a sparse one, so such data is refused.
+    but skipped by a block sum, so such data is refused.
     """
     if isinstance(v, float) and not math.isfinite(v):
         raise ValueError(f"coefficient {v} is not finite")

@@ -15,10 +15,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from l1opt import lattice
+from l1opt import lattice, solver
 from l1opt.blocks import block_evaluator
 from l1opt.lattice import iter_l1_points, point_blocks
 from l1opt.ptas import LipschitzProblem, solve_lipschitz_ptas, solve_weighted_lipschitz_ptas
@@ -69,15 +69,17 @@ def block_cells(cells):
 
 
 @st.composite
-def problems(draw, modes=(RATIONAL, FLOAT)):
+def problems(draw, modes=(RATIONAL, FLOAT), huge=None):
     """A random ILP, IQP or IQCQP in one arithmetic mode, sometimes with
-    huge coefficients."""
+    huge coefficients, and always mixed with ``huge`` ones when given."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 3))
     mode = draw(st.sampled_from(modes))
     kind = draw(st.sampled_from(["ilp", "iqp", "iqcqp"]))
     value = COEFFICIENTS[mode]
-    if draw(st.integers(0, 5)) == 0:
+    if huge is not None:
+        value = st.one_of(value, huge)
+    elif draw(st.integers(0, 5)) == 0:
         value = st.one_of(value, HUGE[mode])
 
     def vector(size):
@@ -173,9 +175,162 @@ def test_ptas_block_path_matches_scalar_path(problem, epsilon, data, cells):
     assert repr(weighted) == repr(solve_weighted_lipschitz_ptas(slow, weights, epsilon))
 
 
-def test_rational_ptas_keeps_the_scalar_path():
+# Rational values whose scaled forms leave int64 at small radii: huge
+# numerators, and denominators whose lcm scales every other entry.
+PAST_INT64 = st.sampled_from(
+    [10**30, -(10**30), 2**62, Fraction(1, 10**20), Fraction(-7, 3 * 10**19), Fraction(10**19, 3)]
+)
+# Weights near 1 over denominators of 10**19: the scaled costs leave
+# int64 while the ball's radius stays small.
+WIDE_WEIGHTS = st.sampled_from(
+    [Fraction(10**19 + 1, 10**19), Fraction(3 * 10**19 - 7, 2 * 10**19), Fraction(1, 2), 1]
+)
+
+
+def fits_int64(problem, radius):
+    forms = (problem.objective.block_forms, problem.constraints.block_forms)
+    return all(f.fits_int64(radius) for f in forms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    problem=problems(modes=(RATIONAL,), huge=PAST_INT64),
+    radius=st.integers(1, 3),
+    stop_below=THRESHOLDS,
+    cells=CELLS,
+)
+def test_rational_blocks_past_int64_match_scalar_path(problem, radius, stop_below, cells):
+    assume(not fits_int64(problem, radius))
+    assert block_evaluator(problem, radius, 0, stop_below, None) is not None
+    options = SolveOptions(stop_below=stop_below)
+    with block_cells(cells):
+        fast = solve_l1_ip(problem, radius, options)
+    assert repr(fast) == repr(solve_l1_ip(wrapped(problem), radius, options))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=problems(modes=(RATIONAL,), huge=PAST_INT64),
+    data=st.data(),
+    radius=st.fractions(min_value=0, max_value=2, max_denominator=3),
+    stop_below=THRESHOLDS,
+    cells=CELLS,
+)
+def test_rational_weighted_blocks_past_int64_match_scalar_path(
+    problem, data, radius, stop_below, cells
+):
+    weights = data.draw(st.lists(WIDE_WEIGHTS, min_size=problem.n, max_size=problem.n))
+    spec = WeightedL1Spec(tuple(weights), radius)
+    options = SolveOptions(stop_below=stop_below)
+    with block_cells(cells):
+        fast = solve_weighted_l1_ip(problem, spec, options)
+    assert repr(fast) == repr(solve_weighted_l1_ip(wrapped(problem), spec, options))
+
+
+def test_weighted_costs_past_int64_take_the_block_path(monkeypatch):
+    # Over the unit 2 * 10**19 the costs are 2 * 10**19 + 2, 3 * 10**19 - 7
+    # and 2 * 10**19, past int64 at radius 2.  x = (1, 0, 1) would reach
+    # -3, but its weighted norm is 2 + 10**-19, just over the budget.
+    problem = ProblemInstance.linear((-2, 0, -1), ((1, 1, 0),), (1,))
+    weights = (Fraction(10**19 + 1, 10**19), Fraction(3 * 10**19 - 7, 2 * 10**19), 1)
+    spec = WeightedL1Spec(weights, 2)
+    found = []
+
+    def spy(*args, **kwargs):
+        result = block_scan(*args, **kwargs)
+        found.append(result is not None)
+        return result
+
+    block_scan = solver.block_scan
+    monkeypatch.setattr(solver, "block_scan", spy)
+    solution = solve_weighted_l1_ip(problem, spec)
+    monkeypatch.undo()
+    assert found == [True]
+    assert repr(solution) == repr(solve_weighted_l1_ip(wrapped(problem), spec))
+    assert solution.objective == -2
+
+
+# Constants at and just past the relaxed tolerances 0.5 and 0.75, where
+# a float image would round onto the tolerance.
+NEAR_TOLERANCE = st.sampled_from(
+    [Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**30), Fraction(-1, 2) - Fraction(1, 10**30),
+     Fraction(3, 4) + Fraction(1, 10**30), Fraction(1, 10**30)]
+)
+
+
+@st.composite
+def grid_problems(draw):
+    """A rational ILP, IQP or IQCQP whose vectors and matrices are often
+    all zero, so rows with no coefficient, and rows with a matrix (all
+    zero included) but no linear coefficient, come up; constants sit
+    near the relaxed tolerance."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["ilp", "iqp", "iqcqp"]))
+    value = COEFFICIENTS[RATIONAL]
+
+    def vector(size):
+        if draw(st.integers(0, 2)) == 0:
+            return [Fraction(0)] * size
+        return draw(st.lists(value, min_size=size, max_size=size))
+
+    def matrix():
+        return [vector(n) for _ in range(n)] if draw(st.booleans()) else [[0] * n] * n
+
+    def constant():
+        return draw(st.one_of(value, NEAR_TOLERANCE))
+
+    if kind == "ilp":
+        return ProblemInstance.linear(
+            vector(n), [vector(n) for _ in range(m)], [constant() for _ in range(m)]
+        )
+    rows = []
+    for _ in range(m):
+        A = matrix() if kind == "iqcqp" and draw(st.booleans()) else None
+        rows.append(QuadraticConstraint(A=A, b=vector(n), c=constant()))
+    return ProblemInstance.quadratic(matrix(), vector(n), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    problem=grid_problems(),
+    epsilon=st.sampled_from([0.5, 0.75, 1.0]),
+    data=st.data(),
+    cells=CELLS,
+)
+def test_rational_ptas_block_path_matches_scalar_path(problem, epsilon, data, cells):
+    weights = data.draw(
+        st.lists(st.sampled_from([1.0, 1.5, 2.5, math.inf]), min_size=problem.n, max_size=problem.n)
+    )
+    fast, slow = lipschitz(problem), lipschitz(wrapped(problem))
+    # A row with a matrix but no linear coefficient keeps the scalar
+    # path, unless every entry is zero: no rational value, no rounding.
+    objective, rows = problem.objective.block_forms, problem.constraints.block_forms
+    matrix_rows = any(M is not None and not any(a) for M, a, _ in rows.forms)
+    scalar = matrix_rows and bool(objective.types | rows.types)
+    assert (block_evaluator(fast, 2, epsilon, None, 0.5) is None) == scalar
+    with block_cells(cells):
+        plain = solve_lipschitz_ptas(fast, epsilon)
+        weighted = solve_weighted_lipschitz_ptas(fast, weights, epsilon)
+    assert repr(plain) == repr(solve_lipschitz_ptas(slow, epsilon))
+    assert repr(weighted) == repr(solve_weighted_lipschitz_ptas(slow, weights, epsilon))
+
+
+def test_row_without_coefficients_is_decided_exactly_at_grid_points():
+    # The row 0.x <= -(1/2 + 10**-30) is 1/2 + 10**-30 at every point,
+    # just past epsilon = 0.5 although its float image is 0.5 itself.
+    past = Fraction(1, 2) + Fraction(1, 10**30)
+    for b, status in ((-past, "no_feasible_grid_point"), (Fraction(-1, 2), "optimal")):
+        problem = ProblemInstance.linear((1, -1), ((0, 0),), (b,))
+        assert block_evaluator(lipschitz(problem), 2, 0.5, None, 0.25) is not None
+        fast = solve_lipschitz_ptas(lipschitz(problem), 0.5)
+        assert fast.status == status and fast.oracle_calls == fast.points_enumerated == 41
+        assert repr(fast) == repr(solve_lipschitz_ptas(lipschitz(wrapped(problem)), 0.5))
+
+
+def test_rational_ptas_takes_the_block_path():
     problem = ProblemInstance.linear((1, -1), ((1, 1),), (1,))
-    assert block_evaluator(lipschitz(problem), 2, 0.5, None, 0.5) is None
+    assert block_evaluator(lipschitz(problem), 2, 0.5, None, 0.5) is not None
     fast = solve_lipschitz_ptas(lipschitz(problem), 0.5)
     assert repr(fast) == repr(solve_lipschitz_ptas(lipschitz(wrapped(problem)), 0.5))
 
@@ -255,8 +410,8 @@ def assert_block_values(problem, radius, grid):
     sign of zero), rational forms their exact values times the scale."""
     forms = [problem.objective.block_forms, problem.constraints.block_forms]
     floats = (forms[0].types | forms[1].types) <= {float}
-    if not floats and not all(f.ints is not None and f.fits_int64(radius) for f in forms):
-        return
+    # Past the int64 bound the blocks are summed over Python ints.
+    exact = not floats and not all(f.fits_int64(radius) for f in forms)
     step = 0.3 if grid and floats else None
     for pos, val in point_blocks(problem.n, radius):
         if floats:
@@ -264,7 +419,7 @@ def assert_block_values(problem, radius, grid):
             with np.errstate(over="ignore", invalid="ignore"):
                 blocks = [f.float_values(pos, x) for f in forms]
         else:
-            blocks = [f.int_values(pos, val) for f in forms]
+            blocks = [f.int_values(pos, val.astype(object) if exact else val) for f in forms]
         for r, (row_pos, row_val) in enumerate(zip(pos.tolist(), val.tolist())):
             point = [0] * problem.n if step is None else [0.0] * problem.n
             for i, v in zip(row_pos, row_val):
@@ -300,20 +455,20 @@ def test_block_walk_matches_the_point_walk():
                 assert all(size == cap for size in sizes[:-1]) and sizes[-1] <= cap
 
 
-def test_rational_data_past_int64_takes_the_exact_fallback():
+def test_rational_data_past_int64_takes_the_block_path():
     # |c.x| reaches 3 * big at radius 3 and the row bound 3 * big + |b|
-    # leaves int64 (9.2e18), so the exact scalar oracles run there.
+    # leaves int64 (9.2e18), so the blocks sum Python ints there.
     big = 3 * 10**18
     problem = ProblemInstance.linear((big, -big + 1), ((big, -big),), (big + 7,))
     assert block_evaluator(problem, 1, 0, None, None) is not None
-    assert block_evaluator(problem, 3, 0, None, None) is None
+    assert block_evaluator(problem, 3, 0, None, None) is not None
     for radius in (1, 3):
         solution = solve_l1_ip(problem, radius)
         assert repr(solution) == repr(solve_l1_ip(wrapped(problem), radius))
     assert solve_l1_ip(problem, 3).objective == -3 * big
     quadratic = ProblemInstance.quadratic(((big, 0), (0, 1)), (1, 1), ())
     assert block_evaluator(quadratic, 1, 0, None, None) is not None
-    assert block_evaluator(quadratic, 2, 0, None, None) is None
+    assert block_evaluator(quadratic, 2, 0, None, None) is not None
     for radius in (1, 2):
         assert repr(solve_l1_ip(quadratic, radius)) == repr(solve_l1_ip(wrapped(quadratic), radius))
 

@@ -322,6 +322,41 @@ def test_ptas_float_file_takes_the_block_path(tmp_path, capsys):
     assert wall_time.startswith('"wall_time_ms": ') and wall_time.endswith("}\n")
 
 
+def test_ptas_rational_row_without_coefficients_is_compared_exactly(tmp_path):
+    # The row 0.x <= b has the residual -b at every grid point.  For
+    # b = -(1/4 + 10**-30) that is just past epsilon = 0.25, although its
+    # float is 0.25 itself: no grid point passes the relaxed test.
+    doc = dict(LIPSCHITZ, arithmetic="rational", c=["1", "0"], A=[["0", "0"]])
+    doc["lambda"] = "1"
+    past = "-%d/%d" % (10**30 + 4, 4 * 10**30)
+    result = run_cli("ptas", write(tmp_path, dict(doc, b=[past])))
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stdout)["status"] == "no_feasible_grid_point"
+    result = run_cli("ptas", write(tmp_path, dict(doc, b=["-1/4"])))
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["objective"] == -1.0 and out["x"] == [-1.0, 0.0]
+
+
+def test_ptas_rational_file_takes_the_block_path(tmp_path, capsys):
+    doc = dict(LIPSCHITZ, arithmetic="rational", c=["1", "-1/3"], A=[["1/2", "1"]], b=["1/3"])
+    doc["lambda"] = "1"
+    path = write(tmp_path, doc)
+    found = []
+
+    def spy(*args, **kwargs):
+        result = block_scan(*args, **kwargs)
+        found.append(result is not None)
+        return result
+
+    block_scan = solver.block_scan
+    with mock.patch.object(solver, "block_scan", spy):
+        assert cli.main(["ptas", path]) == 0
+    assert found == [True]
+    out = json.loads(capsys.readouterr().out)
+    assert out["x"] == [-1.0, 0.0] and out["objective"] == -1.0
+
+
 def test_ptas_no_feasible_point_exit_2(tmp_path):
     doc = dict(LIPSCHITZ, b=[-1.0])  # residual is +1 everywhere
     result = run_cli("ptas", write(tmp_path, doc))
@@ -461,6 +496,15 @@ def test_non_finite_tolerance_exit_1(tmp_path, flags, env):
     assert result.stderr.startswith("error: ")
     assert "finite" in result.stderr
     assert ("--tolerance" if flags else "L1OPT_TOLERANCE") in result.stderr
+
+
+def test_negative_enumerate_limit_exit_1():
+    result = run_cli("enumerate", 3, 2, "--limit", "-1")
+    assert result.returncode == 1
+    assert "--limit" in result.stderr and "must be >= 0" in result.stderr
+    assert result.stdout == ""
+    result = run_cli("enumerate", 3, 2, "--limit", "0")
+    assert result.returncode == 0 and result.stdout == ""
 
 
 @pytest.mark.parametrize("workers", ["0", "-5", "two"])

@@ -11,6 +11,7 @@ from l1opt.lattice import iter_l1_points
 from l1opt.ptas import LipschitzProblem, solve_weighted_lipschitz_ptas
 from l1opt.solver import (
     FLOAT,
+    RATIONAL,
     ProblemInstance,
     QuadraticConstraint,
     SolveOptions,
@@ -167,6 +168,22 @@ def test_float_weighted_budget_holds_with_an_infinite_weight():
     solution = solve_weighted_l1_ip(problem, WeightedL1Spec((math.inf, 1.0, 1.5), 2.0))
     assert solution.objective == -2.0
     assert abs(solution.x[1]) + 1.5 * abs(solution.x[2]) <= 2.0
+
+
+def test_rational_weighted_budget_pins_an_infinite_weight():
+    # An infinite weight has no Fraction; it pins its coordinate in
+    # rational mode as in float mode, and with every weight infinite only
+    # the origin is walked.
+    for mode in (RATIONAL, FLOAT):
+        problem = ProblemInstance.linear((-1, -1), ((0, 0),), (0,), arithmetic=mode)
+        for instance in (problem, wrap_oracles(problem)):
+            solution = solve_weighted_l1_ip(instance, WeightedL1Spec((math.inf, 1), 2))
+            assert solution.x == (0, 2) and solution.objective == -2
+        spec = WeightedL1Spec((math.inf, math.inf), 2)
+        solution = solve_weighted_l1_ip(problem, spec)
+        assert solution.x == (0, 0)
+        assert solution.oracle_calls == solution.points_enumerated == 1
+    assert solve_weighted_l1_ip(problem, spec) == solve_weighted_l1_ip(wrap_oracles(problem), spec)
 
 
 def test_parallel_matches_serial():
@@ -347,7 +364,7 @@ def test_non_finite_tolerance_is_rejected(tolerance):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_coefficients_are_rejected(bad):
-    # inf * 0 is NaN in a dense sum and skipped by a sparse one, so the
+    # inf * 0 is NaN in a dense sum and skipped by a block sum, so the
     # built-in oracles refuse such data instead of picking one answer.
     for mode in (FLOAT, "rational"):
         with pytest.raises(ValueError, match="finite"):

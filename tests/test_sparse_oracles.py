@@ -1,10 +1,11 @@
-"""The support-sparse built-in oracles against the dense reference sums.
+"""The built-in oracles against the dense reference sums.
 
-``make_linear_oracle`` and ``make_quadratic_oracle`` sum only over the
-nonzero coordinates of a point.  Their values must be those of the dense
-left-to-right sums in ``oracles.py`` bit for bit: same type, same sign of
-zero, so the ``repr`` of every value matches.  Whole solves over the two
-kinds of oracles must return equal solutions and counts.
+``make_linear_oracle`` and ``make_quadratic_oracle`` are the dense
+left-to-right sums over the nonzero coefficients.  Their values must be
+those of the sums in ``oracles.py`` bit for bit, at any point: same
+type, same sign of zero, so the ``repr`` of every value matches.  Whole
+solves over the two kinds of oracles must return equal solutions and
+counts.
 """
 
 from fractions import Fraction
@@ -83,7 +84,7 @@ def problem_data(draw, values=COEFFICIENTS, max_n=5):
 
 
 def oracle_pair(kind, data):
-    """(sparse, dense) oracles over the same data."""
+    """(built-in, reference) oracles over the same data."""
     if kind == "linear":
         return make_linear_oracle(*data), dense_linear_oracle(*data)
     return make_quadratic_oracle(*data), dense_quadratic_oracle(*data)
@@ -127,7 +128,7 @@ def test_sparse_sum_keeps_type_and_sign_of_zero():
 
 
 def test_mixed_type_form_is_summed_like_the_dense_sum():
-    # The term the support skips, 0.5 * 0 = 0.0, makes the dense total a float.
+    # The term 0.5 * 0 = 0.0 makes the dense total a float.
     objective, constraints = make_linear_oracle((1, 0.5), ((Fraction(1, 3), 1.5),), (0,))
     assert repr(objective((1, 0))) == "1.0"
     assert repr(constraints((3, 0))) == "(1.0,)"
@@ -135,8 +136,16 @@ def test_mixed_type_form_is_summed_like_the_dense_sum():
     assert repr(objective((1, 0))) == "Fraction(2, 1)"
 
 
+def test_zero_coordinate_of_another_type_still_counts():
+    # The dense sum adds 2 * 0.0, which makes the total a float.
+    objective, _ = make_linear_oracle((1, 2), (), ())
+    assert repr(objective((1, 0.0))) == "1.0"
+    objective, _ = make_quadratic_oracle(((1, 1), (0, 1)), (0, 0), ())
+    assert repr(objective((1, 0.0))) == "1.0"
+
+
 def instances(n, mode, kind, data):
-    """(sparse, dense) instances of the same data on the per-point oracle path."""
+    """(built-in, reference) instances of the same data."""
     (objective, constraints), (dense_objective, dense_constraints) = oracle_pair(kind, data)
     return (
         ProblemInstance(n=n, objective=objective, constraints=constraints, arithmetic=mode),
@@ -151,9 +160,9 @@ def instances(n, mode, kind, data):
     parallel=st.sampled_from([1, 2]),
 )
 def test_solves_match_over_sparse_and_dense_oracles(problem, radius, parallel):
-    sparse, dense = instances(*problem)
+    builtin, dense = instances(*problem)
     options = SolveOptions(parallel=parallel)
-    assert repr(solve_l1_ip(sparse, radius, options)) == repr(solve_l1_ip(dense, radius, options))
+    assert repr(solve_l1_ip(builtin, radius, options)) == repr(solve_l1_ip(dense, radius, options))
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,9 +183,9 @@ def test_weighted_solves_match_over_sparse_and_dense_oracles(problem, data, radi
     )
     conv = Fraction if mode == RATIONAL else float
     spec = WeightedL1Spec(tuple(map(conv, weights)), conv(radius))
-    sparse, dense = instances(*problem)
+    builtin, dense = instances(*problem)
     options = SolveOptions(parallel=parallel)
-    assert repr(solve_weighted_l1_ip(sparse, spec, options)) == repr(
+    assert repr(solve_weighted_l1_ip(builtin, spec, options)) == repr(
         solve_weighted_l1_ip(dense, spec, options)
     )
 
