@@ -13,11 +13,12 @@ left to right and starting from zero.
   operations in the scalar oracles' order, so every value is theirs bit
   for bit.
 - Rational data (int and Fraction) is scaled to ints by the lcm of the
-  denominators of each form.  The sums run in int64 when
+  denominators of each form.  The objective's sums run in int64 when
   max|M| rho^2 + max|a| rho + |const| fits in int64 for every form,
   which bounds every partial sum, and else over Python ints (numpy
-  arrays of dtype object), which are exact at any size.  The same bound
-  picks the dtype of the weighted budget's sums.
+  arrays of dtype object), which are exact at any size; the
+  constraints' sums pick their dtype by the same bound on their own.
+  The same bound picks the dtype of the weighted budget's sums.
 - Rational data at grid points (``step * y`` for a float step) is
   summed in float64 over each form's float image, since a rational
   coefficient times a float is the float product of its float image.
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from typing import NamedTuple
 
@@ -130,14 +131,16 @@ def block_evaluator(problem, rho, tolerance, stop, step):
     mask of its feasible points with a value that is not NaN;  ``stop``
     is ``stop_below`` in the units of those values.  Both oracles must
     carry their forms, of one dimension, and their data must be all
-    float or all rational (int and Fraction).  Float data, and rational
-    data at grid points, is summed in float64 as the scalar oracles sum
-    it; rational data at integer points is scaled to ints per form and
-    summed in int64 or, past the int64 bound, over Python ints.
+    float or all rational (int and Fraction).  The objective's value is
+    the largest of its forms' values, and over rational data its forms
+    must share one scale.  Float data, and rational data at grid points,
+    is summed in float64 as the scalar oracles sum it; rational data at
+    integer points is scaled to ints per form and summed in int64 or,
+    past the int64 bound, over Python ints.
     """
     objective = getattr(problem.objective, "block_forms", None)
     rows = getattr(problem.constraints, "block_forms", None)
-    if objective is None or rows is None or len(objective.forms) != 1:
+    if objective is None or rows is None or not objective.forms:
         return None
     if not objective.n == rows.n == problem.n:
         return None
@@ -166,7 +169,7 @@ def _float_evaluator(objective, rows, tolerance, stop, step, floats):
 
     def evaluate(pos, val):
         x = val.astype(np.float64) if step is None else step * val
-        values = objective.float_values(pos, x)[0]
+        values = _largest(objective.float_values(pos, x))
         feasible = (rows.float_values(pos, x) <= tol).all(axis=0)
         return values, feasible & (values == values) & passes
 
@@ -175,22 +178,39 @@ def _float_evaluator(objective, rows, tolerance, stop, step, floats):
 
 def _int_evaluator(objective, rows, rho, tolerance, stop):
     """The evaluator over scaled ints for rational data at integer
-    points: int64 within the bound of :meth:`Forms.fits_int64`, Python
-    ints (``big``) past it."""
-    big = not (objective.fits_int64(rho) and rows.fits_int64(rho))
-    limits = [_scaled_floor(tolerance, scale, big) for scale in rows.ints.scales]
-    threshold = None if stop is None else _scaled_floor(stop, objective.ints.scales[0], big)
-    if None in limits or (stop is not None and threshold is None):
+    points: for the objective and the rows each, int64 within the bound
+    of :meth:`Forms.fits_int64` and Python ints (``big``) past it."""
+    big = not objective.fits_int64(rho)
+    big_rows = not rows.fits_int64(rho)
+    limits = [_scaled_floor(tolerance, scale, big_rows) for scale in rows.ints.scales]
+    scales = set(objective.ints.scales)
+    threshold = None if stop is None else _scaled_floor(stop, min(scales), big)
+    if None in limits or len(scales) > 1 or (stop is not None and threshold is None):
         return None
-    limits = np.array(limits, dtype=object if big else np.int64)[:, None]
+    limits = np.array(limits, dtype=object if big_rows else np.int64)[:, None]
+    # Over Python ints the objective's forms go one at a time into a
+    # running maximum, so that a block holds one form's values at once.
+    L, consts, quads = objective.ints[:3]
+    singles = [
+        (L[f : f + 1], consts[f : f + 1], [(0, M) for g, M in quads if g == f])
+        for f in range(len(L))
+    ]
 
     def evaluate(pos, val):
+        wide = val.astype(object) if big or big_rows else val
         if big:
-            val = val.astype(object)
-        values = objective.int_values(pos, val)[0]
-        return values, (rows.int_values(pos, val) <= limits).all(axis=0)
+            values = reduce(np.maximum, (_form_values(*form, pos, wide)[0] for form in singles))
+        else:
+            values = _largest(objective.int_values(pos, val))
+        return values, (rows.int_values(pos, wide if big_rows else val) <= limits).all(axis=0)
 
     return evaluate, threshold
+
+
+def _largest(values):
+    """The largest of each column of forms' values; the one row as it is
+    for a single form, which saves a reduction per block."""
+    return values[0] if len(values) == 1 else values.max(axis=0)
 
 
 def _budget_mask(costs, budget, rho, step):
@@ -233,11 +253,12 @@ class Forms:
     """The forms behind a built-in oracle, for the block path.
 
     Each form is ``(M, a, const)``, valued x'Mx + a.x + const, with M
-    None for a linear form: one form for an objective, one per row for
-    constraints.  The oracle carries it as ``block_forms``, so the block
-    path finds the data through the oracle itself; the arrays are built
-    on first use and kept with it.  Index n of every array is a zero,
-    the padding of :func:`point_blocks`.
+    None for a linear form: one per row for constraints, and for an
+    objective one form or several, whose largest value is its value.
+    The oracle carries it as ``block_forms``, so the block path finds
+    the data through the oracle itself; the arrays are built on first
+    use and kept with it.  Index n of every array is a zero, the
+    padding of :func:`point_blocks`.
     """
 
     def __init__(self, n: int, forms: tuple):

@@ -334,12 +334,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _derived_kappa(problem: ParsedProblem) -> float:
+    """The shared Lipschitz constant of the file's forms; 1.0 when every
+    form is constant, since any positive constant is then valid."""
     if problem.kind == "lipschitz-linear":
-        return linear_lipschitz_constant(problem.c, problem.A)
-    # Quadratic objective over the ball, linear constraint rows.
-    objective_constant = quadratic_lipschitz_constant(problem.Q, problem.c, (), problem.radius)
-    rows_constant = linear_lipschitz_constant((0,) * problem.n, problem.A)
-    return max(objective_constant, rows_constant)
+        kappa = linear_lipschitz_constant(problem.c, problem.A)
+    else:
+        # Quadratic objective over the ball, linear constraint rows.
+        objective_constant = quadratic_lipschitz_constant(problem.Q, problem.c, (), problem.radius)
+        rows_constant = linear_lipschitz_constant((0,) * problem.n, problem.A)
+        kappa = max(objective_constant, rows_constant)
+    return kappa or 1.0
 
 
 def _parse_radius(text: str, problem: ParsedProblem):

@@ -30,9 +30,10 @@ _DEFAULT_DIGIT_CAP = 4300
 
 
 def floor_radius(radius: Real) -> int:
-    """Largest integer <= radius.  Exact for int and Fraction inputs."""
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius!r}")
+    """Largest integer <= radius.  Exact for int and Fraction inputs;
+    ``ValueError`` for a negative, infinite or NaN radius."""
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
     if isinstance(radius, Fraction):
         return radius.numerator // radius.denominator
     return int(math.floor(radius))

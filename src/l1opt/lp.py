@@ -49,9 +49,11 @@ of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
 
 On the 2n + 1 LPs of ``complexity.estimate_bound`` at 12 variables and
 48 rows, the guide's basis passes and the estimate is about 10 times
-faster than with Bland's rule.  The mixed solver's 11-row inner LPs
-stay on ``lp_solve``: few pivots are saved there, and the guide's fixed
-cost made a mixed solve about 1.3 times slower.
+faster than with Bland's rule.  The inner LPs of a linear mixed solve
+use ``lp_solve``.  On the block path the mixed solver decides every
+integer point through the LPs' duals and solves one LP, at the winner;
+the per-point path, for a wrapped inner solver, solves one per point,
+where the guide's fixed cost made a solve about 1.3 times slower.
 
 Intended for small instances (tens of variables): the coordinate-range
 and lifted-radius programs of the runtime-bound estimator, and LP

@@ -13,13 +13,15 @@ import contextlib
 import dataclasses
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from l1opt import lattice, solver
-from l1opt.blocks import block_evaluator
+from l1opt.blocks import Forms, block_evaluator, block_scan
 from l1opt.lattice import iter_l1_points, point_blocks
 from l1opt.ptas import LipschitzProblem, solve_lipschitz_ptas, solve_weighted_lipschitz_ptas
 from l1opt.solver import (
@@ -495,3 +497,41 @@ def test_float_overflow_gives_the_scalar_inf_and_nan():
     )
     for radius in range(4):
         assert repr(solve_l1_ip(quadratic, radius)) == repr(solve_l1_ip(wrapped(quadratic), radius))
+
+
+@pytest.mark.parametrize("kind", ["int64", "object", "float"])
+def test_objective_with_several_forms_is_their_maximum(kind):
+    # Three linear forms and one row x_0 + x_1 <= 1, against the largest
+    # form at every point of the walk; ties keep the lower ordinal.
+    scale = {"int64": 1, "object": 10**20, "float": 1.0}[kind]
+    forms = [
+        (None, (scale, -2 * scale, 0), scale),
+        (None, (-scale, scale, 3 * scale), 0 * scale),
+        (None, (0 * scale, 0 * scale, 0 * scale), -scale),
+    ]
+    one = 1.0 if kind == "float" else 1
+    rows = Forms(3, ((None, (one, one, 0 * one), -one),))
+
+    def objective(x):
+        return max(sum(a * v for a, v in zip(coefs, x)) + const for _, coefs, const in forms)
+
+    objective.block_forms = Forms(3, tuple(forms))
+    problem = SimpleNamespace(n=3, objective=objective, constraints=SimpleNamespace(block_forms=rows))
+    expected = None
+    for point in iter_l1_points(3, 2):
+        if point.x[0] + point.x[1] <= 1:
+            value = objective(point.x)
+            if expected is None or value < expected[0]:
+                expected = (value, point.ordinal, point.x)
+    assert block_scan(problem, 2, 0) == (expected, 25, 25)
+    assert block_evaluator(problem, 2, 0, None, None) is not None
+
+
+def test_rational_forms_of_one_objective_must_share_a_scale():
+    forms = Forms(1, ((None, (Fraction(1, 2),), 0), (None, (Fraction(1, 3),), 0)))
+    problem = SimpleNamespace(
+        n=1,
+        objective=SimpleNamespace(block_forms=forms),
+        constraints=SimpleNamespace(block_forms=Forms(1, ())),
+    )
+    assert block_evaluator(problem, 2, 0, None, None) is None

@@ -405,6 +405,54 @@ def test_ptas_mixed(tmp_path):
     assert out["y"] == ["0"]
 
 
+@pytest.mark.parametrize("path", ["block", "per-point"])
+def test_mixed_stdout_of_a_6_by_3_problem(path, monkeypatch, capsys):
+    # Pinned from the per-point path, one exact LP per integer point; the
+    # dual forms of the block path must print the same bytes, apart from
+    # wall_time_ms.  A wrapped inner solver takes the per-point path.
+    data = pathlib.Path(__file__).parent / "data"
+    if path == "per-point":
+        build = cli.linear_mixed_inner_solver
+
+        def wrapped(*args):
+            inner = build(*args)
+            return lambda x: inner(x)
+
+        monkeypatch.setattr(cli, "linear_mixed_inner_solver", wrapped)
+    assert cli.main(["ptas", str(data / "mixed_6x3.json")]) == 0
+    head, tail = capsys.readouterr().out.rsplit(', "version"', 1)
+    assert head + "\n" == (data / "mixed_6x3.stdout").read_text()
+    assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(LIPSCHITZ, c=[0.0, 0.0], A=[[0.0, 0.0]], b=[1.0], epsilon=0.5),
+        {
+            "kind": "lipschitz-quadratic",
+            "n": 1,
+            "m": 2,
+            "arithmetic": "rational",
+            "lambda": "1",
+            "epsilon": 0.5,
+            "Q": [["0"]],
+            "c": ["0"],
+            "A": [["0"], ["0"]],
+            "b": ["1", "0"],
+        },
+    ],
+)
+def test_ptas_of_constant_forms_derives_a_positive_kappa(tmp_path, doc):
+    # Every form is constant, so any positive constant is valid; the
+    # derived one used to be 0.0, which exited 1.
+    result = run_cli("ptas", write(tmp_path, doc))
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert (out["status"], out["kappa"], out["objective"]) == ("optimal", 1.0, 0.0)
+    assert out["x"] == [0.0] * doc["n"]
+
+
 def test_enumerate_lines():
     result = run_cli("enumerate", 2, 1)
     lines = result.stdout.splitlines()

@@ -209,3 +209,24 @@ def test_gaussian_width_bound_holds_with_margin():
         for lam in (1, 2):
             mean, stderr = estimate_gaussian_width(n, lam, samples=20_000, seed=3)
             assert mean + 3 * stderr <= gaussian_width_bound(n, lam)
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan, -math.inf])
+def test_non_finite_radius_is_a_typed_error(radius):
+    from l1opt.lattice import iter_l1_points
+    from l1opt.ptas import MixedProblem, linear_mixed_inner_solver, solve_mixed_integer
+    from l1opt.solver import ProblemInstance, solve_l1_ip
+
+    message = r"radius must be finite and nonnegative, got (inf|nan|-inf)"
+    ilp = ProblemInstance.linear([1], [[1]], [1])
+    inner = linear_mixed_inner_solver([1], [1], [[0], [0]], [[1], [-1]], [1, 1])
+    calls = [
+        lambda: count_l1_lattice(2, radius),
+        lambda: iter_l1_points(2, radius),
+        lambda: solve_l1_ip(ilp, radius),
+        lambda: solve_mixed_integer(MixedProblem(1, 1, inner), radius),
+        lambda: solve_mixed_integer(MixedProblem(1, 1, lambda x: inner(x)), radius),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
