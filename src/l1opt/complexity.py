@@ -24,7 +24,7 @@ import numpy as np
 
 from .counting import BigBound, DEFAULT_SLACK, Real, oracle_complexity_bound
 from .errors import InvalidDimensionError, RegionInfeasibleError, RegionUnboundedError
-from .lp import INFEASIBLE, UNBOUNDED, exact_rationals, lp_optimum
+from .lp import INFEASIBLE, UNBOUNDED, _leq_rows, exact_rationals, lp_optimum
 
 # Guards against a float backend reporting 1.9999999996 for an exactly
 # integral maximum; exact backends are floored without it.
@@ -56,23 +56,32 @@ class LinearRegionBackend(ConvexOptBackend):
 
     Each solve is :func:`l1opt.lp.lp_optimum`: the optimal value is exact
     and the maximizer is an exact optimal point, which at a tie need not
-    be the vertex ``lp_solve`` would pick.  ``lp_calls`` counts the
-    solves, ``certified_solves`` those answered by a certified guide basis
-    and ``fallback_pivots`` the exact simplex pivots of the others.
-    Infinite or NaN entries of A or b raise ``ValueError``.
+    be the vertex ``lp_solve`` would pick.  The first solve over C builds
+    the constraint part of its integer ≤-form, and later ones swap only
+    the cost, with the results and errors of a fresh ``lp_optimum``.  The
+    lifted solve runs once per estimate and builds its own form.
+    ``lp_calls`` counts the solves, ``certified_solves`` those answered by
+    a certified guide basis and ``fallback_pivots`` the exact simplex
+    pivots of the others.  Infinite or NaN entries of A or b raise
+    ``ValueError``.
     """
 
     def __init__(self, A: Sequence[Sequence], b: Sequence):
         self.A = [exact_rationals(row, f"LinearRegionBackend: A[{i}]") for i, row in enumerate(A)]
         self.b = exact_rationals(b, "LinearRegionBackend: b")
         self.n = len(self.A[0]) if self.A else 0
+        self._rows = None  # the constraint part of the ≤-form, built on the first call
         self.lp_calls = 0
         self.certified_solves = 0
         self.fallback_pivots = 0
 
     def maximize(self, direction, lifted_bounds=None):
         if lifted_bounds is None:
-            result = lp_optimum(direction, self.A, self.b, sense="max")
+            # Named as lp_optimum names its input, so errors read the same.
+            cost = exact_rationals(direction, "lp_optimum: c")
+            if self._rows is None or len(self._rows.subs) != len(cost):
+                self._rows = _leq_rows("lp_optimum", self.A, self.b, len(cost), None, None)
+            result = self._rows.priced(cost, maximize=True).optimum()
         else:
             s_upper, t_upper = lifted_bounds
             n = self.n

@@ -33,9 +33,12 @@ of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
   equilibrated rows, a pivot cap, floating-point warnings off) proposes
   the basis it stops at.
 - *Certificate.*  The basic columns and the tight rows (those whose
-  slack is nonbasic) form a k x k integer system.  Fraction-free
-  Gauss-Jordan elimination solves it for the basic values and,
-  transposed, for the duals.  The basis is accepted only when, exactly,
+  slack is nonbasic) form a k x k integer system.  A tight row with one
+  nonzero among the basic columns, such as a variable bound, pins its
+  column; fraction-free Gauss-Jordan elimination solves the block of the
+  other rows and columns for the remaining basic values and, transposed,
+  for their duals, and the pinned rows' duals follow by
+  back-substitution.  The basis is accepted only when, exactly,
   the basic values are >= 0, every row holds, and the duals and the
   reduced costs of the nonbasic columns are >= 0: primal and dual
   feasibility, so the point is optimal.
@@ -48,12 +51,17 @@ of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
   a tie.  ``LPResult.certified`` says which path answered.
 
 On the 2n + 1 LPs of ``complexity.estimate_bound`` at 12 variables and
-48 rows, the guide's basis passes and the estimate is about 10 times
-faster than with Bland's rule.  The inner LPs of a linear mixed solve
-use ``lp_solve``.  On the block path the mixed solver decides every
-integer point through the LPs' duals and solves one LP, at the winner;
-the per-point path, for a wrapped inner solver, solves one per point,
-where the guide's fixed cost made a solve about 1.3 times slower.
+48 rows, the guide's basis passes and the estimate is about 17 times
+faster than with Bland's rule.  The 2n coordinate LPs share their
+region's constraint rows (``_leq_rows``) and differ only in the cost
+(``_LeqForm.priced``).  Pinning keeps the bound rows of the lifted LP,
+with denominators of about 120 bits, out of the elimination, whose
+integers would otherwise grow to about 1,400 bits.  The inner LPs of a
+linear mixed solve use ``lp_solve``.  On the block path the mixed solver
+decides every integer point through the LPs' duals and solves one LP, at
+the winner; the per-point path, for a wrapped inner solver, solves one
+per point, where the guide's fixed cost made a solve about 1.3 times
+slower.
 
 Intended for small instances (tens of variables): the coordinate-range
 and lifted-radius programs of the runtime-bound estimator, and LP
@@ -144,33 +152,39 @@ def lp_optimum(
     optimal vertex.  ``certified`` tells which path answered.
     """
     form = _leq_form("lp_optimum", c, A, b, sense, lower, upper)
-    if form is None:
-        return LPResult(INFEASIBLE, None, None)
-    basis = _guide_basis(form)
-    certificate = None if basis is None else _certify(form, basis)
-    if certificate is None:
-        return form.solve()
-    return form.result(certificate.z, certificate.value, 0, certified=True)
+    return LPResult(INFEASIBLE, None, None) if form is None else form.optimum()
 
 
 class _LeqForm(NamedTuple):
     """min cost.z subject to rows.z <= rhs, z >= 0: an LP after the bound
     substitution and the per-row integer scaling.
 
-    Row i is the original row times ``scales[i]``; ``cost`` is the cost
-    (negated for "max") times ``cost_scale``.  ``subs[j]`` says how x_j
-    is made of z: ``("shift_lo", L, k)`` is L + z_k, ``("shift_hi", U, k)``
-    is U - z_k and ``("split", p, q)`` is z_p - z_q.
+    Row i is the original row times ``scales[i]``.  ``subs[j]`` says how
+    x_j is made of z: ``("shift_lo", L, k)`` is L + z_k, ``("shift_hi", U,
+    k)`` is U - z_k and ``("split", p, q)`` is z_p - z_q.  The constraint
+    part, from :func:`_leq_rows`, has no cost yet; :meth:`priced` adds
+    one, so LPs over one region share its rows.  ``cost`` is then the cost
+    (negated for "max") in z times ``cost_scale``, and ``cost_shift`` is
+    the constant that the bound shifts add to it.
     """
 
-    cost: list[int]
     rows: list[list[int]]
     rhs: list[int]
     scales: list[int]
     subs: list[tuple]
-    cost_scale: int
-    cost_shift: Fraction
-    maximize: bool
+    cost: Optional[list[int]] = None
+    cost_scale: int = 1
+    cost_shift: Fraction = _ZERO
+    maximize: bool = False
+
+    def priced(self, c: list[Fraction], maximize: bool) -> _LeqForm:
+        """This form's constraints under the objective ``c``, maximized or minimized."""
+        signed = [-v for v in c] if maximize else c
+        ints, scale = _scaled(signed)
+        cost, shift = _expand(ints, self.subs), _constant_part(signed, self.subs)
+        # Not _replace: each call of it leaves one more spare 8-tuple in
+        # CPython's tuple free list, up to 2,000 of them (about 0.2 MB).
+        return _LeqForm(self.rows, self.rhs, self.scales, self.subs, cost, scale, shift, maximize)
 
     def solve(self) -> LPResult:
         """The exact Bland simplex on this form."""
@@ -178,6 +192,14 @@ class _LeqForm(NamedTuple):
         if status != OPTIMAL:
             return LPResult(status, None, None, pivots)
         return self.result(z, value, pivots)
+
+    def optimum(self) -> LPResult:
+        """The result at the guide's basis if :func:`_certify` accepts it, else :meth:`solve`."""
+        basis = _guide_basis(self)
+        certificate = None if basis is None else _certify(self, basis)
+        if certificate is None:
+            return self.solve()
+        return self.result(certificate.z, certificate.value, 0, certified=True)
 
     def result(
         self, z: list[Fraction], value: Fraction, pivots: int, certified: bool = False
@@ -202,8 +224,13 @@ def _leq_form(where, c, A, b, sense, lower, upper) -> Optional[_LeqForm]:
     a lower bound exceeds its upper bound (the LP is infeasible)."""
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    n = len(c)
     cost = exact_rationals(c, f"{where}: c")
+    form = _leq_rows(where, A, b, len(cost), lower, upper)
+    return None if form is None else form.priced(cost, sense == "max")
+
+
+def _leq_rows(where, A, b, n, lower, upper) -> Optional[_LeqForm]:
+    """The constraint part of :func:`_leq_form` over n variables."""
     rows = [exact_rationals(row, f"{where}: A[{i}]") for i, row in enumerate(A)]
     rhs = exact_rationals(b, f"{where}: b")
     for row in rows:
@@ -216,8 +243,6 @@ def _leq_form(where, c, A, b, sense, lower, upper) -> Optional[_LeqForm]:
     for j in range(n):
         if lo[j] is not None and hi[j] is not None and lo[j] > hi[j]:
             return None
-    if sense == "max":
-        cost = [-v for v in cost]
 
     # Substitute every variable by nonnegative ones:
     #   lower bound L present:        x = L + z
@@ -240,38 +265,15 @@ def _leq_form(where, c, A, b, sense, lower, upper) -> Optional[_LeqForm]:
             subs.append(("split", num_z, num_z + 1))
             num_z += 2
 
-    def expand(row: Sequence[int]) -> list[int]:
-        # Each z column comes from one variable, so this only places and
-        # negates entries: the row keeps its denominators and its scale.
-        out = [0] * num_z
-        for coef, sub in zip(row, subs):
-            if not coef:
-                continue
-            if sub[0] == "shift_lo":
-                out[sub[2]] = coef
-            elif sub[0] == "shift_hi":
-                out[sub[2]] = -coef
-            else:
-                out[sub[1]] = coef
-                out[sub[2]] = -coef
-        return out
-
-    def constant_part(row: Sequence[Fraction]) -> Fraction:
-        total = _ZERO
-        for coef, sub in zip(row, subs):
-            if coef and sub[0] != "split" and sub[1]:
-                total += coef * sub[1]
-        return total
-
     # Each row is cleared of denominators on its own, rhs included.
     std_rows = []
     std_rhs = []
     scales = []
     for row, beta in zip(rows, rhs):
-        shift = constant_part(row)
+        shift = _constant_part(row, subs)
         ints, scale = _scaled(row + [beta - shift if shift else beta])
         std_rhs.append(ints.pop())
-        std_rows.append(expand(ints))
+        std_rows.append(_expand(ints, subs))
         scales.append(scale)
     for col, bound in extra_rows:
         row = [0] * num_z
@@ -279,17 +281,31 @@ def _leq_form(where, c, A, b, sense, lower, upper) -> Optional[_LeqForm]:
         std_rows.append(row)
         std_rhs.append(bound.numerator)
         scales.append(bound.denominator)
-    cost_ints, cost_scale = _scaled(cost)
-    return _LeqForm(
-        expand(cost_ints),
-        std_rows,
-        std_rhs,
-        scales,
-        subs,
-        cost_scale,
-        constant_part(cost),
-        sense == "max",
-    )
+    return _LeqForm(std_rows, std_rhs, scales, subs)
+
+
+def _expand(row: Sequence[int], subs: list[tuple]) -> list[int]:
+    """``row``, one entry per x_j, as one entry per z column.  Each z column
+    comes from one variable, so this only places and negates entries: the
+    row keeps its denominators and its scale."""
+    out = [0] * (subs[-1][-1] + 1 if subs else 0)  # the last sub holds the last z column
+    for coef, sub in zip(row, subs):
+        if not coef:
+            continue
+        if sub[0] == "shift_lo":
+            out[sub[2]] = coef
+        elif sub[0] == "shift_hi":
+            out[sub[2]] = -coef
+        else:
+            out[sub[1]] = coef
+            out[sub[2]] = -coef
+    return out
+
+
+def _constant_part(row: Sequence[Fraction], subs: list[tuple]) -> Fraction:
+    """The part of ``row``.x that the bound shifts make constant."""
+    terms = (coef * sub[1] for coef, sub in zip(row, subs) if coef and sub[0] != "split" and sub[1])
+    return sum(terms, _ZERO)
 
 
 def _bound_list(bounds: Optional[Sequence], n: int, where: str, name: str) -> list[Optional[Fraction]]:
@@ -586,11 +602,15 @@ def _certify(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certificate]:
 
     A basis names m variables (z_j is j, the slack of row i is nz + i).
     Its basic z columns and its tight rows (those whose slack is
-    nonbasic) form a k x k system; Bareiss elimination solves it for the
-    basic values and, transposed, for the duals of the tight rows.  The
-    basis is optimal when the basic values are >= 0, every other row
-    holds, and the duals and the reduced costs of the nonbasic z columns
-    are >= 0.  Returns None otherwise, or when the system is singular.
+    nonbasic) form a k x k system.  A tight row with one nonzero among
+    the basic columns pins that column at rhs / entry.  Bareiss
+    elimination solves the block of the other rows and columns, its rhs
+    less the pinned values, for the remaining basic values and,
+    transposed, for the duals of its rows; each pinned row's dual then
+    follows by back-substitution.  The basis is optimal when the basic
+    values are >= 0, every other row holds, and the duals and the reduced
+    costs of the nonbasic z columns are >= 0.  Returns None otherwise, or
+    when the system is singular, as it is when two rows pin one column.
     """
     rows, rhs, cost = form.rows, form.rhs, form.cost
     m, nz = len(rows), len(cost)
@@ -598,19 +618,41 @@ def _certify(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certificate]:
         return None
     cols = sorted(var for var in basis if var < nz)
     loose = {var - nz for var in basis if var >= nz}
-    tight = [i for i in range(m) if i not in loose]
-    primal = _solve_square([[rows[i][j] for j in cols] for i in tight], [rhs[i] for i in tight])
+    pins = {}  # basic column -> the tight row that pins it
+    block = []  # the other tight rows
+    for i in (i for i in range(m) if i not in loose):
+        support = [j for j in cols if rows[i][j]]
+        if len(support) != 1:
+            block.append(i)
+        elif pins.setdefault(support[0], i) != i:
+            return None  # a second row pins the column: singular
+    free = [j for j in cols if j not in pins]
+    # Pinned values times ``scale``, the lcm of the pinning entries.
+    scale = math.lcm(*[rows[i][j] for j, i in pins.items()])
+    pinned = {j: rhs[i] * (scale // rows[i][j]) for j, i in pins.items()}
+    primal = _solve_square(
+        [[rows[i][j] for j in free] for i in block],
+        [rhs[i] * scale - sum(rows[i][j] * v for j, v in pinned.items() if rows[i][j]) for i in block],
+    )
     if primal is None:
         return None
-    values, d = primal
+    nums, d = primal
+    solved = dict(zip(free, nums))
+    values = [solved[j] if j in solved else pinned[j] * d for j in cols]
+    d *= scale  # every basic value is values[.] / d
     if any(v < 0 for v in values):
         return None
     # Tight rows hold with equality by construction.
     for i in loose:
         if sum(rows[i][j] * v for j, v in zip(cols, values) if v) > rhs[i] * d:
             return None
-    duals, e = _solve_square([[rows[i][j] for i in tight] for j in cols], [-cost[j] for j in cols])
-    if any(y < 0 for y in duals):
+    block_duals, e = _solve_square([[rows[i][j] for i in block] for j in free], [-cost[j] for j in free])
+    duals = {i: y * scale for i, y in zip(block, block_duals)}
+    for j, i in pins.items():
+        rest = sum(rows[r][j] * y for r, y in zip(block, block_duals) if y)
+        duals[i] = (-cost[j] * e - rest) * (scale // rows[i][j])
+    e *= scale  # every dual is duals[.] / e
+    if any(y < 0 for y in duals.values()):
         return None
     # A free x_j is z_p - z_q; when one of the two is basic the other's
     # reduced cost is zero without making the optimum ambiguous.
@@ -619,11 +661,11 @@ def _certify(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certificate]:
         if sub[0] == "split":
             twins[sub[1]], twins[sub[2]] = sub[2], sub[1]
     basic = set(cols)
-    unique = all(duals)
+    unique = all(duals.values())
     for j in range(nz):
         if j in basic:
             continue
-        reduced = cost[j] * e + sum(rows[i][j] * y for i, y in zip(tight, duals) if y)
+        reduced = cost[j] * e + sum(rows[i][j] * y for i, y in duals.items() if y)
         if reduced < 0:
             return None
         if reduced == 0 and twins.get(j) not in basic:

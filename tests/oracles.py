@@ -3,8 +3,9 @@
 Everything here is deliberately naive: box scans, vertex enumeration,
 exact rational arithmetic.  None of it shares code paths with the
 implementations under test beyond the canonical-ordinal helper, which
-has its own replay-based validation, and the ``LPResult`` record the
-Fraction simplex returns.
+has its own replay-based validation, the ``LPResult`` record the
+Fraction simplex returns, and the Bareiss solve ``l1opt.lp._solve_square``,
+which :func:`certify_reference` runs on a certificate's whole system.
 
 The references that only tests call live here too, not in the package:
 the fine-grid reference for the approximation schemes
@@ -22,6 +23,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from l1opt.counting import (
 )
 from l1opt.errors import InvalidDimensionError
 from l1opt.lattice import LatticePoint, canonical_ordinal
-from l1opt.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+from l1opt.lp import _ZERO, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _Certificate, _LeqForm, _solve_square
 from l1opt.ptas import ApproxSolution, LipschitzProblem
 
 
@@ -168,7 +170,7 @@ def vertex_lp_brute(c, rows, rhs, sense="min"):
     rhs = [Fraction(v) for v in rhs]
     best = None
     for subset in itertools.combinations(range(len(rows)), n):
-        x = _solve_square([rows[i] for i in subset], [rhs[i] for i in subset])
+        x = _fraction_solve_square([rows[i] for i in subset], [rhs[i] for i in subset])
         if x is None:
             continue
         if any(
@@ -326,7 +328,7 @@ def _fraction_leq_form(cost, rows, rhs):
     return OPTIMAL, z, sum((a * v for a, v in zip(cost, z)), Fraction(0)), pivots[0]
 
 
-def _solve_square(M, v):
+def _fraction_solve_square(M, v):
     """Exact solution of a square system, or None if singular."""
     n = len(v)
     aug = [list(row) + [v[i]] for i, row in enumerate(M)]
@@ -344,6 +346,63 @@ def _solve_square(M, v):
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[row_at])]
         row_at += 1
     return [aug[i][n] for i in range(n)]
+
+
+def certify_reference(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certificate]:
+    """Reference for ``l1opt.lp._certify``: the same checks with no pinned
+    rows, the whole k x k system eliminated at once.
+
+    Check in exact arithmetic that ``basis`` is an optimal basis of ``form``.
+
+    A basis names m variables (z_j is j, the slack of row i is nz + i).
+    Its basic z columns and its tight rows (those whose slack is
+    nonbasic) form a k x k system; Bareiss elimination solves it for the
+    basic values and, transposed, for the duals of the tight rows.  The
+    basis is optimal when the basic values are >= 0, every other row
+    holds, and the duals and the reduced costs of the nonbasic z columns
+    are >= 0.  Returns None otherwise, or when the system is singular.
+    """
+    rows, rhs, cost = form.rows, form.rhs, form.cost
+    m, nz = len(rows), len(cost)
+    if len(set(basis)) != m or not all(0 <= var < nz + m for var in basis):
+        return None
+    cols = sorted(var for var in basis if var < nz)
+    loose = {var - nz for var in basis if var >= nz}
+    tight = [i for i in range(m) if i not in loose]
+    primal = _solve_square([[rows[i][j] for j in cols] for i in tight], [rhs[i] for i in tight])
+    if primal is None:
+        return None
+    values, d = primal
+    if any(v < 0 for v in values):
+        return None
+    # Tight rows hold with equality by construction.
+    for i in loose:
+        if sum(rows[i][j] * v for j, v in zip(cols, values) if v) > rhs[i] * d:
+            return None
+    duals, e = _solve_square([[rows[i][j] for i in tight] for j in cols], [-cost[j] for j in cols])
+    if any(y < 0 for y in duals):
+        return None
+    # A free x_j is z_p - z_q; when one of the two is basic the other's
+    # reduced cost is zero without making the optimum ambiguous.
+    twins = {}
+    for sub in form.subs:
+        if sub[0] == "split":
+            twins[sub[1]], twins[sub[2]] = sub[2], sub[1]
+    basic = set(cols)
+    unique = all(duals)
+    for j in range(nz):
+        if j in basic:
+            continue
+        reduced = cost[j] * e + sum(rows[i][j] * y for i, y in zip(tight, duals) if y)
+        if reduced < 0:
+            return None
+        if reduced == 0 and twins.get(j) not in basic:
+            unique = False
+    z = [_ZERO] * nz
+    for j, v in zip(cols, values):
+        z[j] = Fraction(v, d)
+    value = Fraction(sum(cost[j] * v for j, v in zip(cols, values)), d)
+    return _Certificate(z, value, unique)
 
 
 def dense_dot(a, x):

@@ -1,6 +1,7 @@
 import dataclasses
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from l1opt.complexity import (
     verify_cover,
 )
 from l1opt.counting import oracle_complexity_bound
-from l1opt.errors import RegionInfeasibleError, RegionUnboundedError
+from l1opt.errors import RegionInfeasibleError, RegionUnboundedError, ShapeMismatchError
 from l1opt.files import load_problem
 from l1opt.solver import ProblemInstance
 
@@ -212,3 +213,45 @@ def test_backend_counts_the_pivots_of_fallbacks():
     assert backend.lp_calls == 5
     assert backend.certified_solves == 0
     assert backend.fallback_pivots > 0
+
+
+SQUARE = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: estimate_bound(LinearRegionBackend([], []), 2),
+            RegionUnboundedError,
+            "the region {x : Ax <= b} is unbounded",
+        ),
+        (
+            lambda: estimate_bound(LinearRegionBackend(SQUARE, [1, 1, 1, 1]), 3),
+            ShapeMismatchError,
+            "constraint row has 2 entries, expected 3",
+        ),
+        (
+            lambda: estimate_bound(LinearRegionBackend([[1, 0], [-1], [0, 1], [0, -1]], [1, 1, 1, 1]), 2),
+            ShapeMismatchError,
+            "constraint row has 1 entries, expected 2",
+        ),
+        (
+            lambda: LinearRegionBackend(SQUARE, [1, 1, float("inf"), 1]),
+            ValueError,
+            "LinearRegionBackend: b[2] = inf is not a finite number",
+        ),
+    ],
+)
+def test_backend_edge_cases_keep_their_errors(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()
+
+
+def test_backend_checks_each_direction_against_its_rows():
+    # The rows built for the first direction must not serve a longer one.
+    backend = LinearRegionBackend(SQUARE, [1, 1, 1, 1])
+    assert backend.maximize([1, 0])[0] == 1
+    with pytest.raises(ShapeMismatchError, match="^constraint row has 2 entries, expected 3$"):
+        backend.maximize([1, 0, 0])
+    assert backend.maximize([0, -1])[0] == 1

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1opt.complexity import LinearRegionBackend
-from l1opt.errors import ShapeMismatchError
+from l1opt.errors import RegionInfeasibleError, RegionUnboundedError, ShapeMismatchError
 from l1opt import lp
 from l1opt.lp import lp_optimum, lp_solve
 from l1opt.ptas import linear_mixed_inner_solver
-from oracles import fraction_lp_solve, vertex_lp_brute
+from oracles import certify_reference, fraction_lp_solve, vertex_lp_brute
 
 
 def test_simple_max():
@@ -313,6 +313,110 @@ def test_certificate_rejects_a_wrong_basis():
     form = lp._leq_form("lp_optimum", [1], [[1]], [1], "min", [0], None)
     assert lp._certify(form, [0]) is None
     assert lp._certify(form, [1]) == ([Fraction(0)], Fraction(0), True)
+
+
+@st.composite
+def region_directions(draw):
+    """``(A, b, directions)``: a region and the directions one backend
+    serves in turn, each drawn twice and in a new order the second time.
+    Boxes with rhs of either sign give phase 1, and empty regions; rows
+    alone are often unbounded."""
+    entry, rhs_entry, _ = OPTIMUM_SHAPES[draw(st.sampled_from(sorted(OPTIMUM_SHAPES)))]
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 6))
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(rhs_entry, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        for i in range(n):
+            for sign in (1, -1):
+                A.append([Fraction(sign if j == i else 0) for j in range(n)])
+                b.append(draw(st.one_of(SMALL, rhs_entry)))
+    unit = st.integers(0, n - 1).flatmap(
+        lambda i: st.sampled_from([-1, 1]).map(lambda s: [Fraction(s if j == i else 0) for j in range(n)])
+    )
+    direction = st.one_of(unit, st.lists(st.one_of(SMALL, HUGE_DENOMINATOR), min_size=n, max_size=n))
+    directions = draw(st.lists(direction, min_size=1, max_size=5))
+    return A, b, directions + draw(st.permutations(directions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(region_directions())
+def test_backend_solves_every_direction_as_a_fresh_lp(instance):
+    # The backend builds its region's rows once and swaps only the cost.
+    A, b, directions = instance
+    backend = LinearRegionBackend(A, b)
+    errors = {"infeasible": RegionInfeasibleError, "unbounded": RegionUnboundedError}
+    fresh_results = []
+    for direction in directions:
+        fresh = lp_optimum(direction, A, b, "max")
+        fresh_results.append(fresh)
+        certified, pivots = backend.certified_solves, backend.fallback_pivots
+        if fresh.status in errors:
+            with pytest.raises(errors[fresh.status]):
+                backend.maximize(direction)
+        else:
+            assert backend.maximize(direction) == (fresh.value, fresh.x)
+        assert backend.certified_solves - certified == fresh.certified
+        assert backend.fallback_pivots - pivots == fresh.pivots
+    assert backend.lp_calls == len(fresh_results)
+    assert backend.certified_solves == sum(r.certified for r in fresh_results)
+    assert backend.fallback_pivots == sum(r.pivots for r in fresh_results)
+
+
+@st.composite
+def pinning_lps(draw):
+    """``(instance, bases)``: an LP whose variables are all bounded, by
+    bounds with denominators up to 10^30 and at times with lo == hi, whose
+    extra rows repeat a bound (so two tight rows can pin one column), and
+    bases to certify: the guide's, the guide's with one variable swapped,
+    and arbitrary lists of m variables."""
+    bound = st.one_of(SMALL, HUGE_DENOMINATOR)
+    n = draw(st.integers(1, 5))
+    lower = draw(st.lists(bound, min_size=n, max_size=n))
+    upper = [lo + draw(st.one_of(st.just(Fraction(0)), bound.map(abs))) for lo in lower]
+    m = draw(st.integers(0, 4))
+    A = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(bound, min_size=m, max_size=m))
+    for j, sign in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1])), max_size=4)):
+        A.append([Fraction(sign if k == j else 0) for k in range(n)])
+        b.append(upper[j] if sign > 0 else -lower[j])
+    c = draw(st.lists(SMALL, min_size=n, max_size=n))
+    instance = (c, A, b, draw(st.sampled_from(["min", "max"])), lower, upper)
+    form = lp._leq_form("lp_optimum", *instance)
+    rows, width = len(form.rows), len(form.rows) + len(form.cost)
+    guide = lp._guide_basis(form)
+    bases = [] if guide is None else [guide]
+    if guide is not None and rows < width:
+        swapped = list(guide)
+        r = draw(st.integers(0, rows - 1))
+        swapped[r] = draw(st.sampled_from([v for v in range(width) if v not in guide]))
+        bases.append(swapped)
+    variable = st.integers(0, width - 1)
+    bases += draw(st.lists(st.lists(variable, min_size=rows, max_size=rows), min_size=1, max_size=4))
+    return form, bases
+
+
+@settings(max_examples=200, deadline=None)
+@given(pinning_lps())
+def test_pinned_certificate_matches_the_whole_system(case):
+    form, bases = case
+    for basis in bases:
+        assert lp._certify(form, basis) == certify_reference(form, basis)
+
+
+def test_two_rows_pinning_one_column_are_singular():
+    # 0 <= x <= 1/3 and 0 <= y <= 1 with the row x <= 1/3 again: when both
+    # x rows are tight, each pins x, and the basis is singular.
+    instance = ([-1, -1], [[1, 0]], [Fraction(1, 3)], "min", [0, 0], [Fraction(1, 3), 1])
+    form = lp._leq_form("lp_optimum", *instance)
+    assert form.rows == [[3, 0], [3, 0], [0, 1]]
+    # z_0, z_1 and the y row's slack basic: both x rows are tight.
+    assert lp._certify(form, [0, 1, 4]) is None
+    assert certify_reference(form, [0, 1, 4]) is None
+    # With the second x row loose, the same point certifies.
+    certificate = lp._certify(form, [0, 1, 3])
+    assert certificate == certify_reference(form, [0, 1, 3])
+    assert certificate == ([Fraction(1, 3), Fraction(1)], Fraction(-4, 3), True)
 
 
 INF, NAN = float("inf"), float("nan")
