@@ -1,13 +1,18 @@
-"""Block evaluation of the built-in linear and quadratic forms.
+"""The one scan loop of the package, and its evaluators.
 
-The solvers walk the ball a block of points at a time
-(:func:`l1opt.lattice.point_blocks`) whenever both oracles of a problem
-are the built-in ones of :func:`l1opt.solver.make_linear_oracle` or
-:func:`l1opt.solver.make_quadratic_oracle`.  Those oracles carry their
-data as a :class:`Forms` (attribute ``block_forms``), so the data is
-found through the oracles themselves.  One evaluator serves every
-arithmetic: each form is summed column by column over the support, from
-left to right and starting from zero.
+Every solver walks the ball through :func:`block_scan`: blocks of
+points from :func:`l1opt.lattice.point_blocks`, one evaluator call per
+block, and one reduction per block that applies the tie, NaN,
+early-stop and count rules.  The solvers differ only in the evaluator:
+:func:`block_evaluator` sums the forms of the built-in oracles of
+:mod:`l1opt.solver`, or the dual forms of a mixed problem's LPs, over a
+whole block in numpy, and :func:`point_evaluator` calls a per-point
+function (joint oracles, or an inner solver) once per admitted point.
+
+The built-in oracles carry their data as a :class:`Forms` (attribute
+``block_forms``), so the data is found through the oracles themselves.
+One block evaluator serves every arithmetic: each form is summed column
+by column over the support, from left to right and starting from zero.
 
 - Float data is summed in float64.  These are the scalar oracles'
   operations in the scalar oracles' order, so every value is theirs bit
@@ -16,16 +21,17 @@ left to right and starting from zero.
   denominators of each form.  The objective's sums run in int64 when
   max|M| rho^2 + max|a| rho + |const| fits in int64 for every form,
   which bounds every partial sum, and else over Python ints (numpy
-  arrays of dtype object), which are exact at any size; the
-  constraints' sums pick their dtype by the same bound on their own.
-  The same bound picks the dtype of the weighted budget's sums.
+  arrays of dtype object), one form at a time, which are exact at any
+  size; the constraints' sums pick their dtype by the same bound on
+  their own.  The same bound picks the dtype of the weighted budget's
+  sums.
 - Rational data at grid points (``step * y`` for a float step) is
   summed in float64 over each form's float image, since a rational
   coefficient times a float is the float product of its float image.
   A constraint row with no coefficient at all has the exact value of
   its constant, so it is decided once, exactly.  A row with no linear
   coefficient but a matrix is exact at the origin only, so such a
-  problem keeps the scalar path.
+  problem has no block evaluator.
 
 A block is support-indexed: points x min(n, rho) arrays of indices and
 values, not dense points x n rows.  At n = 40 and rho = 3 a dense block
@@ -37,9 +43,7 @@ raise it by about 0.8 MB on the ``wide`` workload.
 
 Generic and wrapped callables, data that mixes float with rational
 values, the rows above and thresholds that are neither floats nor
-rationals keep the scalar path.  :func:`l1opt.solver.scan_ball` is the
-one caller of :func:`block_scan`, and runs the scalar path when it
-returns None.
+rationals have no block evaluator, and run on the per-point one.
 """
 
 from __future__ import annotations
@@ -57,99 +61,153 @@ from .lattice import point_blocks
 
 _INT64_MAX = (1 << 63) - 1
 _INT64_MIN = -(1 << 63)
-# Radii above this keep the scalar path: block entries are int64, and
-# float data needs them exact as floats.
+# Radii above this have no float64 evaluation: block entries are int64,
+# and float data needs them exact as floats.
 _EXACT_FLOAT_INT = 1 << 53
+# Float sums overflow to inf, and inf - inf is NaN, as in the scalar sums.
+_float_errors = np.errstate(over="ignore", invalid="ignore")
 
 
-def block_scan(problem, rho, tolerance, stop=None, step=None, kept=None, costs=None, budget=None):
-    """:func:`_scan_points` over the blocks of :func:`point_blocks`, for
-    built-in oracles; None when the scalar path must run instead.
+def block_scan(n, rho, evaluator, objective, step=None, kept=None, costs=None, budget=None):
+    """Best eligible ``(value, ordinal, x)`` over one walk of the rho-ball,
+    with its counts: ``(best, calls, walked)``.
 
-    The ball has radius ``rho`` and, with ``kept``, spans only those
-    coordinates of the problem's; a point then passes the weighted
-    budget ``sum(costs[j] * |x_j|) <= budget`` before it counts as an
-    oracle call.  With a ``step`` the point evaluated is ``step * y``,
-    as in the approximation schemes.  Each block takes one first-minimum
-    reduction with the rules of :func:`_scan_points`: NaN values are
-    never eligible, the smallest ordinal wins a tie, and ``stop`` ends
-    the scan at the first eligible point at or below it with the same
-    counts.  The winner's value is recomputed by the scalar objective.
+    ``evaluator`` is ``(evaluate, stop)``, as :func:`block_evaluator` and
+    :func:`point_evaluator` make it.  ``evaluate(pos, val, admitted)``
+    returns a block's ``values``, the mask of its ``eligible`` points
+    (feasible, with a value that is not NaN) and ``results``: None, or
+    each point's own result.  The winner's value is its result, or, when
+    there are none, ``objective(x)``.  Each block takes one first-minimum
+    reduction: the smallest ordinal wins a tie, and ``stop``, in the units
+    of the values, ends the scan at the first eligible point at or below
+    it, with the counts of the walk up to that point.
+
+    With ``kept`` the ball spans only those coordinates of the n, and a
+    point must pass the weighted budget ``sum(costs[j] * |x_j|) <= budget``
+    (``admitted``) before it counts as a call; an empty ``kept`` walks the
+    origin alone.  With a ``step`` the point is ``step * y``, as in the
+    approximation schemes.
     """
-    n = problem.n
-    if rho > _EXACT_FLOAT_INT or (
-        step is not None and not (isinstance(step, float) and math.isfinite(step * rho))
-    ):
-        return None
-    evaluator = block_evaluator(problem, rho, tolerance, stop, step)
-    admit = None if costs is None else _budget_mask(costs, budget, rho, step)
-    if evaluator is None or (costs is not None and admit is None):
-        return None
     evaluate, stop = evaluator
-    index = None if kept is None else np.array([*kept, n], dtype=np.intp)
+    admit = None if costs is None else _budget_mask(costs, budget, rho, step)
+    if kept is None:
+        blocks = point_blocks(n, rho)
+    else:
+        index = np.array([*kept, n], dtype=np.intp)
+        origin = (np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=np.int64))
+        blocks = point_blocks(len(kept), rho) if kept else [origin]
     best = None
     calls = walked = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for pos, val in point_blocks(n if kept is None else len(kept), rho):
-            admitted = None if admit is None else admit(pos, val)
-            if index is not None:
-                pos = index[pos]
-            values, eligible = evaluate(pos, val)
-            if admitted is not None:
-                eligible &= admitted
-            end = len(pos)
-            candidates = np.flatnonzero(eligible)
-            hits = candidates[:0] if stop is None else candidates[values[candidates] <= stop]
-            if hits.size:
-                # Every eligible value before the first hit is above stop,
-                # so the hit improves on the incumbent and ends the scan.
-                candidates = hits[:1]
-                end = int(hits[0]) + 1
-            if candidates.size:
-                i = candidates[np.argmin(values[candidates])]
-                if best is None or values[i] < best[0]:
-                    best = (values[i], walked + int(i), pos[i].tolist(), val[i].tolist())
-            walked += end
-            calls += end if admitted is None else int(np.count_nonzero(admitted[:end]))
-            if hits.size:
-                break
+    for pos, val in blocks:
+        admitted = None if admit is None else admit(pos, val)
+        if kept is not None:
+            pos = index[pos]
+        values, eligible, results = evaluate(pos, val, admitted)
+        if admitted is not None:
+            eligible &= admitted
+        end = len(pos)
+        candidates = np.flatnonzero(eligible)
+        hits = candidates[:0]
+        if stop is not None:
+            hits = candidates[_at_or_below(values[candidates], stop)]
+        if hits.size:
+            # Every eligible value before the first hit is above stop,
+            # so the hit improves on the incumbent and ends the scan.
+            candidates = hits[:1]
+            end = int(hits[0]) + 1
+        if candidates.size:
+            i = candidates[np.argmin(values[candidates])]
+            if best is None or values[i] < best[0]:
+                result = None if results is None else results[i]
+                best = (values[i], walked + int(i), pos[i], val[i], result)
+        walked += end
+        calls += end if admitted is None else int(np.count_nonzero(admitted[:end]))
+        if hits.size:
+            break
     if best is None:
         return None, calls, walked
-    _, ordinal, pos, val = best
-    x = [0] * n if step is None else [0.0] * n
+    _, ordinal, pos, val, result = best
+    x = _point(n, pos.tolist(), val.tolist(), step)
+    return (objective(x) if result is None else result, ordinal, x), calls, walked
+
+
+@_float_errors
+def _at_or_below(values, stop):
+    """``values <= stop``, elementwise; nothing is at or below a NaN."""
+    return values <= stop
+
+
+def _point(n, pos, val, step):
+    """The point with entries ``val`` at indices ``pos`` and zeros
+    elsewhere, each entry times ``step`` when there is one (so a zero is
+    ``step * 0``); padding has value 0."""
+    x = [0 if step is None else step * 0] * n
     for i, v in zip(pos, val):
         if v:
             x[i] = v if step is None else step * v
-    x = tuple(x)
-    return (problem.objective(x), ordinal, x), calls, walked
+    return tuple(x)
 
 
-def block_evaluator(problem, rho, tolerance, stop, step):
-    """``(evaluate, stop)`` for the block path, or None.
+def point_evaluator(decide, n, stop=None, step=None):
+    """``(evaluate, stop)`` that calls ``decide(x)`` once for each admitted
+    point of a block, in canonical order.
 
-    ``evaluate(pos, val)`` returns a block's objective values and the
-    mask of its feasible points with a value that is not NaN;  ``stop``
-    is ``stop_below`` in the units of those values.  Both oracles must
-    carry their forms, of one dimension, and their data must be all
-    float or all rational (int and Fraction).  The objective's value is
-    the largest of its forms' values, and over rational data its forms
-    must share one scale.  Float data, and rational data at grid points,
-    is summed in float64 as the scalar oracles sum it; rational data at
-    integer points is scaled to ints per form and summed in int64 or,
-    past the int64 bound, over Python ints.
+    ``decide`` returns ``(value, result)``, with a value of None for an
+    infeasible point; x is built as :func:`block_scan` builds the winner.
+    A NaN value is never eligible.  A block ends at its first eligible
+    value at or below ``stop``, where the scan ends, so ``decide`` runs
+    exactly as often as the scan counts calls.
     """
-    objective = getattr(problem.objective, "block_forms", None)
-    rows = getattr(problem.constraints, "block_forms", None)
-    if objective is None or rows is None or not objective.forms:
-        return None
-    if not objective.n == rows.n == problem.n:
+
+    def evaluate(pos, val, admitted):
+        size = len(pos)
+        values, results = [None] * size, [None] * size
+        admitted = [True] * size if admitted is None else admitted.tolist()
+        for r, p, v, admit in zip(range(size), pos.tolist(), val.tolist(), admitted):
+            if admit:
+                value, result = decide(_point(n, p, v, step))
+                if value is not None and value == value:
+                    values[r], results[r] = value, result
+                    if stop is not None and value <= stop:
+                        break
+        eligible = np.fromiter((v is not None for v in values), dtype=bool, count=size)
+        return np.fromiter(values, dtype=object, count=size), eligible, results
+
+    return evaluate, stop
+
+
+def block_evaluator(objective, rows, rho, tolerance, stop, step):
+    """``(evaluate, stop)`` over the forms of a problem's ``objective`` and
+    its constraint ``rows``, or None when :func:`point_evaluator` must run.
+
+    ``stop`` is ``stop_below`` in the units of the values.  Both must be
+    :class:`Forms` of one dimension, and their data must be all float or
+    all rational (int and Fraction).  The objective's value is the
+    largest of its forms' values, and over rational data its forms must
+    share one scale.  Float data, and rational data at grid points
+    of a float step, is summed in float64 as the scalar oracles sum it,
+    when every ``step * y`` of the ball is exact and finite; rational
+    data at integer points is scaled to ints per form and summed in int64
+    or, past the int64 bound, over Python ints.
+    """
+    if objective is None or rows is None or not objective.forms or objective.n != rows.n:
         return None
     types = objective.types | rows.types
     if types <= {float} or (step is not None and types <= {int, Fraction}):
+        if not _exact_in_float64(rho, step):
+            return None
         return _float_evaluator(objective, rows, tolerance, stop, step, types <= {float})
     if types <= {int, Fraction}:
         return _int_evaluator(objective, rows, rho, tolerance, stop)
     return None
+
+
+def _exact_in_float64(rho, step):
+    """Whether every ``step * y`` (or y) of the rho-ball is the float64
+    product of exact float64 entries, and finite."""
+    return rho <= _EXACT_FLOAT_INT and (
+        step is None or (isinstance(step, float) and math.isfinite(step * rho))
+    )
 
 
 def _float_evaluator(objective, rows, tolerance, stop, step, floats):
@@ -167,11 +225,12 @@ def _float_evaluator(objective, rows, tolerance, stop, step, floats):
     if len(live) < len(rows.forms):
         rows = Forms(rows.n, tuple(live))
 
-    def evaluate(pos, val):
+    @_float_errors
+    def evaluate(pos, val, admitted):
         x = val.astype(np.float64) if step is None else step * val
         values = _largest(objective.float_values(pos, x))
         feasible = (rows.float_values(pos, x) <= tol).all(axis=0)
-        return values, feasible & (values == values) & passes
+        return values, feasible & (values == values) & passes, None
 
     return evaluate, threshold
 
@@ -179,7 +238,8 @@ def _float_evaluator(objective, rows, tolerance, stop, step, floats):
 def _int_evaluator(objective, rows, rho, tolerance, stop):
     """The evaluator over scaled ints for rational data at integer
     points: for the objective and the rows each, int64 within the bound
-    of :meth:`Forms.fits_int64` and Python ints (``big``) past it."""
+    of :meth:`Forms.fits_int64`, and past it over Python ints (``big``),
+    one form at a time, so that a block holds one form's values at once."""
     big = not objective.fits_int64(rho)
     big_rows = not rows.fits_int64(rho)
     limits = [_scaled_floor(tolerance, scale, big_rows) for scale in rows.ints.scales]
@@ -187,22 +247,22 @@ def _int_evaluator(objective, rows, rho, tolerance, stop):
     threshold = None if stop is None else _scaled_floor(stop, min(scales), big)
     if None in limits or len(scales) > 1 or (stop is not None and threshold is None):
         return None
-    limits = np.array(limits, dtype=object if big_rows else np.int64)[:, None]
-    # Over Python ints the objective's forms go one at a time into a
-    # running maximum, so that a block holds one form's values at once.
-    L, consts, quads = objective.ints[:3]
-    singles = [
-        (L[f : f + 1], consts[f : f + 1], [(0, M) for g, M in quads if g == f])
-        for f in range(len(L))
-    ]
+    int64_limits = None if big_rows else np.array(limits, dtype=np.int64)[:, None]
 
-    def evaluate(pos, val):
+    def evaluate(pos, val, admitted):
         wide = val.astype(object) if big or big_rows else val
         if big:
-            values = reduce(np.maximum, (_form_values(*form, pos, wide)[0] for form in singles))
+            forms = (_form_values(*form, pos, wide)[0] for form in objective.singles)
+            values = reduce(np.maximum, forms)
         else:
             values = _largest(objective.int_values(pos, val))
-        return values, (rows.int_values(pos, wide if big_rows else val) <= limits).all(axis=0)
+        if big_rows:
+            feasible = np.ones(len(pos), dtype=bool)
+            for form, limit in zip(rows.singles, limits):
+                feasible &= _form_values(*form, pos, wide)[0] <= limit
+        else:
+            feasible = (rows.int_values(pos, val) <= int64_limits).all(axis=0)
+        return values, feasible, None
 
     return evaluate, threshold
 
@@ -215,24 +275,40 @@ def _largest(values):
 
 def _budget_mask(costs, budget, rho, step):
     """``admit(pos, val)``: the mask of a block's points within the
-    weighted budget, summed as the scalar path sums it; None when the
-    costs are neither all ints (scaled, exact) nor all floats."""
-    if all(type(c) is int for c in costs) and type(budget) is int:
-        if max(costs) * rho <= _INT64_MAX:
+    weighted budget ``sum(costs[j] * |x_j|) <= budget``, with every sum
+    over the support in ascending order, as the per-point sum runs it:
+    over ints for int costs at integer points, in float64 for float
+    costs at points exact in float64, and else point by point."""
+    if step is None and all(type(c) is int for c in costs) and type(budget) is int:
+        top = max(costs, default=0)
+        if max(top, top * rho) <= _INT64_MAX:
             table, limit = np.array([*costs, 0], dtype=np.int64), min(budget, _INT64_MAX)
         else:
             table, limit = np.array([*costs, 0], dtype=object), budget
         return lambda pos, val: (table[pos] * np.abs(val)).sum(axis=1) <= limit
-    if not (all(type(c) is float for c in costs) and isinstance(budget, float)):
-        return None
-    table = np.array([*costs, 0.0])
+    floats = all(type(c) is float for c in costs) and isinstance(budget, float)
+    if floats and _exact_in_float64(rho, step):
+        table = np.array([*costs, 0.0])
+
+        @_float_errors
+        def admit(pos, val):
+            x = val.astype(np.float64) if step is None else step * val
+            norm = np.zeros(len(pos))
+            for j in range(pos.shape[1]):
+                norm += table[pos[:, j]] * np.abs(x[:, j])
+            return ~(norm > budget)
+
+        return admit
 
     def admit(pos, val):
-        x = val.astype(np.float64) if step is None else step * val
-        norm = np.zeros(len(pos))
-        for j in range(pos.shape[1]):
-            norm += table[pos[:, j]] * np.abs(x[:, j])
-        return ~(norm > budget)
+        mask = []
+        for p, v in zip(pos.tolist(), val.tolist()):
+            norm = 0
+            for j, y in zip(p, v):
+                if y:
+                    norm += costs[j] * abs(y if step is None else step * y)
+            mask.append(not norm > budget)
+        return np.array(mask, dtype=bool)
 
     return admit
 
@@ -250,13 +326,13 @@ class _IntForms(NamedTuple):
 
 
 class Forms:
-    """The forms behind a built-in oracle, for the block path.
+    """The forms behind a built-in oracle, for the block evaluator.
 
     Each form is ``(M, a, const)``, valued x'Mx + a.x + const, with M
     None for a linear form: one per row for constraints, and for an
     objective one form or several, whose largest value is its value.
-    The oracle carries it as ``block_forms``, so the block path finds
-    the data through the oracle itself; the arrays are built on first
+    The oracle carries it as ``block_forms``, so the block evaluator
+    finds the data through the oracle itself; the arrays are built on first
     use and kept with it.  Index n of every array is a zero, the
     padding of :func:`point_blocks`.
     """
@@ -321,6 +397,16 @@ class Forms:
             scales,
             sizes,
         )
+
+    @cached_property
+    def singles(self) -> list:
+        """Each form over ints as its own ``(L, consts, quads)``, so that
+        sums over Python ints hold one form's values at a time."""
+        L, consts, quads = self.ints[:3]
+        return [
+            (L[f : f + 1], consts[f : f + 1], [(0, M) for g, M in quads if g == f])
+            for f in range(len(L))
+        ]
 
     def fits_int64(self, rho: int) -> bool:
         """Whether every form stays in int64 at points of l1 norm <= rho:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from .errors import ProblemFileError
 from .solver import (
@@ -180,51 +180,6 @@ def parse_problem(doc: Any) -> ParsedProblem:
     return ParsedProblem(**fields)
 
 
-def problem_to_json(p: ParsedProblem) -> dict:
-    """Inverse of :func:`parse_problem` up to canonical scalar spelling."""
-    doc: dict[str, Any] = {
-        "kind": p.kind,
-        "n": p.n,
-        "m": p.m,
-        "arithmetic": p.arithmetic,
-        "lambda": format_value(p.radius),
-    }
-    if p.weights is not None:
-        doc["weights"] = [format_value(w) for w in p.weights]
-    if p.epsilon is not None:
-        doc["epsilon"] = p.epsilon
-    if p.kappa is not None:
-        doc["kappa"] = p.kappa
-    if p.kind in ("ilp", "lipschitz-linear"):
-        doc["c"] = _fmt_vec(p.c)
-        doc["A"] = _fmt_mat(p.A)
-        doc["b"] = _fmt_vec(p.b)
-    elif p.kind in ("iqp", "lipschitz-quadratic"):
-        doc["Q"] = _fmt_mat(p.Q)
-        doc["c"] = _fmt_vec(p.c)
-        doc["A"] = _fmt_mat(p.A)
-        doc["b"] = _fmt_vec(p.b)
-    elif p.kind == "iqcqp":
-        doc["Q"] = _fmt_mat(p.Q)
-        doc["c"] = _fmt_vec(p.c)
-        doc["constraints"] = [
-            {
-                **({"A": _fmt_mat(row.A)} if row.A is not None else {}),
-                "b": _fmt_vec(row.b),
-                "c": format_value(row.c),
-            }
-            for row in p.quad_constraints
-        ]
-    elif p.kind == "mixed":
-        doc["p"] = p.n_cont
-        doc["c_x"] = _fmt_vec(p.c)
-        doc["c_y"] = _fmt_vec(p.c_cont)
-        doc["A_x"] = _fmt_mat(p.A)
-        doc["A_y"] = _fmt_mat(p.A_cont)
-        doc["b"] = _fmt_vec(p.b)
-    return doc
-
-
 def format_value(value: Any) -> Any:
     """Rationals as exact strings, floats as JSON numbers."""
     if isinstance(value, Fraction):
@@ -234,14 +189,6 @@ def format_value(value: Any) -> Any:
     if isinstance(value, int):
         return str(value)
     return value
-
-
-def _fmt_vec(vec: Sequence) -> list:
-    return [format_value(v) for v in vec]
-
-
-def _fmt_mat(mat: Sequence[Sequence]) -> list:
-    return [[format_value(v) for v in row] for row in mat]
 
 
 def _require(doc: dict, key: str, typ: type) -> Any:

@@ -57,10 +57,10 @@ region's constraint rows (``_leq_rows``) and differ only in the cost
 (``_LeqForm.priced``).  Pinning keeps the bound rows of the lifted LP,
 with denominators of about 120 bits, out of the elimination, whose
 integers would otherwise grow to about 1,400 bits.  The inner LPs of a
-linear mixed solve use ``lp_solve``.  On the block path the mixed solver
-decides every integer point through the LPs' duals and solves one LP, at
-the winner; the per-point path, for a wrapped inner solver, solves one
-per point, where the guide's fixed cost made a solve about 1.3 times
+linear mixed solve use ``lp_solve``.  With the block evaluator the mixed
+solver decides every integer point through the LPs' duals and solves one
+LP, at the winner; the per-point evaluator, for a wrapped inner solver,
+solves one per point, where the guide's fixed cost made a solve about 1.3 times
 slower.
 
 Intended for small instances (tens of variables): the coordinate-range

@@ -14,21 +14,21 @@ Both approximation schemes walk the ball through
 :func:`l1opt.solver.scan_ball`, the walk of the exact solvers, with the
 grid step: each integer point y becomes the grid point ``step * y``,
 and the weighted budget is tested over the kept coordinates.  The block
-path of :mod:`l1opt.blocks` runs when the problem's objective and
+evaluator of :mod:`l1opt.blocks` runs when the problem's objective and
 constraints are built-in oracles (``make_linear_oracle`` or
 ``make_quadratic_oracle``) over float or rational data and the step is
 a float; rational data is summed in float64 over its float image, as
-``Fraction * float`` computes it.  Other oracles take the scalar path,
-and so does rational data with a constraint row that has a matrix but
-no linear coefficient.  The command line's ``ptas`` passes the built-in
+``Fraction * float`` computes it.  Other oracles run per point, and so
+does rational data with a constraint row that has a matrix but no
+linear coefficient.  The command line's ``ptas`` passes the built-in
 oracles of float and rational files as they are.
 
-The mixed solver takes the block path too when its inner solver is the
-one of :func:`linear_mixed_inner_solver`: by LP duality the inner value
-is the largest of fixed linear forms in the integer block, and by
-Farkas' lemma feasibility is a fixed set of linear rows, so
-:func:`l1opt.blocks.block_scan` decides every point exactly and one LP
-runs, at the winner.  Other inner solvers run once per point.
+The mixed solver runs the same scan, :func:`l1opt.blocks.block_scan`.
+When its inner solver is the one of :func:`linear_mixed_inner_solver`,
+by LP duality the inner value is the largest of fixed linear forms in
+the integer block, and by Farkas' lemma feasibility is a fixed set of
+linear rows, so the block evaluator decides every point exactly and
+one LP runs, at the winner.  Other inner solvers run once per point.
 
 kappa is caller-supplied.  Supplying an underestimate voids the
 guarantee, and nothing here checks it.
@@ -42,15 +42,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from operator import mul
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from .blocks import Forms, block_scan
+from .blocks import Forms, block_evaluator, block_scan, point_evaluator
 from .counting import Real, count_l1_lattice, floor_radius
 from .errors import InnerSolverError, InvalidDimensionError, ShapeMismatchError
-from .lattice import iter_l1_points
 from .lp import INFEASIBLE, OPTIMAL, _scaled, exact_rationals, lp_solve
-from .solver import WeightedL1Spec, _check_parallel, _scan_points, scan_ball
+from .solver import WeightedL1Spec, _check_parallel, scan_ball
 
 
 @dataclass(frozen=True)
@@ -224,69 +222,56 @@ def solve_mixed_integer(problem: MixedProblem, radius: Real, parallel: int = 1) 
     a NaN inner value is never eligible.  ``inner_calls`` counts the
     subproblems decided, one per integer point, so it equals
     ``points_enumerated``.  The solver of :func:`linear_mixed_inner_solver`,
-    passed as it is, takes the block path: its dual forms decide every
-    point at once, and the inner solver itself runs once, at the winner
-    (see :func:`_dual_scan`).  Any other inner solver runs at every
-    point.  Inner solver exceptions propagate to the caller.
-    ``parallel`` is accepted for interface stability; the walk is serial.
+    passed as it is, takes the block evaluator: its dual forms decide
+    every point at once, and the inner solver itself runs once, at the
+    winner (see :func:`_dual_forms`).  Any other inner solver runs at
+    every point, and its solution at the winner is the result.  Inner
+    solver exceptions propagate to the caller.  ``parallel`` is accepted
+    for interface stability; the walk is serial.
     """
     _check_parallel(parallel)
-    found = _dual_scan(problem, radius)
-    if found is not None:
-        best, calls, points = found
-        if best is None:
-            return MixedSolution("infeasible", None, None, None, calls, points)
-        inner, _, x = best
-        return MixedSolution("optimal", x, tuple(inner.y), inner.value, calls, points)
+    inner = problem.inner_solver
+    forms = _dual_forms(problem, radius)
+    rho = floor_radius(radius)
+    evaluator = None if forms is None else block_evaluator(*forms, rho, 0, None, None)
+    if evaluator is None:
 
-    def solve_inner(x: tuple[int, ...]):
-        return x, problem.inner_solver(x)
+        def decide(x: tuple[int, ...]):
+            solved = inner(x)
+            return (solved.value if solved.status == "optimal" else None), solved
 
-    def inner_value(solved):
-        inner = solved[1]
-        return inner.value if inner.status == "optimal" else None
-
-    walk = iter_l1_points(problem.n_int, radius)
-    best, calls, points = _scan_points(walk, inner_value, prepare=solve_inner)
+        evaluator = point_evaluator(decide, problem.n_int)
+    best, calls, points = block_scan(problem.n_int, rho, evaluator, inner)
     if best is None:
         return MixedSolution("infeasible", None, None, None, calls, points)
-    value, _, (x, inner) = best
-    return MixedSolution("optimal", x, tuple(inner.y), value, calls, points)
+    solved, _, x = best
+    return MixedSolution("optimal", x, tuple(solved.y), solved.value, calls, points)
 
 
-def _dual_scan(problem: MixedProblem, radius: Real):
-    """:func:`block_scan` over the dual forms of the inner solver, or None
-    when the per-point path must run.
+def _dual_forms(problem: MixedProblem, radius: Real) -> Optional[tuple[Forms, Forms]]:
+    """The dual forms ``(objective, rows)`` of the inner solver, or None
+    when the per-point evaluator must run.
 
     Only the closure of :func:`linear_mixed_inner_solver` carries them,
     so a wrapped or generic inner solver runs per point, and so does an
     integer block whose length is not ``len(c_int)``, which the inner
     solver refuses with ``ShapeMismatchError``.  The forms are built
     only when the minor table and the ray subsets hold at most
-    (m + 1)(p + 1) entries per point of the ball, and they are refused
-    when no vertex is found.  The per-point path builds and pivots an
-    (m + 1) x (p + 1) tableau at every point, and the block path pays
+    (m + 1)(p + 1) entries per point of the ball, and they are None
+    when no vertex is found.  The per-point evaluator builds and pivots
+    an (m + 1) x (p + 1) tableau at every point, and the block one pays
     about one tableau entry's work per subset: timed over synthetic jobs
     of 5 to 1,289 points, p from 0 to 4 and m from 2 to 22, the faster
-    path changes near that ratio.  The rule also keeps the table, which
-    grows as C(m + 1, p), from being built for a small ball.  The
-    scan's objective calls the inner solver, so the winner's value is
-    its :class:`InnerSolution`, from the one inner solve of this path.
+    evaluator changes near that ratio.  The rule also keeps the table, which
+    grows as C(m + 1, p), from being built for a small ball.
     """
-    inner = problem.inner_solver
-    dual = getattr(inner, "dual_forms", None)
+    dual = getattr(problem.inner_solver, "dual_forms", None)
     if dual is None or dual.n != problem.n_int:
         return None
     tableau = (dual.m + 1) * (dual.p + 1)
-    if dual.subsets > tableau * count_l1_lattice(problem.n_int, radius) or dual.forms is None:
+    if dual.subsets > tableau * count_l1_lattice(problem.n_int, radius):
         return None
-
-    def solve(x: tuple[int, ...]) -> InnerSolution:
-        return inner(x)
-
-    solve.block_forms, rows = dual.forms
-    scan = SimpleNamespace(n=dual.n, objective=solve, constraints=SimpleNamespace(block_forms=rows))
-    return block_scan(scan, floor_radius(radius), 0)
+    return dual.forms
 
 
 class _DualForms:
@@ -300,7 +285,7 @@ class _DualForms:
     v of {v >= 0 : A_cont'v = 0} (Schrijver, *Theory of Linear and
     Integer Programming*, 1986).  So the mixed objective is the largest
     of the forms (c_int + A_int'u).x - u.b, and feasibility is the rows
-    (A_int'v).x - v.b <= 0, which the block path evaluates exactly.
+    (A_int'v).x - v.b <= 0, which the block evaluator sums exactly.
 
     Each constraint row, and c_cont, is scaled to ints.  One table holds
     the signed minors of [A_cont; -c_cont] on its first columns, built by
@@ -407,7 +392,8 @@ def linear_mixed_inner_solver(
     an integer block whose lengths disagree with ``c_int`` and ``c_cont``
     raise ``ShapeMismatchError``.  The solver carries the subproblems'
     dual data as ``dual_forms``, built on first use, which lets
-    :func:`solve_mixed_integer` decide every point on the block path.
+    :func:`solve_mixed_integer` decide every point with the block
+    evaluator.
     """
     where = "linear_mixed_inner_solver: "
     c_int = exact_rationals(c_int, where + "c_int")

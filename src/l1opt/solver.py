@@ -11,39 +11,34 @@ Arithmetic is either exact rational (Fraction coefficients, zero
 feasibility tolerance) or float (absolute per-constraint tolerance).
 The built-in linear and quadratic oracles are the dense left-to-right
 sums over the nonzero coefficients that ``tests/oracles.py`` keeps as
-the reference.  The scalar path below calls them at every point, the
-block path only for the winner's value.
+the reference.
 
-Two paths run a walk, with the same results, ties and counts, and they
-meet in one function, :func:`scan_ball`.  Every solver of a problem's
-oracles calls it: :func:`solve_l1_ip` and :func:`solve_weighted_l1_ip`
-here, and the approximation schemes of :mod:`l1opt.ptas`, which pass a
-grid step.  The solvers only compute the ball's radius and, for a
-weighted budget, the kept coordinates, their costs and the budget.
+Every solver of a problem's oracles walks the ball through one
+function, :func:`scan_ball`: :func:`solve_l1_ip` and
+:func:`solve_weighted_l1_ip` here, and the approximation schemes of
+:mod:`l1opt.ptas`, which pass a grid step.  The solvers only compute
+the ball's radius and, for a weighted budget, the kept coordinates,
+their costs and the budget.  :func:`scan_ball` runs the one scan loop,
+:func:`l1opt.blocks.block_scan`, with one of two evaluators, with the
+same results, ties and counts:
 
-- The block path (:mod:`l1opt.blocks`) runs whenever the objective and
-  the constraints are both built-in oracles (``make_linear_oracle``,
+- The block evaluator (:mod:`l1opt.blocks`) runs whenever the objective
+  and the constraints are both built-in oracles (``make_linear_oracle``,
   ``make_quadratic_oracle``, and so every problem of
   :meth:`ProblemInstance.linear` and :meth:`ProblemInstance.quadratic`)
-  over data of one kind, all float or all rational.  It walks the ball
-  in support-indexed blocks of points (points x min(n, lambda) arrays
-  of indices and values, not dense points x n rows, which would cost
-  13 times the memory at n = 40, lambda = 3; :mod:`l1opt.blocks` gives
-  the measured peak RSS of both) and evaluates every form of a block at
-  once: float data, and rational data at grid points, in float64,
-  summed as the oracles sum it; rational data at integer points over
-  ints after clearing denominators, in int64 where
-  max|Q| lambda^2 + max|a| lambda + |const| fits in int64 and over
-  Python ints past it.  The winner's value is recomputed by the scalar
-  objective.
-- The scalar path, :func:`_scan_points` over :func:`iter_l1_points`,
-  runs for every other case: generic callables, oracles replaced or
-  wrapped (say by ``dataclasses.replace``), data that mixes float with
-  rational values, rational data at grid points with a constraint row
-  that has a matrix but no linear coefficient, and a ``stop_below`` or
-  tolerance that is neither a float nor a rational.  Per point it
-  applies the grid map ``step * y`` or the weighted embedding with its
-  budget test, as the block path does per block.
+  over data of one kind, all float or all rational.  It evaluates every
+  form at a whole block of points at once: float data, and rational
+  data at grid points, in float64, summed as the oracles sum it;
+  rational data at integer points over ints after clearing
+  denominators, in int64 where max|Q| lambda^2 + max|a| lambda + |const|
+  fits in int64 and over Python ints past it.  The winner's value is
+  recomputed by the scalar objective.
+- The per-point evaluator calls :meth:`ProblemInstance.evaluate` once
+  per point for every other case: generic callables, oracles replaced
+  or wrapped (say by ``dataclasses.replace``), data that mixes float
+  with rational values, rational data at grid points with a constraint
+  row that has a matrix but no linear coefficient, and a
+  ``stop_below`` or tolerance that is neither a float nor a rational.
 """
 
 from __future__ import annotations
@@ -51,13 +46,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .blocks import Forms, block_scan
+from .blocks import Forms, block_evaluator, block_scan, point_evaluator
 from .counting import Real, floor_radius
 from .errors import InvalidDimensionError, InvalidWeightsError, ShapeMismatchError
-from .lattice import LatticePoint, iter_l1_points
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -304,87 +298,27 @@ def scan_ball(problem, rho, tolerance, stop=None, step=None, kept=None, costs=No
     """Best feasible ``(value, ordinal, x)`` over one walk of the rho-ball,
     with its counts: ``(best, calls, points)``.
 
-    The one walk of :func:`solve_l1_ip`, :func:`solve_weighted_l1_ip`
-    and both approximation schemes, with the arguments of
-    :func:`l1opt.blocks.block_scan`: with ``kept`` the ball spans only
-    those coordinates and each point must pass the weighted budget
-    ``sum(costs[j] * |x_j|) <= budget`` before its oracle call; with a
-    ``step`` the point evaluated is ``step * y``.  The block path runs
-    when it accepts the problem; else :func:`_scan_points` walks
-    :func:`iter_l1_points` with the same embedding, budget and grid map
-    per point.  An empty ``kept`` pins every coordinate, so the walk is
-    the origin alone.
+    The walk of :func:`solve_l1_ip`, :func:`solve_weighted_l1_ip` and
+    both approximation schemes: :func:`l1opt.blocks.block_scan`, with
+    its ``step``, ``kept``, ``costs`` and ``budget``.  It runs the block
+    evaluator of the oracles' forms when there is one, and else the
+    per-point evaluator over :meth:`ProblemInstance.evaluate`, which
+    takes a point as feasible when every constraint is at most
+    ``tolerance``.
     """
-    n = problem.n
-    if kept is None or kept:
-        found = block_scan(problem, rho, tolerance, stop, step, kept, costs, budget)
-        if found is not None:
-            return found
-    if kept is None:
-        walk = iter_l1_points(n, rho)
-        prepare = None if step is None else (lambda y: tuple(map(step.__mul__, y)))
-    else:
-        walk = iter_l1_points(len(kept), rho) if kept else [LatticePoint(x=(), l1=0, ordinal=0)]
-        indices = range(len(kept))
-        zero = 0 if step is None else 0.0
+    oracles = (problem.objective, problem.constraints)
+    objective, rows = (getattr(f, "block_forms", None) for f in oracles)
+    evaluator = None
+    if objective is not None and objective.n == problem.n:
+        evaluator = block_evaluator(objective, rows, rho, tolerance, stop, step)
+    if evaluator is None:
 
-        def prepare(y: Sequence[int]) -> Optional[tuple]:
-            # Zero and pinned entries add nothing to the weighted norm, so
-            # a sum over the support, in ascending kept order, matches the
-            # sum over every kept coordinate bit for bit, and an infinite
-            # pinned weight cannot turn it into NaN.
-            x = [zero] * n
-            norm = 0
-            for j in compress(indices, y):
-                x[kept[j]] = v = y[j] if step is None else step * y[j]
-                norm += costs[j] * abs(v)
-            return None if norm > budget else tuple(x)
+        def decide(x):
+            value, residuals = problem.evaluate(x)
+            return (value if all(g <= tolerance for g in residuals) else None), value
 
-    evaluate = _oracle_evaluator(problem.evaluate, tolerance)
-    return _scan_points(walk, evaluate, prepare=prepare, stop=stop)
-
-
-def _scan_points(points, evaluate, prepare=None, stop=None):
-    """Best feasible ``(value, ordinal, x)`` over a walk, with its counts.
-
-    ``prepare`` maps a walked point to the point to evaluate, or to None
-    to skip it without an oracle step; ``evaluate`` returns the value of
-    a feasible point and None for an infeasible one.  Only a strict
-    improvement replaces the incumbent, so among equal values the
-    smallest ordinal wins.  A NaN value is never eligible: it compares
-    false with everything, so only the first candidate needs the test.
-    With a ``stop`` threshold the scan ends at the first incumbent at or
-    below it, which in canonical order is the lowest-ordinal feasible
-    point at or below the threshold.  Returns ``(best, calls, points)``.
-    """
-    best = None
-    calls = 0
-    walked = 0
-    for point in points:
-        walked += 1
-        x = point.x if prepare is None else prepare(point.x)
-        if x is None:
-            continue
-        calls += 1
-        value = evaluate(x)
-        if value is None:
-            continue
-        if value < best[0] if best is not None else value == value:
-            best = (value, point.ordinal, x)
-            if stop is not None and value <= stop:
-                break
-    return best, calls, walked
-
-
-def _oracle_evaluator(evaluate, tolerance):
-    """Per-point evaluator over joint oracles: the value when every
-    constraint is at most ``tolerance``, else None."""
-
-    def feasible_value(x):
-        value, residuals = evaluate(x)
-        return value if all(g <= tolerance for g in residuals) else None
-
-    return feasible_value
+        evaluator = point_evaluator(decide, problem.n, stop, step)
+    return block_scan(problem.n, rho, evaluator, problem.objective, step, kept, costs, budget)
 
 
 def _check_parallel(parallel: int) -> None:

@@ -8,8 +8,11 @@ Fraction simplex returns, and the Bareiss solve ``l1opt.lp._solve_square``,
 which :func:`certify_reference` runs on a certificate's whole system.
 
 The references that only tests call live here too, not in the package:
-the fine-grid reference for the approximation schemes
-(:func:`fine_grid_reference`), the sampled Lipschitz check
+the per-point scan over ``iter_l1_points`` that the solvers ran before
+every walk went through ``l1opt.blocks.block_scan``
+(:func:`reference_scan`, :func:`reference_mixed`), the fine-grid
+reference for the approximation schemes (:func:`fine_grid_reference`),
+the sampled Lipschitz check
 (:func:`check_lipschitz`), and the l2 counts and covering formulas
 (:func:`count_l2_lattice_brute`, :func:`l2_count_bounds`,
 :func:`covering_bound_l1`, :func:`covering_bounds_linf`, built on
@@ -36,9 +39,9 @@ from l1opt.counting import (
     floor_radius,
 )
 from l1opt.errors import InvalidDimensionError
-from l1opt.lattice import LatticePoint, canonical_ordinal
+from l1opt.lattice import LatticePoint, canonical_ordinal, iter_l1_points
 from l1opt.lp import _ZERO, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _Certificate, _LeqForm, _solve_square
-from l1opt.ptas import ApproxSolution, LipschitzProblem
+from l1opt.ptas import ApproxSolution, LipschitzProblem, MixedSolution
 
 
 class GridTooLargeError(RuntimeError):
@@ -156,6 +159,100 @@ def solve_weighted_brute(problem, weights, radius, tolerance=0):
     if best is None:
         return ("infeasible", None, None)
     return ("optimal", best[0][0], best[1])
+
+
+def reference_scan(problem, rho, tolerance, stop=None, step=None, kept=None, costs=None, budget=None):
+    """``l1opt.solver.scan_ball`` as a per-point scan: :func:`scan_points`
+    over :func:`iter_l1_points`, one joint oracle call per point that
+    passes the weighted budget, with the grid map ``step * y`` and the
+    weighted embedding applied per point.  This is the package's former
+    scalar path, kept as the reference of the one scan loop; a zero entry
+    at a grid step is ``step * 0``, as the package now builds it."""
+    n = problem.n
+    if kept is None:
+        walk = iter_l1_points(n, rho)
+        prepare = None if step is None else (lambda y: tuple(map(step.__mul__, y)))
+    else:
+        walk = iter_l1_points(len(kept), rho) if kept else [LatticePoint(x=(), l1=0, ordinal=0)]
+        indices = range(len(kept))
+        zero = 0 if step is None else step * 0
+
+        def prepare(y: Sequence[int]) -> Optional[tuple]:
+            # Zero and pinned entries add nothing to the weighted norm, so
+            # a sum over the support, in ascending kept order, matches the
+            # sum over every kept coordinate bit for bit, and an infinite
+            # pinned weight cannot turn it into NaN.
+            x = [zero] * n
+            norm = 0
+            for j in itertools.compress(indices, y):
+                x[kept[j]] = v = y[j] if step is None else step * y[j]
+                norm += costs[j] * abs(v)
+            return None if norm > budget else tuple(x)
+
+    evaluate = oracle_evaluator(problem.evaluate, tolerance)
+    return scan_points(walk, evaluate, prepare=prepare, stop=stop)
+
+
+def reference_mixed(problem, radius) -> MixedSolution:
+    """``l1opt.ptas.solve_mixed_integer`` as a per-point scan: one inner
+    solve per integer point, by :func:`scan_points`."""
+
+    def solve_inner(x: tuple[int, ...]):
+        return x, problem.inner_solver(x)
+
+    def inner_value(solved):
+        inner = solved[1]
+        return inner.value if inner.status == "optimal" else None
+
+    walk = iter_l1_points(problem.n_int, radius)
+    best, calls, points = scan_points(walk, inner_value, prepare=solve_inner)
+    if best is None:
+        return MixedSolution("infeasible", None, None, None, calls, points)
+    value, _, (x, inner) = best
+    return MixedSolution("optimal", x, tuple(inner.y), value, calls, points)
+
+
+def scan_points(points, evaluate, prepare=None, stop=None):
+    """Best feasible ``(value, ordinal, x)`` over a walk, with its counts.
+
+    ``prepare`` maps a walked point to the point to evaluate, or to None
+    to skip it without an oracle step; ``evaluate`` returns the value of
+    a feasible point and None for an infeasible one.  Only a strict
+    improvement replaces the incumbent, so among equal values the
+    smallest ordinal wins.  A NaN value is never eligible: it compares
+    false with everything, so only the first candidate needs the test.
+    With a ``stop`` threshold the scan ends at the first incumbent at or
+    below it, which in canonical order is the lowest-ordinal feasible
+    point at or below the threshold.  Returns ``(best, calls, points)``.
+    """
+    best = None
+    calls = 0
+    walked = 0
+    for point in points:
+        walked += 1
+        x = point.x if prepare is None else prepare(point.x)
+        if x is None:
+            continue
+        calls += 1
+        value = evaluate(x)
+        if value is None:
+            continue
+        if value < best[0] if best is not None else value == value:
+            best = (value, point.ordinal, x)
+            if stop is not None and value <= stop:
+                break
+    return best, calls, walked
+
+
+def oracle_evaluator(evaluate, tolerance):
+    """Per-point evaluator over joint oracles: the value when every
+    constraint is at most ``tolerance``, else None."""
+
+    def feasible_value(x):
+        value, residuals = evaluate(x)
+        return value if all(g <= tolerance for g in residuals) else None
+
+    return feasible_value
 
 
 def vertex_lp_brute(c, rows, rhs, sense="min"):

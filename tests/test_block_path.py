@@ -1,26 +1,28 @@
-"""The block path against the scalar per-point path.
+"""The block evaluator against the per-point evaluator and the reference scan.
 
-Problems built by ``ProblemInstance.linear`` and
-``ProblemInstance.quadratic`` (and approximation problems over their
-oracles) run on the block path of ``l1opt.blocks``; wrapping the oracles
-in lambdas forces the scalar ``_scan_points`` path on the same data.
-Both must return ``repr``-equal solutions, counts included.  Small
-``BLOCK_CELLS`` values split a walk into many blocks, with a point count
-that is rarely a multiple of the block size.
+Every walk runs through ``l1opt.blocks.block_scan``.  Problems built by
+``ProblemInstance.linear`` and ``ProblemInstance.quadratic`` (and
+approximation problems over their oracles) take its block evaluator;
+wrapping the oracles in lambdas makes it call them once per point
+through the per-point evaluator, on the same data.  Both must return
+``repr``-equal solutions, counts included, and so must
+``reference_scan`` of ``tests/oracles.py``, the per-point scan over
+``iter_l1_points`` that the package ran before.  Small ``BLOCK_CELLS``
+values split a walk into many blocks, with a point count that is rarely
+a multiple of the block size.
 """
 
 import contextlib
 import dataclasses
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from l1opt import lattice, solver
+from l1opt import lattice
 from l1opt.blocks import Forms, block_evaluator, block_scan
 from l1opt.lattice import iter_l1_points, point_blocks
 from l1opt.ptas import LipschitzProblem, solve_lipschitz_ptas, solve_weighted_lipschitz_ptas
@@ -31,10 +33,11 @@ from l1opt.solver import (
     QuadraticConstraint,
     SolveOptions,
     WeightedL1Spec,
+    scan_ball,
     solve_l1_ip,
     solve_weighted_l1_ip,
 )
-from oracles import reference_l1_points
+from oracles import reference_l1_points, reference_scan
 
 COEFFICIENTS = {
     RATIONAL: st.one_of(
@@ -99,12 +102,35 @@ def problems(draw, modes=(RATIONAL, FLOAT), huge=None):
     return ProblemInstance.quadratic(matrix(), vector(n), rows, mode)
 
 
+def problem_evaluator(problem, rho, tolerance, stop, step):
+    """The block evaluator of a problem's oracles, or None."""
+    forms = (getattr(f, "block_forms", None) for f in (problem.objective, problem.constraints))
+    return block_evaluator(*forms, rho, tolerance, stop, step)
+
+
 def wrapped(problem):
-    """The same problem with its oracles wrapped, so the scalar path runs."""
+    """The same problem with its oracles wrapped, so the per-point
+    evaluator runs."""
     objective, constraints = problem.objective, problem.constraints
     return dataclasses.replace(
         problem, objective=lambda x: objective(x), constraints=lambda x: constraints(x)
     )
+
+
+def counting(problem):
+    """The problem with wrapped oracles, so the per-point evaluator runs,
+    and the list of the points its objective is called at."""
+    seen = []
+    objective, constraints = problem.objective, problem.constraints
+
+    def counted(x):
+        seen.append(x)
+        return objective(x)
+
+    counted_problem = dataclasses.replace(
+        problem, objective=counted, constraints=lambda x: constraints(x)
+    )
+    return counted_problem, seen
 
 
 def lipschitz(problem, kappa=2.0, radius=1.0):
@@ -127,7 +153,7 @@ def lipschitz(problem, kappa=2.0, radius=1.0):
 )
 def test_block_path_matches_scalar_path(problem, radius, stop_below, tolerance, cells):
     options = SolveOptions(tolerance=tolerance, stop_below=stop_below)
-    assert block_evaluator(wrapped(problem), radius, 0, None, None) is None
+    assert problem_evaluator(wrapped(problem), radius, 0, None, None) is None
     with block_cells(cells):
         fast = solve_l1_ip(problem, radius, options)
     assert repr(fast) == repr(solve_l1_ip(wrapped(problem), radius, options))
@@ -169,12 +195,59 @@ def test_ptas_block_path_matches_scalar_path(problem, epsilon, data, cells):
         st.lists(st.sampled_from([1.0, 1.5, 2.5]), min_size=problem.n, max_size=problem.n)
     )
     fast, slow = lipschitz(problem), lipschitz(wrapped(problem))
-    assert block_evaluator(fast, 2, epsilon, None, 0.5) is not None
+    assert problem_evaluator(fast, 2, epsilon, None, 0.5) is not None
     with block_cells(cells):
         plain = solve_lipschitz_ptas(fast, epsilon)
         weighted = solve_weighted_lipschitz_ptas(fast, weights, epsilon)
     assert repr(plain) == repr(solve_lipschitz_ptas(slow, epsilon))
     assert repr(weighted) == repr(solve_weighted_lipschitz_ptas(slow, weights, epsilon))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    problem=problems(),
+    data=st.data(),
+    rho=st.integers(0, 3),
+    stop=THRESHOLDS,
+    nan=st.booleans(),
+    cells=st.sampled_from([1, 2, 3, 7, 40]),
+)
+def test_both_evaluators_match_the_reference_scan_and_count_real_calls(
+    problem, data, rho, stop, nan, cells
+):
+    # Float and Fraction grid steps, weighted budgets over kept
+    # coordinates (int costs past int64 among them), thresholds that stop
+    # the scan anywhere in a block, and, for the wrapped oracles, NaN
+    # objective values wherever x_0 is nonzero.
+    step = data.draw(st.sampled_from([None, 0.5, 0.3, Fraction(1, 2)]))
+    exact = problem.arithmetic == RATIONAL and step is None
+    tolerance = 0 if exact else data.draw(st.sampled_from([1e-9, 0.5]))
+    kept = costs = budget = None
+    if data.draw(st.booleans()):
+        kept = sorted(data.draw(st.sets(st.integers(0, problem.n - 1))))
+        if exact:
+            cost, budgets = [1, 2, 3, 10**19 + 1], [0, 2, 5, 3 * 10**19]
+        else:
+            cost, budgets = [0.5, 1.0, 2.5], [0.0, 1.0, 2.5]
+        costs = data.draw(st.lists(st.sampled_from(cost), min_size=len(kept), max_size=len(kept)))
+        budget = data.draw(st.sampled_from(budgets))
+    if nan:
+        objective = problem.objective
+        problem = dataclasses.replace(
+            problem, objective=lambda x: math.nan if x[0] else objective(x)
+        )
+    args = (rho, tolerance, stop, step, kept, costs, budget)
+    reference = repr(reference_scan(problem, *args))
+    counted, seen = counting(problem)
+    with block_cells(cells):
+        per_point = scan_ball(counted, *args)
+        fast = scan_ball(problem, *args)
+    assert repr(per_point) == repr(fast) == reference
+    assert len(seen) == per_point[1]
+    if kept is not None:
+        # A point over the budget never reaches the oracle.
+        for x in seen:
+            assert not sum(c * abs(x[k]) for c, k in zip(costs, kept)) > budget
 
 
 # Rational values whose scaled forms leave int64 at small radii: huge
@@ -203,7 +276,7 @@ def fits_int64(problem, radius):
 )
 def test_rational_blocks_past_int64_match_scalar_path(problem, radius, stop_below, cells):
     assume(not fits_int64(problem, radius))
-    assert block_evaluator(problem, radius, 0, stop_below, None) is not None
+    assert problem_evaluator(problem, radius, 0, stop_below, None) is not None
     options = SolveOptions(stop_below=stop_below)
     with block_cells(cells):
         fast = solve_l1_ip(problem, radius, options)
@@ -229,25 +302,15 @@ def test_rational_weighted_blocks_past_int64_match_scalar_path(
     assert repr(fast) == repr(solve_weighted_l1_ip(wrapped(problem), spec, options))
 
 
-def test_weighted_costs_past_int64_take_the_block_path(monkeypatch):
+def test_weighted_costs_past_int64_take_the_block_path(evaluators_run):
     # Over the unit 2 * 10**19 the costs are 2 * 10**19 + 2, 3 * 10**19 - 7
     # and 2 * 10**19, past int64 at radius 2.  x = (1, 0, 1) would reach
     # -3, but its weighted norm is 2 + 10**-19, just over the budget.
     problem = ProblemInstance.linear((-2, 0, -1), ((1, 1, 0),), (1,))
     weights = (Fraction(10**19 + 1, 10**19), Fraction(3 * 10**19 - 7, 2 * 10**19), 1)
     spec = WeightedL1Spec(weights, 2)
-    found = []
-
-    def spy(*args, **kwargs):
-        result = block_scan(*args, **kwargs)
-        found.append(result is not None)
-        return result
-
-    block_scan = solver.block_scan
-    monkeypatch.setattr(solver, "block_scan", spy)
     solution = solve_weighted_l1_ip(problem, spec)
-    monkeypatch.undo()
-    assert found == [True]
+    assert evaluators_run == ["_int_evaluator"]
     assert repr(solution) == repr(solve_weighted_l1_ip(wrapped(problem), spec))
     assert solution.objective == -2
 
@@ -310,7 +373,7 @@ def test_rational_ptas_block_path_matches_scalar_path(problem, epsilon, data, ce
     objective, rows = problem.objective.block_forms, problem.constraints.block_forms
     matrix_rows = any(M is not None and not any(a) for M, a, _ in rows.forms)
     scalar = matrix_rows and bool(objective.types | rows.types)
-    assert (block_evaluator(fast, 2, epsilon, None, 0.5) is None) == scalar
+    assert (problem_evaluator(fast, 2, epsilon, None, 0.5) is None) == scalar
     with block_cells(cells):
         plain = solve_lipschitz_ptas(fast, epsilon)
         weighted = solve_weighted_lipschitz_ptas(fast, weights, epsilon)
@@ -324,7 +387,7 @@ def test_row_without_coefficients_is_decided_exactly_at_grid_points():
     past = Fraction(1, 2) + Fraction(1, 10**30)
     for b, status in ((-past, "no_feasible_grid_point"), (Fraction(-1, 2), "optimal")):
         problem = ProblemInstance.linear((1, -1), ((0, 0),), (b,))
-        assert block_evaluator(lipschitz(problem), 2, 0.5, None, 0.25) is not None
+        assert problem_evaluator(lipschitz(problem), 2, 0.5, None, 0.25) is not None
         fast = solve_lipschitz_ptas(lipschitz(problem), 0.5)
         assert fast.status == status and fast.oracle_calls == fast.points_enumerated == 41
         assert repr(fast) == repr(solve_lipschitz_ptas(lipschitz(wrapped(problem)), 0.5))
@@ -332,7 +395,7 @@ def test_row_without_coefficients_is_decided_exactly_at_grid_points():
 
 def test_rational_ptas_takes_the_block_path():
     problem = ProblemInstance.linear((1, -1), ((1, 1),), (1,))
-    assert block_evaluator(lipschitz(problem), 2, 0.5, None, 0.5) is not None
+    assert problem_evaluator(lipschitz(problem), 2, 0.5, None, 0.5) is not None
     fast = solve_lipschitz_ptas(lipschitz(problem), 0.5)
     assert repr(fast) == repr(solve_lipschitz_ptas(lipschitz(wrapped(problem)), 0.5))
 
@@ -353,15 +416,17 @@ def test_tie_across_blocks_keeps_the_lower_ordinal():
 
 def test_stop_below_in_a_later_block_keeps_the_scalar_counts():
     # The first point with x_0 <= -1 is (-1, 0, 0), ordinal 14 of the
-    # radius-2 walk; blocks of four points put it third in block 3.
+    # radius-2 walk; blocks of four points put it third in block 3.  The
+    # per-point evaluator calls the oracles there and no further.
     for problem in both_modes((1, 0, 0), (), ()):
         options = SolveOptions(stop_below=-1)
+        counted, seen = counting(problem)
         with block_cells(8):
             solution = solve_l1_ip(problem, 2, options)
-        reference = solve_l1_ip(wrapped(problem), 2, options)
-        assert repr(solution) == repr(reference)
+            per_point = solve_l1_ip(counted, 2, options)
+        assert repr(solution) == repr(per_point)
         assert solution.x == (-1, 0, 0)
-        assert solution.points_enumerated == solution.oracle_calls == 15
+        assert solution.points_enumerated == solution.oracle_calls == len(seen) == 15
 
 
 def test_weighted_budget_rejecting_whole_blocks():
@@ -462,15 +527,15 @@ def test_rational_data_past_int64_takes_the_block_path():
     # leaves int64 (9.2e18), so the blocks sum Python ints there.
     big = 3 * 10**18
     problem = ProblemInstance.linear((big, -big + 1), ((big, -big),), (big + 7,))
-    assert block_evaluator(problem, 1, 0, None, None) is not None
-    assert block_evaluator(problem, 3, 0, None, None) is not None
+    assert problem_evaluator(problem, 1, 0, None, None) is not None
+    assert problem_evaluator(problem, 3, 0, None, None) is not None
     for radius in (1, 3):
         solution = solve_l1_ip(problem, radius)
         assert repr(solution) == repr(solve_l1_ip(wrapped(problem), radius))
     assert solve_l1_ip(problem, 3).objective == -3 * big
     quadratic = ProblemInstance.quadratic(((big, 0), (0, 1)), (1, 1), ())
-    assert block_evaluator(quadratic, 1, 0, None, None) is not None
-    assert block_evaluator(quadratic, 2, 0, None, None) is not None
+    assert problem_evaluator(quadratic, 1, 0, None, None) is not None
+    assert problem_evaluator(quadratic, 2, 0, None, None) is not None
     for radius in (1, 2):
         assert repr(solve_l1_ip(quadratic, radius)) == repr(solve_l1_ip(wrapped(quadratic), radius))
 
@@ -485,7 +550,7 @@ def test_float_overflow_gives_the_scalar_inf_and_nan():
     values = {repr(problem.objective(p.x)) for p in walk}
     residuals = {repr(problem.constraints(p.x)[0]) for p in walk}
     assert {"nan", "inf", "-inf"} <= values and {"nan", "inf", "-inf"} <= residuals
-    assert block_evaluator(problem, 4, 1e-9, None, None) is not None
+    assert problem_evaluator(problem, 4, 1e-9, None, None) is not None
     for radius in range(5):
         solution = solve_l1_ip(problem, radius)
         assert repr(solution) == repr(solve_l1_ip(wrapped(problem), radius))
@@ -516,22 +581,17 @@ def test_objective_with_several_forms_is_their_maximum(kind):
         return max(sum(a * v for a, v in zip(coefs, x)) + const for _, coefs, const in forms)
 
     objective.block_forms = Forms(3, tuple(forms))
-    problem = SimpleNamespace(n=3, objective=objective, constraints=SimpleNamespace(block_forms=rows))
     expected = None
     for point in iter_l1_points(3, 2):
         if point.x[0] + point.x[1] <= 1:
             value = objective(point.x)
             if expected is None or value < expected[0]:
                 expected = (value, point.ordinal, point.x)
-    assert block_scan(problem, 2, 0) == (expected, 25, 25)
-    assert block_evaluator(problem, 2, 0, None, None) is not None
+    evaluator = block_evaluator(objective.block_forms, rows, 2, 0, None, None)
+    assert evaluator is not None
+    assert block_scan(3, 2, evaluator, objective) == (expected, 25, 25)
 
 
 def test_rational_forms_of_one_objective_must_share_a_scale():
     forms = Forms(1, ((None, (Fraction(1, 2),), 0), (None, (Fraction(1, 3),), 0)))
-    problem = SimpleNamespace(
-        n=1,
-        objective=SimpleNamespace(block_forms=forms),
-        constraints=SimpleNamespace(block_forms=Forms(1, ())),
-    )
-    assert block_evaluator(problem, 2, 0, None, None) is None
+    assert block_evaluator(forms, Forms(1, ()), 2, 0, None, None) is None

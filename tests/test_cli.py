@@ -1,15 +1,15 @@
+import dataclasses
 import json
 import math
 import pathlib
 import re
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 
 import l1opt
-from l1opt import cli, solver
+from l1opt import cli
 
 ILP = {
     "kind": "ilp",
@@ -295,23 +295,14 @@ def test_ptas_linear(tmp_path):
     assert doc["grid_radius"] == 4
 
 
-def test_ptas_float_file_takes_the_block_path(tmp_path, capsys):
+def test_ptas_float_file_takes_the_block_path(tmp_path, capsys, evaluators_run):
     # Every feasible grid point ties at an all-zero objective, so the
     # smallest ordinal wins.  The built-in oracle returns int 0 there;
     # stdout writes every ptas objective as a float.
     doc = dict(LIPSCHITZ, c=[0.0, 0.0], A=[[-1.0, 0.0]], b=[-0.5])
     path = write(tmp_path, doc)
-    found = []
-
-    def spy(*args, **kwargs):
-        result = block_scan(*args, **kwargs)
-        found.append(result is not None)
-        return result
-
-    block_scan = solver.block_scan
-    with mock.patch.object(solver, "block_scan", spy):
-        assert cli.main(["ptas", path]) == 0
-    assert found == [True]
+    assert cli.main(["ptas", path]) == 0
+    assert evaluators_run == ["_float_evaluator"]
     out = capsys.readouterr().out
     head, wall_time = out.rsplit(", ", 1)
     assert head == (
@@ -338,21 +329,12 @@ def test_ptas_rational_row_without_coefficients_is_compared_exactly(tmp_path):
     assert out["objective"] == -1.0 and out["x"] == [-1.0, 0.0]
 
 
-def test_ptas_rational_file_takes_the_block_path(tmp_path, capsys):
+def test_ptas_rational_file_takes_the_block_path(tmp_path, capsys, evaluators_run):
     doc = dict(LIPSCHITZ, arithmetic="rational", c=["1", "-1/3"], A=[["1/2", "1"]], b=["1/3"])
     doc["lambda"] = "1"
     path = write(tmp_path, doc)
-    found = []
-
-    def spy(*args, **kwargs):
-        result = block_scan(*args, **kwargs)
-        found.append(result is not None)
-        return result
-
-    block_scan = solver.block_scan
-    with mock.patch.object(solver, "block_scan", spy):
-        assert cli.main(["ptas", path]) == 0
-    assert found == [True]
+    assert cli.main(["ptas", path]) == 0
+    assert evaluators_run == ["_float_evaluator"]
     out = json.loads(capsys.readouterr().out)
     assert out["x"] == [-1.0, 0.0] and out["objective"] == -1.0
 
@@ -403,6 +385,31 @@ def test_ptas_mixed(tmp_path):
     assert out["objective"] == "-1"
     assert out["x"] == [0, -1]
     assert out["y"] == ["0"]
+
+
+@pytest.mark.parametrize("path", ["block", "per-point"])
+def test_weighted_solve_stdout_of_an_8_by_5_problem(path, monkeypatch, capsys, evaluators_run):
+    # A rational weighted ILP: the weight 3 pins x_7, and the budget
+    # rejects 2,144 of the 2,241 points of the radius-4 walk.  Both
+    # evaluators must print the pinned bytes, apart from wall_time_ms;
+    # wrapped oracles take the per-point one.
+    data = pathlib.Path(__file__).parent / "data"
+    if path == "per-point":
+        solve = cli.solve_weighted_l1_ip
+
+        def wrapped(instance, *args):
+            objective, constraints = instance.objective, instance.constraints
+            instance = dataclasses.replace(
+                instance, objective=lambda x: objective(x), constraints=lambda x: constraints(x)
+            )
+            return solve(instance, *args)
+
+        monkeypatch.setattr(cli, "solve_weighted_l1_ip", wrapped)
+    assert cli.main(["solve", str(data / "weighted_8x5.json")]) == 0
+    assert evaluators_run == ["_int_evaluator" if path == "block" else "point_evaluator"]
+    head, tail = capsys.readouterr().out.rsplit(', "version"', 1)
+    assert head + "\n" == (data / "weighted_8x5.stdout").read_text()
+    assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
 
 
 @pytest.mark.parametrize("path", ["block", "per-point"])

@@ -1,9 +1,9 @@
-"""The exact integer block path against the per-point oracle path.
+"""The exact integer block evaluator against the per-point evaluator.
 
 Rational problems built by ``ProblemInstance.linear`` and
-``ProblemInstance.quadratic`` run on the block path in int64; wrapping
-their oracles with ``dataclasses.replace`` forces the oracle path on the
-same data.  Both must return equal solutions, counts included.
+``ProblemInstance.quadratic`` take the block evaluator in int64;
+wrapping their oracles with ``dataclasses.replace`` makes the scan call
+them once per point on the same data.  Both must return equal solutions, counts included.
 """
 
 import dataclasses
@@ -62,7 +62,8 @@ def problems(draw):
 
 
 def on_block_path(problem, radius=3, tolerance=0):
-    return block_evaluator(problem, radius, tolerance, None, None) is not None
+    forms = (getattr(f, "block_forms", None) for f in (problem.objective, problem.constraints))
+    return block_evaluator(*forms, radius, tolerance, None, None) is not None
 
 
 def with_wrapped_oracles(problem):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from l1opt.errors import ProblemFileError
-from l1opt.files import format_value, parse_problem, problem_to_json
+from l1opt.files import ParsedProblem, format_value, parse_problem
+
 
 ILP_DOC = {
     "kind": "ilp",
@@ -128,6 +129,60 @@ def test_parse_mixed():
     problem = parse_problem(doc)
     assert problem.n_cont == 1
     assert problem.c_cont == (Fraction(1),)
+
+
+def problem_to_json(p: ParsedProblem) -> dict:
+    """Inverse of :func:`parse_problem` up to canonical scalar spelling; the
+    round-trip test's writer, which the package itself never needs."""
+    doc = {
+        "kind": p.kind,
+        "n": p.n,
+        "m": p.m,
+        "arithmetic": p.arithmetic,
+        "lambda": format_value(p.radius),
+    }
+    if p.weights is not None:
+        doc["weights"] = [format_value(w) for w in p.weights]
+    if p.epsilon is not None:
+        doc["epsilon"] = p.epsilon
+    if p.kappa is not None:
+        doc["kappa"] = p.kappa
+    if p.kind in ("ilp", "lipschitz-linear"):
+        doc["c"] = _fmt_vec(p.c)
+        doc["A"] = _fmt_mat(p.A)
+        doc["b"] = _fmt_vec(p.b)
+    elif p.kind in ("iqp", "lipschitz-quadratic"):
+        doc["Q"] = _fmt_mat(p.Q)
+        doc["c"] = _fmt_vec(p.c)
+        doc["A"] = _fmt_mat(p.A)
+        doc["b"] = _fmt_vec(p.b)
+    elif p.kind == "iqcqp":
+        doc["Q"] = _fmt_mat(p.Q)
+        doc["c"] = _fmt_vec(p.c)
+        doc["constraints"] = [
+            {
+                **({"A": _fmt_mat(row.A)} if row.A is not None else {}),
+                "b": _fmt_vec(row.b),
+                "c": format_value(row.c),
+            }
+            for row in p.quad_constraints
+        ]
+    elif p.kind == "mixed":
+        doc["p"] = p.n_cont
+        doc["c_x"] = _fmt_vec(p.c)
+        doc["c_y"] = _fmt_vec(p.c_cont)
+        doc["A_x"] = _fmt_mat(p.A)
+        doc["A_y"] = _fmt_mat(p.A_cont)
+        doc["b"] = _fmt_vec(p.b)
+    return doc
+
+
+def _fmt_vec(vec):
+    return [format_value(v) for v in vec]
+
+
+def _fmt_mat(mat):
+    return [[format_value(v) for v in row] for row in mat]
 
 
 def test_roundtrip_is_identity():

@@ -1,11 +1,12 @@
-"""Mixed solves on the block path against the per-point path.
+"""Mixed solves with the block evaluator against the per-point evaluator.
 
 The solver of ``linear_mixed_inner_solver`` carries its subproblems'
 dual data (``dual_forms``), so ``solve_mixed_integer`` decides every
-integer point on the block path and runs one exact LP, at the winner.
-The same solver wrapped in a lambda has no dual data and runs one LP per
-point.  Both must return ``repr``-equal solutions, counts included, or
-raise the same error.  Small ``BLOCK_CELLS`` values split a walk into
+integer point with the block evaluator and runs one exact LP, at the
+winner.  The same solver wrapped in a lambda has no dual data and runs
+one LP per point.  Both must return ``repr``-equal solutions, counts
+included, or raise the same error, and so must ``reference_mixed`` of
+``tests/oracles.py``.  Small ``BLOCK_CELLS`` values split a walk into
 many blocks.
 """
 
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from l1opt import lattice, ptas
 from l1opt.errors import InnerSolverError, ShapeMismatchError
 from l1opt.lattice import iter_l1_points
-from l1opt.ptas import MixedProblem, linear_mixed_inner_solver, solve_mixed_integer
+from l1opt.ptas import MixedProblem, MixedSolution, linear_mixed_inner_solver, solve_mixed_integer
+from oracles import reference_mixed
 
 ENTRIES = {
     # Degenerate data: ties, repeated and parallel rows, zero minors.
@@ -85,6 +87,36 @@ def test_block_path_matches_the_per_point_path(data, cells):
         block = outcome(MixedProblem(n, p, inner), radius)
     per_point = outcome(MixedProblem(n, p, lambda x: inner(x)), radius)
     assert block == per_point
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_data(), CELLS)
+def test_inner_calls_are_real_calls_and_match_the_reference(data, cells):
+    # A counting inner solver runs once per point, no extra call at the
+    # winner, and the per-point reference makes the same calls, in the
+    # same order, up to the same error.
+    n, c_int, c_cont, A_int, A_cont, b, radius = data
+    inner = linear_mixed_inner_solver(c_int, c_cont, A_int, A_cont, b)
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return inner(x)
+
+    problem = MixedProblem(n, len(c_cont), counted)
+
+    def run(solve):
+        seen.clear()
+        try:
+            solution = solve(problem, radius)
+        except InnerSolverError as exc:
+            return f"InnerSolverError: {exc}", list(seen)
+        assert isinstance(solution, MixedSolution) and solution.inner_calls == len(seen)
+        return repr(solution), list(seen)
+
+    with mock.patch.object(lattice, "BLOCK_CELLS", cells):
+        per_point = run(solve_mixed_integer)
+    assert per_point == run(reference_mixed)
 
 
 @settings(deadline=None)

@@ -20,6 +20,7 @@ from l1opt.ptas import (
     solve_mixed_integer,
     solve_weighted_lipschitz_ptas,
 )
+from l1opt.solver import ProblemInstance
 from oracles import GridTooLargeError, check_lipschitz, fine_grid_reference
 
 
@@ -378,3 +379,21 @@ def test_nonpositive_parallel_is_rejected(parallel):
         solve_weighted_lipschitz_ptas(problem, (1.0,), 0.5, parallel=parallel)
     with pytest.raises(ValueError, match="parallel"):
         solve_mixed_integer(mixed, 1, parallel=parallel)
+
+
+def test_weighted_ptas_at_a_fraction_step_keeps_every_entry_a_fraction():
+    # The step 1/2 is a Fraction, so every grid point is a Fraction, its
+    # zero entries included (step * 0), as in the unweighted scheme.  A
+    # float 0.0 in x would turn the objective -1 into the float -1.0.
+    rational = ProblemInstance.linear((1, 1), (), ())
+    problem = LipschitzProblem(
+        n=2, objective=rational.objective, constraints=rational.constraints, lipschitz=1, radius=1
+    )
+    weighted = solve_weighted_lipschitz_ptas(problem, [1.0, 2.0], Fraction(1, 2))
+    assert repr(weighted) == (
+        "ApproxSolution(status='optimal', x=(Fraction(-1, 1), Fraction(0, 1)), "
+        "objective=Fraction(-1, 1), oracle_calls=7, points_enumerated=13, grid_radius=2, "
+        "step=Fraction(1, 2))"
+    )
+    plain = solve_lipschitz_ptas(problem, Fraction(1, 2))
+    assert all(type(v) is Fraction for v in (*plain.x, plain.objective))
