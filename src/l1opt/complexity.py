@@ -8,7 +8,10 @@ that every integer point of C lies in the rho-ball.  The exhaustive
 ball solver therefore needs at most n^(((2+slack)*rho)^2/2 + 1) oracle
 steps (n^(4*rho^2 + 1) simplified), which is the returned bound.
 
-Exactly 2n + 1 backend solves are issued per estimate.
+Exactly 2n + 1 backend solves are issued per estimate: the 2n
+coordinate directions in one ``maximize_all`` call, which a backend may
+answer together (``LinearRegionBackend`` guides their LPs as one float
+stack), then the lifted solve.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .counting import BigBound, DEFAULT_SLACK, Real, oracle_complexity_bound
 from .errors import InvalidDimensionError, RegionInfeasibleError, RegionUnboundedError
-from .lp import INFEASIBLE, UNBOUNDED, _leq_rows, exact_rationals, lp_optimum
+from .lp import INFEASIBLE, UNBOUNDED, _leq_rows, _optima, exact_rationals, lp_optimum
 
 # Guards against a float backend reporting 1.9999999996 for an exactly
 # integral maximum; exact backends are floored without it.
@@ -37,7 +40,9 @@ class ConvexOptBackend(ABC):
     ``maximize(direction)`` optimizes over C itself (direction has n
     entries).  ``maximize(direction, lifted_bounds=(s_upper, t_upper))``
     optimizes over {g(s - t) <= 0, 0 <= s <= s_upper, 0 <= t <= t_upper}
-    with direction over the 2n entries (s, t).  Implementations raise
+    with direction over the 2n entries (s, t).  ``maximize_all(directions)``
+    is ``maximize`` over C for each direction, in order; by default it
+    calls ``maximize`` once per direction.  Implementations raise
     :class:`RegionInfeasibleError` when C is empty and
     :class:`RegionUnboundedError` when the objective is unbounded.
     """
@@ -50,20 +55,28 @@ class ConvexOptBackend(ABC):
     ) -> tuple[Real, tuple]:
         """Return (optimal value, maximizer)."""
 
+    def maximize_all(self, directions: Sequence[Sequence]) -> list[tuple[Real, tuple]]:
+        """``[self.maximize(d) for d in directions]``, over C itself.  A
+        backend may override it to solve the directions together."""
+        return [self.maximize(direction) for direction in directions]
+
 
 class LinearRegionBackend(ConvexOptBackend):
     """Built-in backend for linear regions {x : A x <= b}, exact arithmetic.
 
-    Each solve is :func:`l1opt.lp.lp_optimum`: the optimal value is exact
-    and the maximizer is an exact optimal point, which at a tie need not
-    be the vertex ``lp_solve`` would pick.  The first solve over C builds
-    the constraint part of its integer ≤-form, and later ones swap only
-    the cost, with the results and errors of a fresh ``lp_optimum``.  The
-    lifted solve runs once per estimate and builds its own form.
-    ``lp_calls`` counts the solves, ``certified_solves`` those answered by
-    a certified guide basis and ``fallback_pivots`` the exact simplex
-    pivots of the others.  Infinite or NaN entries of A or b raise
-    ``ValueError``.
+    Each solve has the result of :func:`l1opt.lp.lp_optimum`: the optimal
+    value is exact and the maximizer is an exact optimal point, which at
+    a tie need not be the vertex ``lp_solve`` would pick.  The first solve
+    over C builds the constraint part of its integer ≤-form, and later
+    ones swap only the cost.  ``maximize_all`` prices one form per
+    direction and runs their float guides as one stack (``lp._optima``);
+    it returns ``[maximize(d) for d in directions]`` and raises the same
+    error after the same ``lp_calls``, but it reads every direction
+    first, so a non-finite one raises before any solve.  The lifted solve
+    runs once per estimate and builds its own form.  ``lp_calls`` counts
+    the solves, ``certified_solves`` those answered by a certified guide
+    basis and ``fallback_pivots`` the exact simplex pivots of the others.
+    Infinite or NaN entries of A or b raise ``ValueError``.
     """
 
     def __init__(self, A: Sequence[Sequence], b: Sequence):
@@ -77,16 +90,12 @@ class LinearRegionBackend(ConvexOptBackend):
 
     def maximize(self, direction, lifted_bounds=None):
         if lifted_bounds is None:
-            # Named as lp_optimum names its input, so errors read the same.
-            cost = exact_rationals(direction, "lp_optimum: c")
-            if self._rows is None or len(self._rows.subs) != len(cost):
-                self._rows = _leq_rows("lp_optimum", self.A, self.b, len(cost), None, None)
-            result = self._rows.priced(cost, maximize=True).optimum()
-        else:
-            s_upper, t_upper = lifted_bounds
-            n = self.n
-            rows = [list(row) + [-v for v in row] for row in self.A]
-            result = lp_optimum(
+            return self.maximize_all([direction])[0]
+        s_upper, t_upper = lifted_bounds
+        n = self.n
+        rows = [list(row) + [-v for v in row] for row in self.A]
+        return self._answer(
+            lp_optimum(
                 direction,
                 rows,
                 self.b,
@@ -94,6 +103,18 @@ class LinearRegionBackend(ConvexOptBackend):
                 lower=[0] * (2 * n),
                 upper=list(s_upper) + list(t_upper),
             )
+        )
+
+    def maximize_all(self, directions):
+        forms = []
+        # Named as lp_optimum names its input, so errors read the same.
+        for cost in [exact_rationals(direction, "lp_optimum: c") for direction in directions]:
+            if self._rows is None or len(self._rows.subs) != len(cost):
+                self._rows = _leq_rows("lp_optimum", self.A, self.b, len(cost), None, None)
+            forms.append(self._rows.priced(cost, maximize=True))
+        return [self._answer(result) for result in _optima(forms)]
+
+    def _answer(self, result):
         self.lp_calls += 1
         self.certified_solves += result.certified
         self.fallback_pivots += result.pivots
@@ -106,7 +127,13 @@ class LinearRegionBackend(ConvexOptBackend):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Coordinate ranges, covering radius, and the resulting complexity bound."""
+    """Coordinate ranges, covering radius, and the resulting complexity bound.
+
+    ``certified_solves`` and ``fallback_pivots`` count what the estimate's
+    solves did on a :class:`LinearRegionBackend` (solves answered by a
+    certified guide basis, and exact simplex pivots of the others); they
+    are None for any other backend.
+    """
 
     l: tuple
     u: tuple
@@ -115,6 +142,8 @@ class BoundReport:
     slack: float
     simplified: bool
     backend_calls: int
+    certified_solves: Optional[int] = None
+    fallback_pivots: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -134,9 +163,10 @@ def estimate_bound(
 ) -> BoundReport:
     """Compute the covering radius and oracle-complexity bound for a region.
 
-    Issues 2n coordinate solves (min and max of each x_i over C, both
+    Issues 2n coordinate solves (max and min of each x_i over C, both
     clamped toward zero so the ranges always contain the origin's side)
-    followed by one lifted solve whose floor is the radius rho.
+    as one ``maximize_all`` call, in the order e_1, -e_1, e_2, ..., then
+    one lifted solve whose floor is the radius rho.
 
     Dimension 1 is rejected: n^exponent collapses to 1 there and would
     understate the true enumeration cost, matching the bound-formula
@@ -144,22 +174,23 @@ def estimate_bound(
     """
     if n < 2:
         raise InvalidDimensionError("bound estimation requires dimension >= 2")
-    calls = 0
+    linear = isinstance(backend, LinearRegionBackend)
+    if linear:
+        certified, pivots = backend.certified_solves, backend.fallback_pivots
+    directions = []
+    for i in range(n):
+        for sign in (1, -1):
+            direction = [0] * n
+            direction[i] = sign
+            directions.append(direction)
+    values = [value for value, _ in backend.maximize_all(directions)]
     l = []
     u = []
-    for i in range(n):
-        direction = [0] * n
-        direction[i] = 1
-        high, _ = backend.maximize(direction)
-        calls += 1
-        direction[i] = -1
-        neg_low, _ = backend.maximize(direction)
-        calls += 1
+    for high, neg_low in zip(values[::2], values[1::2]):
         low = -neg_low
         l.append(max(-low, _zero_like(low)))
         u.append(max(high, _zero_like(high)))
     value, _ = backend.maximize([1] * (2 * n), lifted_bounds=(u, l))
-    calls += 1
     rho = _floor_backend_value(value)
     bound = oracle_complexity_bound(n, rho, slack, simplified)
     return BoundReport(
@@ -169,7 +200,9 @@ def estimate_bound(
         bound=bound,
         slack=float(slack),
         simplified=simplified,
-        backend_calls=calls,
+        backend_calls=len(directions) + 1,
+        certified_solves=backend.certified_solves - certified if linear else None,
+        fallback_pivots=backend.fallback_pivots - pivots if linear else None,
     )
 
 

@@ -31,17 +31,18 @@ of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
 
 - *Guide.*  A float64 two-phase simplex in numpy (Dantzig's rule,
   equilibrated rows, a pivot cap, floating-point warnings off) proposes
-  the basis it stops at.
+  the basis it stops at.  LPs over one region's rows that differ only in
+  the cost share one stacked guide (:mod:`l1opt.lp_guide`).
 - *Certificate.*  The basic columns and the tight rows (those whose
   slack is nonbasic) form a k x k integer system.  A tight row with one
   nonzero among the basic columns, such as a variable bound, pins its
-  column; fraction-free Gauss-Jordan elimination solves the block of the
-  other rows and columns for the remaining basic values and, transposed,
-  for their duals, and the pinned rows' duals follow by
-  back-substitution.  The basis is accepted only when, exactly,
-  the basic values are >= 0, every row holds, and the duals and the
-  reduced costs of the nonbasic columns are >= 0: primal and dual
-  feasibility, so the point is optimal.
+  column; fraction-free forward elimination and exact integer
+  back-substitution solve the block of the other rows and columns for
+  the remaining basic values and, transposed, for their duals, and the
+  pinned rows' duals follow by back-substitution.  The basis is accepted
+  only when, exactly, the basic values are >= 0, every row holds, and
+  the duals and the reduced costs of the nonbasic columns are >= 0:
+  primal and dual feasibility, so the point is optimal.
 - *Fallback.*  Data past the float range, a non-finite value, the cap, a
   singular basis, a failed check or a guide status other than optimal
   all lead to ``lp_solve``.  Status and value are therefore always
@@ -51,10 +52,12 @@ of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
   a tie.  ``LPResult.certified`` says which path answered.
 
 On the 2n + 1 LPs of ``complexity.estimate_bound`` at 12 variables and
-48 rows, the guide's basis passes and the estimate is about 17 times
-faster than with Bland's rule.  The 2n coordinate LPs share their
-region's constraint rows (``_leq_rows``) and differ only in the cost
-(``_LeqForm.priced``).  Pinning keeps the bound rows of the lifted LP,
+48 rows, the guide's basis passes.  The 2n coordinate LPs share their
+region's constraint rows (``_leq_rows``), differ only in the cost
+(``_LeqForm.priced``) and go through one stacked guide (``_optima``).
+On the 1,200 certificate systems of the benchmark's bound jobs (seeds
+1-3), forward elimination took 0.20-0.25 s against 0.34 s for Gauss-Jordan
+(best of 5, 2-core host).  Pinning keeps the bound rows of the lifted LP,
 with denominators of about 120 bits, out of the elimination, whose
 integers would otherwise grow to about 1,400 bits.  The inner LPs of a
 linear mixed solve use ``lp_solve``.  With the block evaluator the mixed
@@ -70,14 +73,14 @@ subproblems of mixed integer/continuous solves.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ShapeMismatchError
+from .lp_guide import _guide_bases
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -195,11 +198,7 @@ class _LeqForm(NamedTuple):
 
     def optimum(self) -> LPResult:
         """The result at the guide's basis if :func:`_certify` accepts it, else :meth:`solve`."""
-        basis = _guide_basis(self)
-        certificate = None if basis is None else _certify(self, basis)
-        if certificate is None:
-            return self.solve()
-        return self.result(certificate.z, certificate.value, 0, certified=True)
+        return next(_optima([self]))
 
     def result(
         self, z: list[Fraction], value: Fraction, pivots: int, certified: bool = False
@@ -217,6 +216,23 @@ class _LeqForm(NamedTuple):
         if self.maximize:
             objective = -objective
         return LPResult(OPTIMAL, objective, tuple(x), pivots, certified)
+
+
+def _optima(forms: Sequence[_LeqForm]) -> Iterator[LPResult]:
+    """``form.optimum()`` for each form, in order, as they are asked for.
+
+    Consecutive forms that share one region's rows (priced from one
+    :func:`_leq_rows` form) share one stacked guide, :func:`_guide_bases`;
+    the certificates and any exact fallbacks follow one LP at a time.
+    """
+    for _, group in itertools.groupby(forms, key=lambda form: id(form.rows)):
+        group = list(group)
+        for form, basis in zip(group, _guide_bases(group[0], [form.cost for form in group])):
+            certificate = None if basis is None else _certify(form, basis)
+            if certificate is None:
+                yield form.solve()
+            else:
+                yield form.result(certificate.z, certificate.value, 0, certified=True)
 
 
 def _leq_form(where, c, A, b, sense, lower, upper) -> Optional[_LeqForm]:
@@ -498,99 +514,6 @@ class _Tableau:
         self.rows = [[row[j] for j in keep] for row in self.rows]
 
 
-# The guide's tolerance on its equilibrated data (every row and the cost
-# scaled to a largest coefficient of 1).  It only steers the guide: an
-# answer rests on the exact certificate alone.
-_GUIDE_TOL = 1e-9
-
-
-def _guide_basis(form: _LeqForm) -> Optional[list[int]]:
-    """The basis at which a float64 two-phase simplex on ``form`` stops optimal.
-
-    Variables are numbered as in ``_solve_leq_form``: z, then the slack
-    of each row.  Returns None when the data leaves the float range, when
-    a value turns non-finite, at the pivot cap, or when the guide finds
-    the LP infeasible or unbounded; the exact simplex decides those.
-    Pivots take the most negative reduced cost (Dantzig's rule: on the
-    benchmark's bound LPs about 60% of Bland's pivots), and the cap
-    stops any cycling.
-    """
-    m, nz = len(form.rows), len(form.cost)
-    width = nz + m
-    neg = [i for i in range(m) if form.rhs[i] < 0]
-    if not width:
-        return []
-    budget = 50 + 4 * width
-    with np.errstate(all="ignore"):
-        try:
-            A = np.array(form.rows, dtype=float).reshape(m, nz)
-            rhs = np.array(form.rhs, dtype=float)
-            cost = np.array(form.cost, dtype=float)
-        except OverflowError:
-            return None
-        # Row i over its largest coefficient; its slack, scaled alike, keeps
-        # coefficient 1 and stays basic.
-        scale = np.abs(A).max(axis=1, initial=0.0)
-        scale[scale == 0] = 1.0
-        T = np.zeros((m + 1, width + len(neg) + 1))
-        T[:m, :nz] = A / scale[:, None]
-        T[:m, -1] = rhs / scale
-        T[np.arange(m), nz + np.arange(m)] = 1.0
-        basis = list(range(nz, width))
-        if neg:
-            # Phase 1: a negative-rhs row is negated and starts with an
-            # artificial; the reduced costs are those of the artificial sum.
-            T[neg] = -T[neg]
-            T[neg, width + np.arange(len(neg))] = 1.0
-            for k, i in enumerate(neg):
-                basis[i] = width + k
-            T[m, :width] = -T[neg, :width].sum(axis=0)
-            T[m, -1] = -T[neg, -1].sum()
-            budget = _float_pivots(T, basis, width, budget)
-            if budget is None or not T[m, -1] > -_GUIDE_TOL:
-                return None
-            for r, var in enumerate(basis):
-                if var >= width:  # an artificial left basic at zero
-                    col = int(np.abs(T[r, :width]).argmax())
-                    if not abs(T[r, col]) > _GUIDE_TOL:
-                        return None
-                    _float_pivot(T, basis, r, col)
-            T = np.delete(T, np.s_[width:-1], axis=1)
-        T[m] = 0.0
-        T[m, :nz] = cost / (np.abs(cost).max(initial=0.0) or 1.0)
-        T[m] -= T[m, basis] @ T[:m]
-        budget = _float_pivots(T, basis, width, budget)
-        if budget is None or not np.isfinite(T).all():
-            return None
-    return basis
-
-
-def _float_pivots(T: np.ndarray, basis: list[int], limit: int, budget: int) -> Optional[int]:
-    """Dantzig-rule pivots on columns below ``limit`` until optimal; the
-    budget left, or None when the LP looks unbounded or the budget runs out."""
-    m = len(basis)
-    for left in range(budget, 0, -1):
-        red = T[m, :limit]
-        col = int(red.argmin())
-        if not red[col] < -_GUIDE_TOL:
-            return left
-        entries = T[:m, col]
-        candidates = np.flatnonzero(entries > _GUIDE_TOL)
-        if not candidates.size:
-            return None
-        ratios = np.maximum(T[candidates, -1], 0.0) / entries[candidates]
-        _float_pivot(T, basis, int(candidates[ratios.argmin()]), col)
-    return None
-
-
-def _float_pivot(T: np.ndarray, basis: list[int], r: int, col: int) -> None:
-    T[r] /= T[r, col]
-    factors = T[:, col].copy()
-    factors[r] = 0.0
-    T -= np.outer(factors, T[r])
-    basis[r] = col
-
-
 class _Certificate(NamedTuple):
     z: list[Fraction]
     value: Fraction  # cost.z
@@ -681,11 +604,12 @@ def _solve_square(M: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int
     """``(nums, d)`` with ``M x = rhs`` at ``x = nums / d`` and d > 0, or
     None when M is singular.
 
-    Fraction-free Gauss-Jordan elimination: each step is the Bareiss
-    update ``(p*a - f*b) // prev`` of the simplex tableau, and every
-    division is exact.  After step c every pivoted column holds the pivot
-    on its diagonal and zeros elsewhere, so columns left of c are not
-    updated; the rhs column ends as d times the solution.
+    Fraction-free forward elimination: each step is the Bareiss update
+    ``(p*a - f*b) // prev`` of the simplex tableau on the rows below the
+    pivot, and every division is exact.  The last pivot d is det(M) up to
+    sign, and d times the solution is integral (Cramer's rule), so exact
+    integer back-substitution gives it from the triangle:
+    ``nums[i] = (d*T[i][k] - sum(T[i][j] * nums[j] for j > i)) // T[i][i]``.
     """
     k = len(M)
     T = [row + [beta] for row, beta in zip(M, rhs)]
@@ -695,19 +619,20 @@ def _solve_square(M: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int
         if r is None:
             return None
         T[c], T[r] = T[r], T[c]
-        prow = T[c][c:]
-        p = prow[0]
-        for i in range(k):
-            if i == c:
-                continue
-            row = T[i]
+        prow = T[c][c + 1 :]
+        p = T[c][c]
+        for row in T[c + 1 :]:
             f = row[c]
             if f:
-                row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], prow)]
+                row[c + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[c + 1 :], prow)]
             elif p != prev:
-                row[c:] = [p * a // prev for a in row[c:]]
+                row[c + 1 :] = [p * a // prev for a in row[c + 1 :]]
         prev = p
-    nums = [row[k] for row in T]
+    nums = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = T[i]
+        total = prev * row[k] - sum(row[j] * nums[j] for j in range(i + 1, k) if nums[j])
+        nums[i] = total // row[i]
     if prev < 0:
         return [-v for v in nums], -prev
     return nums, prev

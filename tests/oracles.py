@@ -3,18 +3,20 @@
 Everything here is deliberately naive: box scans, vertex enumeration,
 exact rational arithmetic.  None of it shares code paths with the
 implementations under test beyond the canonical-ordinal helper, which
-has its own replay-based validation, the ``LPResult`` record the
-Fraction simplex returns, and the Bareiss solve ``l1opt.lp._solve_square``,
-which :func:`certify_reference` runs on a certificate's whole system.
+has its own replay-based validation, and the ``LPResult`` record the
+Fraction simplex returns.
 
 The references that only tests call live here too, not in the package:
 the per-point scan over ``iter_l1_points`` that the solvers ran before
 every walk went through ``l1opt.blocks.block_scan``
 (:func:`reference_scan`, :func:`reference_mixed`), the fine-grid
 reference for the approximation schemes (:func:`fine_grid_reference`),
-the sampled Lipschitz check
-(:func:`check_lipschitz`), and the l2 counts and covering formulas
-(:func:`count_l2_lattice_brute`, :func:`l2_count_bounds`,
+the sampled Lipschitz check (:func:`check_lipschitz`), the single-cost
+float guide (:func:`guide_basis_reference`) and the Gauss-Jordan solve
+(:func:`solve_square_reference`, which :func:`certify_reference` runs on
+a certificate's whole system) that ``l1opt.lp`` used before it stacked
+its guides and eliminated forward only, and the l2 counts and covering
+formulas (:func:`count_l2_lattice_brute`, :func:`l2_count_bounds`,
 :func:`covering_bound_l1`, :func:`covering_bounds_linf`, built on
 :func:`big_bound_ratio_power`).  Past their size budgets the brute-force
 scans raise :class:`GridTooLargeError`.
@@ -40,7 +42,8 @@ from l1opt.counting import (
 )
 from l1opt.errors import InvalidDimensionError
 from l1opt.lattice import LatticePoint, canonical_ordinal, iter_l1_points
-from l1opt.lp import _ZERO, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _Certificate, _LeqForm, _solve_square
+from l1opt.lp import _ZERO, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _Certificate, _LeqForm
+from l1opt.lp_guide import _GUIDE_TOL
 from l1opt.ptas import ApproxSolution, LipschitzProblem, MixedSolution
 
 
@@ -466,7 +469,7 @@ def certify_reference(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certifi
     cols = sorted(var for var in basis if var < nz)
     loose = {var - nz for var in basis if var >= nz}
     tight = [i for i in range(m) if i not in loose]
-    primal = _solve_square([[rows[i][j] for j in cols] for i in tight], [rhs[i] for i in tight])
+    primal = solve_square_reference([[rows[i][j] for j in cols] for i in tight], [rhs[i] for i in tight])
     if primal is None:
         return None
     values, d = primal
@@ -476,7 +479,7 @@ def certify_reference(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certifi
     for i in loose:
         if sum(rows[i][j] * v for j, v in zip(cols, values) if v) > rhs[i] * d:
             return None
-    duals, e = _solve_square([[rows[i][j] for i in tight] for j in cols], [-cost[j] for j in cols])
+    duals, e = solve_square_reference([[rows[i][j] for i in tight] for j in cols], [-cost[j] for j in cols])
     if any(y < 0 for y in duals):
         return None
     # A free x_j is z_p - z_q; when one of the two is basic the other's
@@ -500,6 +503,133 @@ def certify_reference(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certifi
         z[j] = Fraction(v, d)
     value = Fraction(sum(cost[j] * v for j, v in zip(cols, values)), d)
     return _Certificate(z, value, unique)
+
+
+def guide_basis_reference(form: _LeqForm) -> Optional[list[int]]:
+    """Reference for ``l1opt.lp_guide._guide_bases``: one cost, one tableau.
+
+    The basis at which a float64 two-phase simplex on ``form`` stops optimal.
+
+    Variables are numbered as in ``_solve_leq_form``: z, then the slack
+    of each row.  Returns None when the data leaves the float range, when
+    a value turns non-finite, at the pivot cap, or when the guide finds
+    the LP infeasible or unbounded; the exact simplex decides those.
+    Pivots take the most negative reduced cost (Dantzig's rule: on the
+    benchmark's bound LPs about 60% of Bland's pivots), and the cap
+    stops any cycling.
+    """
+    m, nz = len(form.rows), len(form.cost)
+    width = nz + m
+    neg = [i for i in range(m) if form.rhs[i] < 0]
+    if not width:
+        return []
+    budget = 50 + 4 * width
+    with np.errstate(all="ignore"):
+        try:
+            A = np.array(form.rows, dtype=float).reshape(m, nz)
+            rhs = np.array(form.rhs, dtype=float)
+            cost = np.array(form.cost, dtype=float)
+        except OverflowError:
+            return None
+        # Row i over its largest coefficient; its slack, scaled alike, keeps
+        # coefficient 1 and stays basic.
+        scale = np.abs(A).max(axis=1, initial=0.0)
+        scale[scale == 0] = 1.0
+        T = np.zeros((m + 1, width + len(neg) + 1))
+        T[:m, :nz] = A / scale[:, None]
+        T[:m, -1] = rhs / scale
+        T[np.arange(m), nz + np.arange(m)] = 1.0
+        basis = list(range(nz, width))
+        if neg:
+            # Phase 1: a negative-rhs row is negated and starts with an
+            # artificial; the reduced costs are those of the artificial sum.
+            T[neg] = -T[neg]
+            T[neg, width + np.arange(len(neg))] = 1.0
+            for k, i in enumerate(neg):
+                basis[i] = width + k
+            T[m, :width] = -T[neg, :width].sum(axis=0)
+            T[m, -1] = -T[neg, -1].sum()
+            budget = reference_float_pivots(T, basis, width, budget)
+            if budget is None or not T[m, -1] > -_GUIDE_TOL:
+                return None
+            for r, var in enumerate(basis):
+                if var >= width:  # an artificial left basic at zero
+                    col = int(np.abs(T[r, :width]).argmax())
+                    if not abs(T[r, col]) > _GUIDE_TOL:
+                        return None
+                    _reference_float_pivot(T, basis, r, col)
+            T = np.delete(T, np.s_[width:-1], axis=1)
+        T[m] = 0.0
+        T[m, :nz] = cost / (np.abs(cost).max(initial=0.0) or 1.0)
+        T[m] -= T[m, basis] @ T[:m]
+        budget = reference_float_pivots(T, basis, width, budget)
+        if budget is None or not np.isfinite(T).all():
+            return None
+    return basis
+
+
+def reference_float_pivots(T: np.ndarray, basis: list[int], limit: int, budget: int) -> Optional[int]:
+    """Dantzig-rule pivots on columns below ``limit`` until optimal; the
+    budget left, or None when the LP looks unbounded or the budget runs out."""
+    m = len(basis)
+    for left in range(budget, 0, -1):
+        red = T[m, :limit]
+        col = int(red.argmin())
+        if not red[col] < -_GUIDE_TOL:
+            return left
+        entries = T[:m, col]
+        candidates = np.flatnonzero(entries > _GUIDE_TOL)
+        if not candidates.size:
+            return None
+        ratios = np.maximum(T[candidates, -1], 0.0) / entries[candidates]
+        _reference_float_pivot(T, basis, int(candidates[ratios.argmin()]), col)
+    return None
+
+
+def _reference_float_pivot(T: np.ndarray, basis: list[int], r: int, col: int) -> None:
+    T[r] /= T[r, col]
+    factors = T[:, col].copy()
+    factors[r] = 0.0
+    T -= np.outer(factors, T[r])
+    basis[r] = col
+
+
+def solve_square_reference(M: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:
+    """Reference for ``l1opt.lp._solve_square``, by Gauss-Jordan elimination.
+
+    ``(nums, d)`` with ``M x = rhs`` at ``x = nums / d`` and d > 0, or
+    None when M is singular.
+
+    Fraction-free Gauss-Jordan elimination: each step is the Bareiss
+    update ``(p*a - f*b) // prev`` of the simplex tableau, and every
+    division is exact.  After step c every pivoted column holds the pivot
+    on its diagonal and zeros elsewhere, so columns left of c are not
+    updated; the rhs column ends as d times the solution.
+    """
+    k = len(M)
+    T = [row + [beta] for row, beta in zip(M, rhs)]
+    prev = 1
+    for c in range(k):
+        r = next((i for i in range(c, k) if T[i][c]), None)
+        if r is None:
+            return None
+        T[c], T[r] = T[r], T[c]
+        prow = T[c][c:]
+        p = prow[0]
+        for i in range(k):
+            if i == c:
+                continue
+            row = T[i]
+            f = row[c]
+            if f:
+                row[c:] = [(p * a - f * b) // prev for a, b in zip(row[c:], prow)]
+            elif p != prev:
+                row[c:] = [p * a // prev for a in row[c:]]
+        prev = p
+    nums = [row[k] for row in T]
+    if prev < 0:
+        return [-v for v in nums], -prev
+    return nums, prev
 
 
 def dense_dot(a, x):

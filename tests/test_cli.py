@@ -285,6 +285,17 @@ def test_bound_stdout_of_a_12_by_48_region():
     assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
 
 
+def test_bound_stdout_of_a_region_without_the_origin():
+    # -3 <= x_i <= -1 and rows with negative rhs: every guide starts with
+    # phase 1.  Pinned before the coordinate LPs shared one stacked guide.
+    data = pathlib.Path(__file__).parent / "data"
+    result = run_cli("bound", data / "bound_phase1.json")
+    assert result.returncode == 0, result.stderr
+    head, tail = result.stdout.rsplit(', "version"', 1)
+    assert head + "\n" == (data / "bound_phase1.stdout").read_text()
+    assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
+
+
 def test_ptas_linear(tmp_path):
     result = run_cli("ptas", write(tmp_path, LIPSCHITZ))
     assert result.returncode == 0

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from l1opt.complexity import (
+    ConvexOptBackend,
     LinearRegionBackend,
     estimate_bound,
     verify_cover,
@@ -197,8 +198,8 @@ def test_benchmark_shaped_region_is_answered_by_certified_solves():
     backend = LinearRegionBackend(problem.A, problem.b)
     report = estimate_bound(backend, problem.n)
     assert report.backend_calls == backend.lp_calls == 25
-    assert backend.certified_solves == 25
-    assert backend.fallback_pivots == 0
+    assert backend.certified_solves == report.certified_solves == 25
+    assert backend.fallback_pivots == report.fallback_pivots == 0
 
 
 def test_backend_counts_the_pivots_of_fallbacks():
@@ -211,8 +212,46 @@ def test_backend_counts_the_pivots_of_fallbacks():
     report = estimate_bound(backend, 2)
     assert (report.l, report.u, report.rho) == ((0, 0), (1, 1), 2)
     assert backend.lp_calls == 5
-    assert backend.certified_solves == 0
-    assert backend.fallback_pivots > 0
+    assert backend.certified_solves == report.certified_solves == 0
+    assert backend.fallback_pivots == report.fallback_pivots > 0
+
+
+def test_bound_report_counts_its_own_solves():
+    # A second estimate on the same backend reports only its own solves.
+    problem = load_problem(str(DATA / "bound_phase1.json"))
+    backend = LinearRegionBackend(problem.A, problem.b)
+    first = estimate_bound(backend, problem.n)
+    second = estimate_bound(backend, problem.n)
+    assert first == second
+    assert (first.certified_solves, first.fallback_pivots) == (13, 0)
+    assert backend.certified_solves == 26
+
+
+class OnlyMaximize(ConvexOptBackend):
+    """A user backend that defines only ``maximize``: the unit box in the
+    plane, maximized by a vertex."""
+
+    def __init__(self):
+        self.calls = []
+
+    def maximize(self, direction, lifted_bounds=None):
+        self.calls.append((list(direction), lifted_bounds))
+        x = tuple(1 if v > 0 else 0 for v in direction)
+        return sum(v for v in direction if v > 0), x
+
+
+def test_a_backend_with_only_maximize_sees_each_call_in_order():
+    backend = OnlyMaximize()
+    report = estimate_bound(backend, 2)
+    assert backend.calls == [
+        ([1, 0], None),
+        ([-1, 0], None),
+        ([0, 1], None),
+        ([0, -1], None),
+        ([1, 1, 1, 1], ([1, 1], [0, 0])),
+    ]
+    assert report.backend_calls == 5
+    assert (report.certified_solves, report.fallback_pivots) == (None, None)
 
 
 SQUARE = [[1, 0], [-1, 0], [0, 1], [0, -1]]

@@ -1,18 +1,32 @@
+import pathlib
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1opt.complexity import LinearRegionBackend
 from l1opt.errors import RegionInfeasibleError, RegionUnboundedError, ShapeMismatchError
-from l1opt import lp
+from l1opt.files import load_problem
+from l1opt import lp, lp_guide
 from l1opt.lp import lp_optimum, lp_solve
 from l1opt.ptas import linear_mixed_inner_solver
-from oracles import certify_reference, fraction_lp_solve, vertex_lp_brute
+from oracles import (
+    certify_reference,
+    fraction_lp_solve,
+    guide_basis_reference,
+    reference_float_pivots,
+    solve_square_reference,
+    vertex_lp_brute,
+)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_simple_max():
@@ -258,7 +272,7 @@ def check_optimum(instance):
     for v, lo, hi in zip(x, lower, upper):
         assert (lo is None or lo <= v) and (hi is None or v <= hi)
     form = lp._leq_form("lp_optimum", *instance)
-    basis = lp._guide_basis(form)
+    basis = lp_guide._guide_bases(form, [form.cost])[0]
     certificate = None if basis is None else lp._certify(form, basis)
     assert result.certified == (certificate is not None)
     unique = certificate is not None and certificate.unique
@@ -300,7 +314,7 @@ def test_certificate_rejects_a_wrong_basis():
         Fraction(-14, 5),
         True,
     )
-    assert lp._guide_basis(form) in ([0, 1], [1, 0])
+    assert lp_guide._guide_bases(form, [form.cost])[0] in ([0, 1], [1, 0])
     # Parallel rows make the basic columns singular.
     form = lp._leq_form("lp_optimum", [-1, -1], [[1, 1], [2, 2]], [1, 3], "min", [0, 0], None)
     assert lp._certify(form, [0, 1]) is None
@@ -384,7 +398,7 @@ def pinning_lps(draw):
     instance = (c, A, b, draw(st.sampled_from(["min", "max"])), lower, upper)
     form = lp._leq_form("lp_optimum", *instance)
     rows, width = len(form.rows), len(form.rows) + len(form.cost)
-    guide = lp._guide_basis(form)
+    guide = lp_guide._guide_bases(form, [form.cost])[0]
     bases = [] if guide is None else [guide]
     if guide is not None and rows < width:
         swapped = list(guide)
@@ -445,3 +459,181 @@ INF, NAN = float("inf"), float("nan")
 def test_lp_entry_points_reject_non_finite_input(call, where):
     with pytest.raises(ValueError, match="^" + re.escape(where) + " = "):
         call()
+
+
+PAST_FLOAT_COST = st.sampled_from([PAST_FLOAT, -PAST_FLOAT]).map(Fraction)
+
+
+@st.composite
+def priced_regions(draw):
+    """``(rows, forms, cells)``: one region's ≤-form, forms that price it
+    under up to six costs, and a cell budget for the guide's stack.  Rows
+    with negative rhs give phase 1, and at times an empty region; free
+    variables give unbounded costs; a cost past the float range overflows."""
+    entry, rhs_entry, bound = OPTIMUM_SHAPES[draw(st.sampled_from(sorted(OPTIMUM_SHAPES)))]
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 7))
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(rhs_entry, min_size=m, max_size=m))
+    lower = draw(st.lists(st.one_of(st.none(), bound), min_size=n, max_size=n))
+    upper = [None if lo is None else lo + abs(draw(bound)) for lo in lower]
+    rows = lp._leq_rows("lp_optimum", A, b, n, lower, upper)
+    costs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    if costs and draw(st.booleans()):
+        costs[draw(st.integers(0, len(costs) - 1))][draw(st.integers(0, n - 1))] = draw(PAST_FLOAT_COST)
+    forms = [rows.priced(c, draw(st.booleans())) for c in costs]
+    return rows, forms, draw(st.sampled_from([1, 40, 200, lp_guide.GUIDE_CELLS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(priced_regions())
+def test_stacked_guide_matches_one_guide_per_cost(case):
+    rows, forms, cells = case
+    with mock.patch.object(lp_guide, "GUIDE_CELLS", cells):
+        bases = lp_guide._guide_bases(rows, [form.cost for form in forms])
+    assert bases == [guide_basis_reference(form) for form in forms]
+
+
+def test_stacked_guide_keeps_each_failure_to_its_lp():
+    # -3 <= x, y <= -1 leaves the origin out (phase 1), and x + y <= -5
+    # cuts the box to a triangle.
+    rows = lp._leq_rows("t", [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [-1, 3, -1, 3, -5], 2, None, None)
+    costs = [[1, 0], [PAST_FLOAT, 0], [0, -1], [0, 0]]
+    forms = [rows.priced([Fraction(v) for v in c], True) for c in costs]
+    bases = lp_guide._guide_bases(rows, [form.cost for form in forms])
+    assert bases == [guide_basis_reference(form) for form in forms]
+    assert [basis is None for basis in bases] == [False, True, False, False]
+    # x >= 0 alone: max x is unbounded, max -x is not.
+    rows = lp._leq_rows("t", [[-1]], [0], 1, None, None)
+    forms = [rows.priced([Fraction(s)], True) for s in (1, -1, 1)]
+    bases = lp_guide._guide_bases(rows, [form.cost for form in forms])
+    assert bases == [guide_basis_reference(form) for form in forms]
+    assert [basis is None for basis in bases] == [True, False, True]
+    # x <= -1 and -x <= -1 leave nothing: phase 1 fails for every cost.
+    rows = lp._leq_rows("t", [[1], [-1]], [-1, -1], 1, None, None)
+    forms = [rows.priced([Fraction(s)], True) for s in (1, -1)]
+    assert lp_guide._guide_bases(rows, [form.cost for form in forms]) == [None, None]
+    assert [guide_basis_reference(form) for form in forms] == [None, None]
+
+
+@st.composite
+def float_tableaux(draw):
+    """``(tableaux, bases, limit, budget)``: phase-2 float tableaux over one
+    shape, with the slacks basic, nonnegative rhs and a small pivot budget."""
+    m = draw(st.integers(0, 5))
+    nz = draw(st.integers(1, 4))
+    entry = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.25, 1.0, 3.0])
+    tableaux = []
+    for _ in range(draw(st.integers(1, 5))):
+        T = np.zeros((m + 1, nz + m + 1))
+        cells = draw(st.lists(entry, min_size=(m + 1) * nz, max_size=(m + 1) * nz))
+        T[:, :nz] = np.array(cells).reshape(m + 1, nz)
+        T[np.arange(m), nz + np.arange(m)] = 1.0
+        T[:m, -1] = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=m, max_size=m))
+        tableaux.append(T)
+    bases = [list(range(nz, nz + m)) for _ in tableaux]
+    return tableaux, bases, nz + m, draw(st.integers(0, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_tableaux())
+def test_stacked_pivots_match_one_tableau_at_a_time(case):
+    # A small budget stops some tableaux at the pivot cap, columns with no
+    # positive entry stop others unbounded; neither touches the rest.
+    tableaux, bases, limit, budget = case
+    stack = np.array(tableaux)
+    stacked_bases = [list(basis) for basis in bases]
+    with np.errstate(all="ignore"):
+        left = lp_guide._float_pivots(stack, stacked_bases, limit, budget)
+        expected = [reference_float_pivots(T, basis, limit, budget) for T, basis in zip(tableaux, bases)]
+    assert left == expected
+    assert stacked_bases == bases
+
+
+@st.composite
+def square_systems(draw):
+    """``(M, rhs)``: k x k integer systems with entries past 2^120, made
+    singular at times by a row that combines two others."""
+    k = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**130), 2**130))
+    M = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    if k >= 3 and draw(st.booleans()):
+        i, j, r = draw(st.permutations(range(k)))[:3]
+        a, b = draw(entry), draw(entry)
+        M[r] = [a * x + b * y for x, y in zip(M[i], M[j])]
+    return M, draw(st.lists(entry, min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_systems())
+def test_forward_elimination_matches_gauss_jordan(case):
+    M, rhs = case
+    solved = lp._solve_square(M, rhs)
+    assert solved == solve_square_reference(M, rhs)
+    if solved is not None:
+        nums, d = solved
+        assert d > 0
+        assert all(sum(a * v for a, v in zip(row, nums)) == beta * d for row, beta in zip(M, rhs))
+
+
+def test_guide_stack_stays_within_its_cell_budget():
+    # 24 coordinate LPs over 48 rows stack 24 tableaux of 49 x 73 cells
+    # (0.7 MB); a budget of four tableaux cuts them into six chunks.
+    problem = load_problem(str(DATA / "bound_12x48.json"))
+    rows = lp._leq_rows("t", problem.A, problem.b, problem.n, None, None)
+    costs = []
+    for i in range(problem.n):
+        for sign in (1, -1):
+            costs.append(rows.priced([Fraction(sign if j == i else 0) for j in range(problem.n)], True).cost)
+    cells = 4 * 49 * 73
+    expected = lp_guide._guide_bases(rows, costs)
+    assert None not in expected
+    with mock.patch.object(lp_guide, "GUIDE_CELLS", cells):
+        tracemalloc.start()
+        try:
+            assert lp_guide._guide_bases(rows, costs) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # The stack within the budget, plus a few tableau-sized arrays of the
+    # shared set-up and the pivots; the 24 tableaux in one stack would
+    # take 0.7 MB.
+    assert peak < 8 * (cells + 8 * 49 * 73)
+
+
+@settings(max_examples=150, deadline=None)
+@given(region_directions())
+def test_maximize_all_is_maximize_one_direction_at_a_time(instance):
+    A, b, directions = instance
+
+    def run(solve):
+        backend = LinearRegionBackend(A, b)
+        try:
+            answer = solve(backend)
+        except (RegionInfeasibleError, RegionUnboundedError) as exc:
+            answer = (type(exc), str(exc))
+        return answer, (backend.lp_calls, backend.certified_solves, backend.fallback_pivots)
+
+    def one_at_a_time(backend):
+        return [backend.maximize(direction) for direction in directions]
+
+    assert run(lambda backend: backend.maximize_all(directions)) == run(one_at_a_time)
+
+
+@pytest.mark.parametrize(
+    "A, b, error, calls",
+    [
+        ([[1], [-1]], [-1, -1], RegionInfeasibleError, 1),  # x <= -1 and x >= 1
+        ([[-1]], [0], RegionUnboundedError, 2),  # x >= 0: max -x is 0, max x unbounded
+    ],
+)
+def test_maximize_all_raises_where_maximize_does(A, b, error, calls):
+    directions = [[-1], [1], [-1]]
+    one_at_a_time = LinearRegionBackend(A, b)
+    with pytest.raises(error):
+        for direction in directions:
+            one_at_a_time.maximize(direction)
+    together = LinearRegionBackend(A, b)
+    with pytest.raises(error):
+        together.maximize_all(directions)
+    assert together.lp_calls == one_at_a_time.lp_calls == calls

@@ -20,4 +20,5 @@ def test_library_example_gives_its_documented_values():
     assert solution.oracle_calls == solution.points_enumerated == 13
     assert report.rho == 2
     assert report.bound.exact == 131072
-    assert report.backend_calls == 5
+    assert report.backend_calls == report.certified_solves == 5
+    assert report.fallback_pivots == 0
