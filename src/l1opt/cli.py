@@ -7,6 +7,14 @@ success, 1 on input or usage errors, 2 when a solve is infeasible or no
 grid point passes the relaxed test, 3 when the continuous relaxation of
 a bound query is unbounded.
 
+Every file command loads its file through one path: the flags
+``--lambda``, ``--weights`` (split on commas), ``--epsilon`` and
+``--kappa`` are written into the document's fields of the same names,
+and :func:`l1opt.files.parse_problem` validates flag and file values
+alike.  ``ptas`` runs the weighted scheme when the file has weights,
+and refuses weights on a mixed file; ``bound`` reads only the region.
+Every JSON result ends with ``version`` and ``wall_time_ms``.
+
 The L1OPT_TOLERANCE environment variable sets the default float-mode
 feasibility tolerance.
 """
@@ -33,7 +41,7 @@ from .counting import (
     l1_count_upper_bound,
 )
 from .errors import ProblemFileError, RegionInfeasibleError, RegionUnboundedError
-from .files import ParsedProblem, format_value, load_problem
+from .files import ParsedProblem, _read_document, format_value, parse_problem
 from .lattice import iter_l1_points
 from .ptas import (
     LipschitzProblem,
@@ -43,14 +51,9 @@ from .ptas import (
     quadratic_lipschitz_constant,
     solve_lipschitz_ptas,
     solve_mixed_integer,
+    solve_weighted_lipschitz_ptas,
 )
-from .solver import (
-    FLOAT,
-    SolveOptions,
-    WeightedL1Spec,
-    solve_l1_ip,
-    solve_weighted_l1_ip,
-)
+from .solver import SolveOptions, WeightedL1Spec, solve_l1_ip, solve_weighted_l1_ip
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -90,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="exactly solve an integer problem file")
     p_solve.add_argument("file")
-    p_solve.add_argument("--lambda", dest="radius", help="override the file's radius")
+    p_solve.add_argument("--lambda", metavar="RADIUS", help="override the file's radius")
     p_solve.add_argument("--weights", help="comma-separated weights overriding the file")
     _add_parallel(p_solve)
     p_solve.add_argument("--tolerance", type=float, default=None, help="float-mode feasibility tolerance")
@@ -152,32 +155,45 @@ def _at_least(minimum: int):
     return parse
 
 
+# The problem kinds that each file command reads.
+_COMMAND_KINDS = {
+    "solve": ("ilp", "iqp", "iqcqp"),
+    "bound": ("ilp", "iqp", "lipschitz-linear"),
+    "ptas": ("lipschitz-linear", "lipschitz-quadratic", "mixed"),
+}
+
+# The flags that stand for the problem-file fields of the same names.
+_FIELD_FLAGS = ("lambda", "weights", "epsilon", "kappa")
+
+
+def _load(args, command: str) -> ParsedProblem:
+    """The command's problem file, with its flags written into the file's
+    fields before parsing, so flag values are validated as file values."""
+    doc = _read_document(args.file)
+    if isinstance(doc, dict):
+        for field in _FIELD_FLAGS:
+            value = getattr(args, field, None)
+            if value is not None:
+                doc[field] = value.split(",") if field == "weights" else value
+    problem = parse_problem(doc)
+    kinds = _COMMAND_KINDS[command]
+    if problem.kind not in kinds:
+        raise ProblemFileError("kind", f"{command} expects one of {kinds}, got {problem.kind!r}")
+    return problem
+
+
 def _cmd_solve(args) -> int:
     started = time.perf_counter()
-    problem = load_problem(args.file)
-    if problem.kind not in ("ilp", "iqp", "iqcqp"):
-        raise ProblemFileError("kind", f"solve expects an integer kind, got {problem.kind!r}")
-    radius = problem.radius if args.radius is None else _parse_radius(args.radius, problem)
-    weights = problem.weights
-    if args.weights is not None:
-        weights = _parse_weights(args.weights, problem)
+    problem = _load(args, "solve")
     options = SolveOptions(tolerance=_default_tolerance(args.tolerance), parallel=args.parallel)
     instance = problem.instance()
-    if weights is not None:
-        solution = solve_weighted_l1_ip(instance, WeightedL1Spec(weights, radius), options)
+    if problem.weights is not None:
+        spec = WeightedL1Spec(problem.weights, problem.radius)
+        solution = solve_weighted_l1_ip(instance, spec, options)
     else:
-        solution = solve_l1_ip(instance, radius, options)
-    result = {
-        "status": solution.status,
-        "objective": format_value(solution.objective),
-        "x": list(solution.x) if solution.x is not None else None,
-        "oracle_calls": solution.oracle_calls,
-        "points_enumerated": solution.points_enumerated,
-        "version": __version__,
-        "wall_time_ms": _elapsed_ms(started),
-    }
-    _emit(result)
-    return EXIT_OK if solution.status == "optimal" else EXIT_INFEASIBLE
+        solution = solve_l1_ip(instance, problem.radius, options)
+    objective = format_value(solution.objective)
+    return _report(_solved(solution, objective, solution.oracle_calls), started)
 
 
 def _cmd_count(args) -> int:
@@ -214,20 +230,12 @@ def _cmd_count(args) -> int:
             "samples": args.width_samples,
             "seed": args.seed,
         }
-    result["version"] = __version__
-    result["wall_time_ms"] = _elapsed_ms(started)
-    _emit(result)
-    return EXIT_OK
+    return _report(result, started)
 
 
 def _cmd_bound(args) -> int:
     started = time.perf_counter()
-    problem = load_problem(args.file)
-    if problem.kind not in ("ilp", "iqp", "lipschitz-linear"):
-        raise ProblemFileError(
-            "kind",
-            "bound needs a linear constraint region; use an ilp, iqp, or lipschitz-linear file",
-        )
+    problem = _load(args, "bound")
     backend = LinearRegionBackend(problem.A, problem.b)
     report = estimate_bound(backend, problem.n, slack=args.delta, simplified=not args.precise)
     result = {
@@ -252,29 +260,29 @@ def _cmd_bound(args) -> int:
             "exhaustive": check.exhaustive,
             "note": check.note,
         }
-    result["version"] = __version__
-    result["wall_time_ms"] = _elapsed_ms(started)
-    _emit(result)
-    return EXIT_OK
+    return _report(result, started)
 
 
 def _cmd_ptas(args) -> int:
     started = time.perf_counter()
-    problem = load_problem(args.file)
-    if problem.kind not in ("lipschitz-linear", "lipschitz-quadratic", "mixed"):
-        raise ProblemFileError(
-            "kind", f"ptas expects lipschitz-linear, lipschitz-quadratic, or mixed, got {problem.kind!r}"
-        )
+    problem = _load(args, "ptas")
     if problem.kind == "mixed":
-        return _run_mixed(problem, started, args.parallel)
-    epsilon = args.epsilon if args.epsilon is not None else problem.epsilon
-    if epsilon is None or not (math.isfinite(epsilon) and epsilon > 0):
+        if problem.weights is not None:
+            raise ProblemFileError("weights", "mixed problems have no weighted solver")
+        inner = linear_mixed_inner_solver(
+            problem.c, problem.c_cont, problem.A, problem.A_cont, problem.b
+        )
+        mixed = MixedProblem(n_int=problem.n, n_cont=problem.n_cont, inner_solver=inner)
+        solution = solve_mixed_integer(mixed, problem.radius, parallel=args.parallel)
+        y = None if solution.y is None else [format_value(v) for v in solution.y]
+        objective = format_value(solution.objective)
+        return _report(_solved(solution, objective, solution.inner_calls, y=y), started)
+    epsilon = problem.epsilon
+    if epsilon is None:
         raise ProblemFileError(
             "epsilon", "a finite positive epsilon is required (file field or --epsilon)"
         )
-    kappa = args.kappa if args.kappa is not None else problem.kappa
-    if kappa is None:
-        kappa = _derived_kappa(problem)
+    kappa = problem.kappa if problem.kappa is not None else _derived_kappa(problem)
     instance = problem.instance()
     lipschitz = LipschitzProblem(
         n=problem.n,
@@ -283,40 +291,16 @@ def _cmd_ptas(args) -> int:
         lipschitz=kappa,
         radius=float(problem.radius),
     )
-    solution = solve_lipschitz_ptas(lipschitz, epsilon, parallel=args.parallel)
-    result = {
-        "status": solution.status,
-        "objective": None if solution.objective is None else float(solution.objective),
-        "x": list(solution.x) if solution.x is not None else None,
-        "oracle_calls": solution.oracle_calls,
-        "points_enumerated": solution.points_enumerated,
-        "epsilon": epsilon,
-        "kappa": kappa,
-        "grid_radius": solution.grid_radius,
-        "step": solution.step,
-        "version": __version__,
-        "wall_time_ms": _elapsed_ms(started),
-    }
-    _emit(result)
-    return EXIT_OK if solution.status == "optimal" else EXIT_INFEASIBLE
-
-
-def _run_mixed(problem: ParsedProblem, started: float, parallel: int) -> int:
-    inner = linear_mixed_inner_solver(problem.c, problem.c_cont, problem.A, problem.A_cont, problem.b)
-    mixed = MixedProblem(n_int=problem.n, n_cont=problem.n_cont, inner_solver=inner)
-    solution = solve_mixed_integer(mixed, problem.radius, parallel=parallel)
-    result = {
-        "status": solution.status,
-        "objective": format_value(solution.objective),
-        "x": list(solution.x) if solution.x is not None else None,
-        "y": [format_value(v) for v in solution.y] if solution.y is not None else None,
-        "oracle_calls": solution.inner_calls,
-        "points_enumerated": solution.points_enumerated,
-        "version": __version__,
-        "wall_time_ms": _elapsed_ms(started),
-    }
-    _emit(result)
-    return EXIT_OK if solution.status == "optimal" else EXIT_INFEASIBLE
+    if problem.weights is not None:
+        solution = solve_weighted_lipschitz_ptas(
+            lipschitz, problem.weights, epsilon, parallel=args.parallel
+        )
+    else:
+        solution = solve_lipschitz_ptas(lipschitz, epsilon, parallel=args.parallel)
+    objective = None if solution.objective is None else float(solution.objective)
+    result = _solved(solution, objective, solution.oracle_calls)
+    result.update(epsilon=epsilon, kappa=kappa, grid_radius=solution.grid_radius, step=solution.step)
+    return _report(result, started)
 
 
 def _cmd_enumerate(args) -> int:
@@ -333,6 +317,37 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _solved(solution, objective, calls: int, **y) -> dict:
+    """The record of a solve: status, objective, x (and y), then counts."""
+    return {
+        "status": solution.status,
+        "objective": objective,
+        "x": None if solution.x is None else list(solution.x),
+        **y,
+        "oracle_calls": calls,
+        "points_enumerated": solution.points_enumerated,
+    }
+
+
+def _report(result: dict, started: float) -> int:
+    """Add ``version`` and ``wall_time_ms``, write ``result``, and return
+    the exit code of its ``status``: 0 for "ok", "optimal" or none, else 2."""
+    result["version"] = __version__
+    result["wall_time_ms"] = int(round(1000.0 * (time.perf_counter() - started)))
+    # Exact counts are written in full, past CPython's int-to-str limit;
+    # exact bounds never reach it (see counting.exact_digit_cap).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(result)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
+    return EXIT_OK if result.get("status", "ok") in ("ok", "optimal") else EXIT_INFEASIBLE
+
+
 def _derived_kappa(problem: ParsedProblem) -> float:
     """The shared Lipschitz constant of the file's forms; 1.0 when every
     form is constant, since any positive constant is then valid."""
@@ -344,26 +359,6 @@ def _derived_kappa(problem: ParsedProblem) -> float:
         rows_constant = linear_lipschitz_constant((0,) * problem.n, problem.A)
         kappa = max(objective_constant, rows_constant)
     return kappa or 1.0
-
-
-def _parse_radius(text: str, problem: ParsedProblem):
-    value = _parse_cli_number(text, "--lambda")
-    if value < 0:
-        raise ValueError("--lambda must be >= 0")
-    return value if problem.arithmetic != FLOAT else float(value)
-
-
-def _parse_weights(text: str, problem: ParsedProblem) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != problem.n:
-        raise ProblemFileError("--weights", f"expected {problem.n} comma-separated values")
-    weights = []
-    for i, part in enumerate(parts):
-        w = _parse_cli_number(part, f"--weights[{i}]")
-        if w <= 0:
-            raise ProblemFileError(f"--weights[{i}]", f"must be > 0, got {part}")
-        weights.append(w if problem.arithmetic != FLOAT else float(w))
-    return tuple(weights)
 
 
 def _parse_cli_number(text: str, label: str) -> Fraction:
@@ -395,24 +390,6 @@ def _default_tolerance(flag_value):
     if not math.isfinite(value):
         raise ValueError(f"{source} must be finite, got {value}")
     return value
-
-
-def _elapsed_ms(started: float) -> int:
-    return int(round(1000.0 * (time.perf_counter() - started)))
-
-
-def _emit(result: dict) -> None:
-    # Exact counts are written in full, past CPython's int-to-str limit;
-    # exact bounds never reach it (see counting.exact_digit_cap).
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        text = json.dumps(result)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-    sys.stdout.write(text + "\n")
 
 
 if __name__ == "__main__":

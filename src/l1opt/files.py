@@ -56,27 +56,26 @@ class ParsedProblem:
 
     def instance(self) -> ProblemInstance:
         """Build oracle-backed problem data for the integer solvers."""
-        if self.kind in ("ilp", "lipschitz-linear"):
-            return ProblemInstance.linear(self.c, self.A, self.b, arithmetic=self.arithmetic)
-        if self.kind in ("iqp", "lipschitz-quadratic"):
-            rows = tuple(
-                QuadraticConstraint(A=None, b=row, c=-beta) for row, beta in zip(self.A, self.b)
-            )
-            return ProblemInstance.quadratic(self.Q, self.c, rows, arithmetic=self.arithmetic)
-        if self.kind == "iqcqp":
-            return ProblemInstance.quadratic(
-                self.Q, self.c, self.quad_constraints, arithmetic=self.arithmetic
-            )
-        raise ProblemFileError("kind", f"{self.kind} has no direct integer-solver form")
+        if self.kind == "mixed":
+            raise ProblemFileError("kind", f"{self.kind} has no direct integer-solver form")
+        # Q is None for a linear objective; A and b are None for iqcqp,
+        # and quad_constraints for every other kind.
+        return ProblemInstance._with_rows(
+            self.Q, self.c, self.quad_constraints or (), self.A or (), self.b or (), self.arithmetic
+        )
 
 
 def load_problem(path: str) -> ParsedProblem:
+    return parse_problem(_read_document(path))
+
+
+def _read_document(path: str) -> Any:
+    """The JSON document of a problem file, before validation."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ProblemFileError("document", f"invalid JSON at line {exc.lineno}: {exc.msg}")
-    return parse_problem(doc)
 
 
 def parse_problem(doc: Any) -> ParsedProblem:
@@ -127,18 +126,11 @@ def parse_problem(doc: Any) -> ParsedProblem:
         kappa=kappa,
     )
 
-    if kind in ("ilp", "lipschitz-linear"):
-        fields["c"] = _vector(_require_present(doc, "c"), n, arithmetic, "c")
-        fields["A"] = _matrix(_require_present(doc, "A"), m, n, arithmetic, "A")
-        fields["b"] = _vector(_require_present(doc, "b"), m, arithmetic, "b")
-    elif kind in ("iqp", "lipschitz-quadratic"):
+    if kind in ("iqp", "iqcqp", "lipschitz-quadratic"):
         fields["Q"] = _matrix(_require_present(doc, "Q"), n, n, arithmetic, "Q")
+    if kind != "mixed":
         fields["c"] = _vector(_require_present(doc, "c"), n, arithmetic, "c")
-        fields["A"] = _matrix(_require_present(doc, "A"), m, n, arithmetic, "A")
-        fields["b"] = _vector(_require_present(doc, "b"), m, arithmetic, "b")
-    elif kind == "iqcqp":
-        fields["Q"] = _matrix(_require_present(doc, "Q"), n, n, arithmetic, "Q")
-        fields["c"] = _vector(_require_present(doc, "c"), n, arithmetic, "c")
+    if kind == "iqcqp":
         raw = _require_present(doc, "constraints")
         if not isinstance(raw, list) or len(raw) != m:
             raise ProblemFileError("constraints", f"must be a list of {m} entries")
@@ -176,6 +168,9 @@ def parse_problem(doc: Any) -> ParsedProblem:
         fields["A"] = _matrix(_require_present(doc, "A_x"), m, n, arithmetic, "A_x")
         fields["A_cont"] = _matrix(_require_present(doc, "A_y"), m, n_cont, arithmetic, "A_y")
         fields["b"] = _vector(_require_present(doc, "b"), m, arithmetic, "b")
+    else:
+        fields["A"] = _matrix(_require_present(doc, "A"), m, n, arithmetic, "A")
+        fields["b"] = _vector(_require_present(doc, "b"), m, arithmetic, "b")
 
     return ParsedProblem(**fields)
 
@@ -211,6 +206,15 @@ def _scalar(value: Any, arithmetic: str, fieldname: str) -> Any:
         raise ProblemFileError(fieldname, "missing required field")
     if isinstance(value, bool):
         raise ProblemFileError(fieldname, "booleans are not numbers")
+    if isinstance(value, float):
+        if arithmetic == RATIONAL:
+            raise ProblemFileError(
+                fieldname,
+                "bare floats are not exact; use a string or [num, den] pair",
+            )
+        if not math.isfinite(value):
+            raise ProblemFileError(fieldname, f"must be finite, got {value}")
+        return value
     try:
         if isinstance(value, int):
             return Fraction(value) if arithmetic == RATIONAL else float(value)
@@ -220,15 +224,6 @@ def _scalar(value: Any, arithmetic: str, fieldname: str) -> Any:
         if isinstance(value, list) and len(value) == 2:
             parsed = Fraction(int(value[0]), int(value[1]))
             return parsed if arithmetic == RATIONAL else float(parsed)
-        if isinstance(value, float):
-            if arithmetic == RATIONAL:
-                raise ProblemFileError(
-                    fieldname,
-                    "bare floats are not exact; use a string or [num, den] pair",
-                )
-            if not math.isfinite(value):
-                raise ProblemFileError(fieldname, f"must be finite, got {value}")
-            return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ProblemFileError(fieldname, f"not a valid number: {exc}")
     raise ProblemFileError(fieldname, f"unsupported value {value!r}")

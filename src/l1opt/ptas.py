@@ -160,11 +160,7 @@ def solve_lipschitz_ptas(
     _check_parallel(parallel)
     radius = grid_radius(problem.radius, problem.lipschitz, epsilon)
     step = epsilon / problem.lipschitz
-    best, calls, points = scan_ball(problem, radius, epsilon, step=step)
-    if best is None:
-        return ApproxSolution("no_feasible_grid_point", None, None, calls, points, radius, step)
-    value, _, x = best
-    return ApproxSolution("optimal", x, value, calls, points, radius, step)
+    return _approx_from(scan_ball(problem, radius, epsilon, step=step), radius, step)
 
 
 def solve_weighted_lipschitz_ptas(
@@ -197,7 +193,7 @@ def solve_weighted_lipschitz_ptas(
         else 0
     )
     costs = [spec.weights[i] for i in kept]
-    best, calls, points = scan_ball(
+    found = scan_ball(
         problem,
         effective_radius,
         epsilon,
@@ -206,12 +202,16 @@ def solve_weighted_lipschitz_ptas(
         costs=costs,
         budget=problem.radius + 1e-12,
     )
+    return _approx_from(found, scaled_radius, step)
+
+
+def _approx_from(found, radius: int, step: float) -> ApproxSolution:
+    """The :class:`ApproxSolution` of a grid walk's ``(best, calls, points)``."""
+    best, calls, points = found
     if best is None:
-        return ApproxSolution(
-            "no_feasible_grid_point", None, None, calls, points, scaled_radius, step
-        )
+        return ApproxSolution("no_feasible_grid_point", None, None, calls, points, radius, step)
     value, _, x = best
-    return ApproxSolution("optimal", x, value, calls, points, scaled_radius, step)
+    return ApproxSolution("optimal", x, value, calls, points, radius, step)
 
 
 def solve_mixed_integer(problem: MixedProblem, radius: Real, parallel: int = 1) -> MixedSolution:

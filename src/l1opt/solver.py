@@ -11,7 +11,9 @@ Arithmetic is either exact rational (Fraction coefficients, zero
 feasibility tolerance) or float (absolute per-constraint tolerance).
 The built-in linear and quadratic oracles are the dense left-to-right
 sums over the nonzero coefficients that ``tests/oracles.py`` keeps as
-the reference.
+the reference.  One builder makes both: a linear problem is a quadratic
+one with no matrices, each row a.x <= beta kept as
+``QuadraticConstraint(None, a, -beta)``.
 
 Every solver of a problem's oracles walks the ball through one
 function, :func:`scan_ball`: :func:`solve_l1_ip` and
@@ -141,14 +143,8 @@ class ProblemInstance:
 
     @classmethod
     def linear(cls, c, A, b, arithmetic: str = RATIONAL) -> "ProblemInstance":
-        c, A, b = _convert_linear(c, A, b, arithmetic)
-        objective, constraints = make_linear_oracle(c, A, b)
-        return cls(
-            n=len(c),
-            objective=objective,
-            constraints=constraints,
-            arithmetic=arithmetic,
-        )
+        """min c.x subject to A x <= b: the quadratic problem with no matrices."""
+        return cls._with_rows(None, c, (), A, b, arithmetic)
 
     @classmethod
     def quadratic(
@@ -158,80 +154,101 @@ class ProblemInstance:
         constraints: Sequence[QuadraticConstraint],
         arithmetic: str = RATIONAL,
     ) -> "ProblemInstance":
-        Q, c, rows = _convert_quadratic(Q, c, constraints, arithmetic)
-        objective, constraint_fn = make_quadratic_oracle(Q, c, rows)
-        return cls(
-            n=len(c),
-            objective=objective,
-            constraints=constraint_fn,
-            arithmetic=arithmetic,
+        return cls._with_rows(Q, c, constraints, (), (), arithmetic)
+
+    @classmethod
+    def _with_rows(cls, Q, c, constraints, A, b, arithmetic: str) -> "ProblemInstance":
+        """x'Qx + c.x, or c.x when Q is None, subject to the quadratic
+        ``constraints`` and then to A x <= b, in the arithmetic's type.
+
+        Each row of A is built once, as ``QuadraticConstraint(None, a,
+        -beta)``; beta is negated after its conversion, so string
+        coefficients such as ``"1/2"`` work.
+        """
+        if len(A) != len(b):
+            raise ShapeMismatchError("A and b disagree on the number of constraints")
+        number = Fraction if arithmetic == RATIONAL else float
+
+        def conv(v):
+            return number(_finite(v))
+
+        def matrix(M):
+            return None if M is None else tuple(tuple(map(conv, row)) for row in M)
+
+        rows = tuple(
+            QuadraticConstraint(matrix(row.A), tuple(map(conv, row.b)), conv(row.c))
+            for row in constraints
         )
+        rows += tuple(
+            QuadraticConstraint(None, tuple(map(conv, a)), -conv(beta)) for a, beta in zip(A, b)
+        )
+        c = tuple(map(conv, c))
+        objective, constraint_fn = _oracles(matrix(Q), c, rows)
+        return cls(n=len(c), objective=objective, constraints=constraint_fn, arithmetic=arithmetic)
 
 
 def make_linear_oracle(c: Sequence, A: Sequence[Sequence], b: Sequence):
     """Oracles for f(x) = c.x and g(x) = A x - b.
 
-    Each call is the dense left-to-right sum over the nonzero
-    coefficients, the reference sum of ``tests/oracles.py``.  Infinite or
-    NaN float coefficients raise ``ValueError``.  The oracles carry their
-    data as ``block_forms``, which lets the solvers evaluate whole blocks
-    of points at once (see :mod:`l1opt.blocks`).
+    The oracles of :func:`make_quadratic_oracle` with no matrices, each
+    row a.x <= beta kept as ``QuadraticConstraint(None, a, -beta)``;
+    ``d + (-beta)`` equals ``d - beta`` bit for bit.  Infinite or NaN
+    float coefficients raise ``ValueError``.
     """
-    n = len(c)
-    for row in A:
-        if len(row) != n:
-            raise ShapeMismatchError(f"constraint row has {len(row)} entries, expected {n}")
     if len(A) != len(b):
         raise ShapeMismatchError("A and b disagree on the number of constraints")
-    for v in chain(c, b, *A):
-        _finite(v)
-
-    def objective(x: Sequence):
-        return _dot(c, x)
-
-    def constraints(x: Sequence):
-        return tuple(_dot(row, x) - beta for row, beta in zip(A, b))
-
-    objective.block_forms = Forms(n, ((None, c, 0),))
-    constraints.block_forms = Forms(n, tuple((None, row, -beta) for row, beta in zip(A, b)))
-    return objective, constraints
+    return _oracles(None, c, tuple(QuadraticConstraint(None, row, -beta) for row, beta in zip(A, b)))
 
 
 def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[QuadraticConstraint]):
     """Oracles for f(x) = x'Qx + c.x and quadratic constraint rows.
 
     Each call is the dense left-to-right sums over the nonzero
-    coefficients, as for :func:`make_linear_oracle`.  Infinite or NaN
-    float coefficients raise ``ValueError``, and the oracles carry their
-    data as ``block_forms``.
+    coefficients, the reference sums of ``tests/oracles.py``.  Infinite
+    or NaN float coefficients raise ``ValueError``.  The oracles carry
+    their data as ``block_forms``, which lets the solvers evaluate whole
+    blocks of points at once (see :mod:`l1opt.blocks`).
     """
+    _check_square(Q, len(c), "Q")
+    return _oracles(Q, c, rows)
+
+
+def _oracles(Q, c: Sequence, rows: Sequence[QuadraticConstraint]):
+    """The built-in oracles of x'Qx + c.x, or of c.x when Q is None, and
+    of the rows x'Ax + b.x + c <= 0."""
     n = len(c)
-    _check_square(Q, n, "Q")
+    if Q is not None:
+        _check_square(Q, n, "Q")
     for k, row in enumerate(rows):
         if row.A is not None:
             _check_square(row.A, n, f"constraints[{k}].A")
         if len(row.b) != n:
             raise ShapeMismatchError(f"constraints[{k}].b has {len(row.b)} entries, expected {n}")
-    for v in chain(c, *Q):
+    for v in chain(c, *(Q or ())):
         _finite(v)
     for row in rows:
         for v in chain(row.b, (row.c,), *(row.A or ())):
             _finite(v)
+    forms = tuple((row.A, row.b, row.c) for row in rows)
 
-    def objective(x: Sequence):
-        return _quad_form(Q, x) + _dot(c, x)
+    if Q is None:
+
+        def objective(x: Sequence):
+            return _dot(c, x)
+
+    else:
+
+        def objective(x: Sequence):
+            return _quad_form(Q, x) + _dot(c, x)
 
     def constraints(x: Sequence):
-        values = []
-        for row in rows:
-            value = _dot(row.b, x) + row.c
-            if row.A is not None:
-                value += _quad_form(row.A, x)
-            values.append(value)
-        return tuple(values)
+        return tuple(
+            _dot(b, x) + const if A is None else _dot(b, x) + const + _quad_form(A, x)
+            for A, b, const in forms
+        )
 
     objective.block_forms = Forms(n, ((Q, c, 0),))
-    constraints.block_forms = Forms(n, tuple((row.A, row.b, row.c) for row in rows))
+    constraints.block_forms = Forms(n, forms)
     return objective, constraints
 
 
@@ -376,38 +393,3 @@ def _finite(v):
 def _check_square(M: Sequence[Sequence], n: int, name: str) -> None:
     if len(M) != n or any(len(row) != n for row in M):
         raise ShapeMismatchError(f"{name} must be {n}x{n}")
-
-
-def _converter(arithmetic: str):
-    conv = Fraction if arithmetic == RATIONAL else float
-
-    def convert(v):
-        return conv(_finite(v))
-
-    return convert
-
-
-def _convert_linear(c, A, b, arithmetic: str):
-    conv = _converter(arithmetic)
-    return (
-        tuple(conv(v) for v in c),
-        tuple(tuple(conv(v) for v in row) for row in A),
-        tuple(conv(v) for v in b),
-    )
-
-
-def _convert_quadratic(Q, c, constraints, arithmetic: str):
-    conv = _converter(arithmetic)
-    rows = tuple(
-        QuadraticConstraint(
-            A=None if row.A is None else tuple(tuple(conv(v) for v in r) for r in row.A),
-            b=tuple(conv(v) for v in row.b),
-            c=conv(row.c),
-        )
-        for row in constraints
-    )
-    return (
-        tuple(tuple(conv(v) for v in row) for row in Q),
-        tuple(conv(v) for v in c),
-        rows,
-    )

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import l1opt
-from l1opt import cli
+from l1opt import cli, files
 
 ILP = {
     "kind": "ilp",
@@ -32,6 +32,20 @@ LIPSCHITZ = {
     "c": [1.0, 0.0],
     "A": [[0.0, 0.0]],
     "b": [1.0],
+}
+
+MIXED = {
+    "kind": "mixed",
+    "n": 2,
+    "p": 1,
+    "m": 1,
+    "arithmetic": "rational",
+    "lambda": "1",
+    "c_x": ["1", "1"],
+    "c_y": ["1"],
+    "A_x": [["0", "0"]],
+    "A_y": [["-1"]],
+    "b": ["0"],
 }
 
 
@@ -296,6 +310,144 @@ def test_bound_stdout_of_a_region_without_the_origin():
     assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
 
 
+def test_weighted_ptas_stdout_of_a_2_dimensional_problem():
+    # Weights (1, 100) with lambda = 2 pin x_2 to zero, so the best grid
+    # point is the origin.  Without the weights ptas printed x = [0.0, 2.0],
+    # whose weighted norm is 200.
+    data = pathlib.Path(__file__).parent / "data"
+    result = run_cli("ptas", data / "weighted_ptas.json")
+    assert result.returncode == 0, result.stderr
+    head, tail = result.stdout.rsplit(', "version"', 1)
+    assert head + "\n" == (data / "weighted_ptas.stdout").read_text()
+    assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
+    doc = json.loads((data / "weighted_ptas.json").read_text())
+    problem = l1opt.LipschitzProblem(
+        n=2,
+        objective=lambda x: -x[1],
+        constraints=lambda x: (),
+        lipschitz=1.0,
+        radius=doc["lambda"],
+    )
+    library = l1opt.solve_weighted_lipschitz_ptas(problem, doc["weights"], doc["epsilon"])
+    out = json.loads(result.stdout)
+    assert library.x == (0.0, 0.0) and library.oracle_calls == 9
+    assert out["x"] == list(library.x) and out["objective"] == library.objective
+    assert (out["oracle_calls"], out["points_enumerated"]) == (9, library.points_enumerated)
+    assert (out["grid_radius"], out["step"]) == (library.grid_radius, library.step)
+
+
+QUADRATIC_LIPSCHITZ = {
+    "kind": "lipschitz-quadratic",
+    "n": 2,
+    "m": 1,
+    "arithmetic": "rational",
+    "lambda": "3/2",
+    "epsilon": "1/4",
+    "kappa": "4",
+    "weights": ["1", "3/2"],
+    "Q": [["1", "0"], ["0", "-1"]],
+    "c": ["-1/2", "1"],
+    "A": [["1", "1"]],
+    "b": ["1"],
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(LIPSCHITZ, weights=[0.5, 2.0], c=[-1.0, -1.0], A=[[1.0, -1.0]], b=[0.5]),
+        QUADRATIC_LIPSCHITZ,
+    ],
+)
+def test_ptas_with_weights_is_the_weighted_scheme(tmp_path, doc):
+    result = run_cli("ptas", write(tmp_path, doc))
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    parsed = files.parse_problem(doc)
+    instance = parsed.instance()
+    problem = l1opt.LipschitzProblem(
+        n=parsed.n,
+        objective=instance.objective,
+        constraints=instance.constraints,
+        lipschitz=out["kappa"],
+        radius=float(parsed.radius),
+    )
+    weighted = l1opt.solve_weighted_lipschitz_ptas(problem, parsed.weights, parsed.epsilon)
+    plain = l1opt.solve_lipschitz_ptas(problem, parsed.epsilon)
+    assert (weighted.x, weighted.points_enumerated) != (plain.x, plain.points_enumerated)
+    assert out["status"] == weighted.status
+    assert out["x"] == list(weighted.x) and out["objective"] == float(weighted.objective)
+    assert out["oracle_calls"] == weighted.oracle_calls
+    assert out["points_enumerated"] == weighted.points_enumerated
+    assert (out["grid_radius"], out["step"]) == (weighted.grid_radius, weighted.step)
+
+
+def test_ptas_refuses_weights_on_a_mixed_file(tmp_path):
+    result = run_cli("ptas", write(tmp_path, dict(MIXED, weights=["1", "2"])))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: weights")
+
+
+def test_bound_reads_only_the_region(tmp_path):
+    box = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    doc = dict(LIPSCHITZ, m=4, A=box, b=[1.0, 2.0, 0.0, 1.0])
+    plain = run_cli("bound", write(tmp_path, doc))
+    weighted = run_cli("bound", write(tmp_path, dict(doc, weights=[1.0, 100.0]), "weighted.json"))
+    assert plain.returncode == weighted.returncode == 0, weighted.stderr
+    assert _without_timing(weighted.stdout) == _without_timing(plain.stdout)
+
+
+def _without_timing(stdout):
+    return re.sub(r'"wall_time_ms": \d+', "", stdout)
+
+
+@pytest.mark.parametrize(
+    "doc, text",
+    [
+        (ILP, "5/2"),
+        (ILP, "2.5"),
+        (dict(ILP, arithmetic="float", c=[-1.0, -1.0], A=[[1.0, 1.0]], b=[1.0]), "5/2"),
+        (dict(ILP, arithmetic="float", c=[-1.0, -1.0], A=[[1.0, 1.0]], b=[1.0]), "2.5"),
+    ],
+)
+def test_lambda_flag_acts_as_the_file_field(tmp_path, doc, text):
+    flag = run_cli("solve", write(tmp_path, doc), "--lambda", text)
+    edited = run_cli("solve", write(tmp_path, dict(doc, **{"lambda": text}), "edited.json"))
+    assert flag.returncode == edited.returncode == 0, flag.stderr
+    assert _without_timing(flag.stdout) == _without_timing(edited.stdout)
+    assert json.loads(flag.stdout)["points_enumerated"] == 13
+
+
+def test_weights_flag_acts_as_the_file_field(tmp_path):
+    unconstrained = dict(ILP, A=[["0", "0"]], b=["0"])
+    flag = run_cli("solve", write(tmp_path, unconstrained), "--weights", "1/2, 3")
+    edited = run_cli("solve", write(tmp_path, dict(unconstrained, weights=["1/2", "3"]), "edited.json"))
+    assert flag.returncode == edited.returncode == 0, flag.stderr
+    assert _without_timing(flag.stdout) == _without_timing(edited.stdout)
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags, field",
+    [
+        ("solve", ILP, ("--weights", "1,2,3"), "weights:"),
+        ("solve", ILP, ("--weights", "1"), "weights:"),
+        ("solve", ILP, ("--weights", "1,0"), "weights[1]:"),
+        ("solve", ILP, ("--weights", "1,x"), "weights[1]:"),
+        ("solve", ILP, ("--lambda", "-1"), "lambda:"),
+        ("solve", ILP, ("--lambda", "x"), "lambda:"),
+        ("ptas", LIPSCHITZ, ("--epsilon", "0"), "epsilon:"),
+        ("ptas", LIPSCHITZ, ("--epsilon", "-0.5"), "epsilon:"),
+        ("ptas", LIPSCHITZ, ("--kappa", "0"), "kappa:"),
+    ],
+)
+def test_bad_field_flags_exit_1(tmp_path, command, doc, flags, field):
+    result = run_cli(command, write(tmp_path, doc), *flags)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: " + field)
+
+
 def test_ptas_linear(tmp_path):
     result = run_cli("ptas", write(tmp_path, LIPSCHITZ))
     assert result.returncode == 0
@@ -377,20 +529,7 @@ def test_ptas_non_finite_parameters_exit_1(tmp_path, flags, doc):
 
 
 def test_ptas_mixed(tmp_path):
-    doc = {
-        "kind": "mixed",
-        "n": 2,
-        "p": 1,
-        "m": 1,
-        "arithmetic": "rational",
-        "lambda": "1",
-        "c_x": ["1", "1"],
-        "c_y": ["1"],
-        "A_x": [["0", "0"]],
-        "A_y": [["-1"]],
-        "b": ["0"],
-    }
-    result = run_cli("ptas", write(tmp_path, doc))
+    result = run_cli("ptas", write(tmp_path, MIXED))
     assert result.returncode == 0
     out = json.loads(result.stdout)
     assert out["objective"] == "-1"

@@ -89,6 +89,41 @@ def test_solve_ilp_example():
     assert solution.status == "optimal"
 
 
+@pytest.mark.parametrize(
+    "mode, number, c, A, b",
+    [
+        (
+            RATIONAL,
+            Fraction,
+            ("1/2", "-3", "0"),
+            (("1", "-2/3", "0.25"), ("0", "0", "-1"), ("0", "0", "0")),
+            ("1/2", "-7/4", "0"),
+        ),
+        (
+            FLOAT,
+            float,
+            ("0.5", "-3", "0"),
+            (("1", "-0.1", "0.25"), ("0", "0", "-1"), ("0", "0", "0")),
+            ("0.3", "-1.75", "0"),
+        ),
+    ],
+)
+def test_linear_with_string_coefficients_equals_the_converted_instance(mode, number, c, A, b):
+    # Each row is kept as (None, a, -beta), with beta negated after its
+    # conversion: negating the string "-7/4" itself would fail.
+    text = ProblemInstance.linear(c, A, b, arithmetic=mode)
+    converted = ProblemInstance.linear(
+        tuple(number(Fraction(v)) for v in c),
+        tuple(tuple(number(Fraction(v)) for v in row) for row in A),
+        tuple(number(Fraction(v)) for v in b),
+        arithmetic=mode,
+    )
+    for point in iter_l1_points(3, 2):
+        assert repr(text.evaluate(point.x)) == repr(converted.evaluate(point.x))
+    # At the origin each residual is 0 + (-beta), which is 0 - beta: 0.0, not -0.0.
+    assert repr(text.constraints((0, 0, 0))) == repr(tuple(0 - number(Fraction(v)) for v in b))
+
+
 def test_solve_radius_zero():
     problem = ProblemInstance.linear((5, 5), ((0, 0),), (0,))
     solution = solve_l1_ip(problem, 0)
