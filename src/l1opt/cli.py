@@ -3,9 +3,10 @@
 Commands: solve, count, bound, ptas, enumerate.  Results go to stdout
 as a single JSON document (newline-delimited JSON arrays for the point
 stream of ``enumerate``); diagnostics go to stderr.  Exit codes: 0 on
-success, 1 on input or usage errors, 2 when a solve is infeasible or no
-grid point passes the relaxed test, 3 when the continuous relaxation of
-a bound query is unbounded.
+success, 1 on input or usage errors and when the continuous part of a
+mixed problem is unbounded, 2 when a solve is infeasible or no grid
+point passes the relaxed test, 3 when the continuous relaxation of a
+bound query is unbounded.
 
 Every file command loads its file through one path: the flags
 ``--lambda``, ``--weights`` (split on commas), ``--epsilon`` and
@@ -40,7 +41,7 @@ from .counting import (
     l1_count_lower_bound,
     l1_count_upper_bound,
 )
-from .errors import ProblemFileError, RegionInfeasibleError, RegionUnboundedError
+from .errors import InnerSolverError, ProblemFileError, RegionInfeasibleError, RegionUnboundedError
 from .files import ParsedProblem, _read_document, format_value, parse_problem
 from .lattice import iter_l1_points
 from .ptas import (
@@ -71,8 +72,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.handler(args)
-    except (ValueError, RegionInfeasibleError) as exc:
-        # ValueError covers ProblemFileError and InvalidDimensionError.
+    except (ValueError, RegionInfeasibleError, InnerSolverError) as exc:
+        # ValueError covers ProblemFileError and InvalidDimensionError;
+        # InnerSolverError is a mixed problem's unbounded continuous part.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except RegionUnboundedError as exc:

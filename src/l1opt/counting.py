@@ -163,12 +163,7 @@ def l1_count_upper_bound(
     (e.g. n=2, radius=1, slack near 0 gives 4 < 5), so treat it as a
     formula evaluator rather than a certified count bound.
     """
-    _require_bound_dimension(n)
-    _require_slack(slack)
-    rho = floor_radius(radius)
-    if simplified:
-        return BigBound.from_power(n, 4 * rho * rho)
-    return BigBound.from_power(n, _slack_exponent(rho, slack))
+    return BigBound.from_power(n, _count_exponent(n, radius, slack, simplified))
 
 
 def l1_count_lower_bound(n: int) -> int:
@@ -189,12 +184,7 @@ def oracle_complexity_bound(
     per-point generation work: n^(4*rho^2 + 1) simplified, or
     n^(((2+slack)*rho)^2/2 + 1) with the slack parameter.
     """
-    _require_bound_dimension(n)
-    _require_slack(slack)
-    rho = floor_radius(radius)
-    if simplified:
-        return BigBound.from_power(n, 4 * rho * rho + 1)
-    return BigBound.from_power(n, _slack_exponent(rho, slack) + 1)
+    return BigBound.from_power(n, _count_exponent(n, radius, slack, simplified) + 1)
 
 
 def gaussian_width_bound(n: int, radius: Real) -> float:
@@ -236,7 +226,14 @@ def estimate_gaussian_width(
     return mean, stderr
 
 
-def _slack_exponent(rho: int, slack: Real) -> Real:
+def _count_exponent(n: int, radius: Real, slack: Real, simplified: bool) -> Real:
+    """The exponent of n in the point-count bound, 4 rho^2 or
+    ((2 + slack) rho)^2 / 2, once n and the slack are checked."""
+    _require_bound_dimension(n)
+    _require_slack(slack)
+    rho = floor_radius(radius)
+    if simplified:
+        return 4 * rho * rho
     if isinstance(slack, (int, Fraction)):
         return ((2 + Fraction(slack)) * rho) ** 2 / 2
     return ((2.0 + float(slack)) * rho) ** 2 / 2.0

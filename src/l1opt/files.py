@@ -65,10 +65,6 @@ class ParsedProblem:
         )
 
 
-def load_problem(path: str) -> ParsedProblem:
-    return parse_problem(_read_document(path))
-
-
 def _read_document(path: str) -> Any:
     """The JSON document of a problem file, before validation."""
     with open(path, "r", encoding="utf-8") as handle:

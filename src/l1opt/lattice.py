@@ -51,15 +51,6 @@ class LatticePoint(NamedTuple):
     ordinal: int
 
 
-def _ball_count(n: int, rho: int) -> int:
-    """Point count of the rho-ball in dimension n, extended to n = 0 and rho < 0."""
-    if rho < 0:
-        return 0
-    if n == 0:
-        return 1
-    return count_l1_lattice(n, rho)
-
-
 def iter_l1_points(n: int, radius: Real) -> Iterator[LatticePoint]:
     """Every integer point of the radius-scaled l1 ball, exactly once.
 
@@ -225,7 +216,7 @@ def canonical_ordinal(x: Sequence[int], radius: Real) -> int:
         remaining = n - i - 1
         for d in range(mag):
             weight = 1 << (nonzero_seen + (1 if d else 0))
-            rank += weight * _ball_count(remaining, budget - d)
+            rank += weight * (count_l1_lattice(remaining, budget - d) if remaining else 1)
         budget -= mag
         if mag:
             nonzero_seen += 1

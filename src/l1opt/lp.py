@@ -42,14 +42,16 @@ of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
   pinned rows' duals follow by back-substitution.  The basis is accepted
   only when, exactly, the basic values are >= 0, every row holds, and
   the duals and the reduced costs of the nonbasic columns are >= 0:
-  primal and dual feasibility, so the point is optimal.
+  primal and dual feasibility, so the point is optimal.  The certificate
+  is that point z and its value; whether the optimum is unique is not
+  decided.
 - *Fallback.*  Data past the float range, a non-finite value, the cap, a
   singular basis, a failed check or a guide status other than optimal
   all lead to ``lp_solve``.  Status and value are therefore always
   ``lp_solve``'s, and exact.  ``x`` is an exact optimal point; it is
-  ``lp_solve``'s vertex whenever every nonbasic reduced cost is positive,
-  since the optimum is then unique, and may be another optimal vertex at
-  a tie.  ``LPResult.certified`` says which path answered.
+  ``lp_solve``'s vertex whenever the optimum is unique, and may be
+  another optimal vertex at a tie.  ``LPResult.certified`` says which
+  path answered.
 
 On the 2n + 1 LPs of ``complexity.estimate_bound`` at 12 variables and
 48 rows, the guide's basis passes.  The 2n coordinate LPs share their
@@ -155,7 +157,7 @@ def lp_optimum(
     optimal vertex.  ``certified`` tells which path answered.
     """
     form = _leq_form("lp_optimum", c, A, b, sense, lower, upper)
-    return LPResult(INFEASIBLE, None, None) if form is None else form.optimum()
+    return LPResult(INFEASIBLE, None, None) if form is None else next(_optima([form]))
 
 
 class _LeqForm(NamedTuple):
@@ -196,10 +198,6 @@ class _LeqForm(NamedTuple):
             return LPResult(status, None, None, pivots)
         return self.result(z, value, pivots)
 
-    def optimum(self) -> LPResult:
-        """The result at the guide's basis if :func:`_certify` accepts it, else :meth:`solve`."""
-        return next(_optima([self]))
-
     def result(
         self, z: list[Fraction], value: Fraction, pivots: int, certified: bool = False
     ) -> LPResult:
@@ -219,7 +217,8 @@ class _LeqForm(NamedTuple):
 
 
 def _optima(forms: Sequence[_LeqForm]) -> Iterator[LPResult]:
-    """``form.optimum()`` for each form, in order, as they are asked for.
+    """For each form, in order, as they are asked for: the result at the
+    guide's basis if :func:`_certify` accepts it, else ``form.solve()``.
 
     Consecutive forms that share one region's rows (priced from one
     :func:`_leq_rows` form) share one stacked guide, :func:`_guide_bases`;
@@ -232,7 +231,7 @@ def _optima(forms: Sequence[_LeqForm]) -> Iterator[LPResult]:
             if certificate is None:
                 yield form.solve()
             else:
-                yield form.result(certificate.z, certificate.value, 0, certified=True)
+                yield form.result(*certificate, 0, certified=True)
 
 
 def _leq_form(where, c, A, b, sense, lower, upper) -> Optional[_LeqForm]:
@@ -514,14 +513,9 @@ class _Tableau:
         self.rows = [[row[j] for j in keep] for row in self.rows]
 
 
-class _Certificate(NamedTuple):
-    z: list[Fraction]
-    value: Fraction  # cost.z
-    unique: bool  # every nonbasic reduced cost is positive, so z is the only optimum
-
-
-def _certify(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certificate]:
-    """Check in exact arithmetic that ``basis`` is an optimal basis of ``form``.
+def _certify(form: _LeqForm, basis: Sequence[int]) -> Optional[tuple[list[Fraction], Fraction]]:
+    """``(z, cost.z)`` at ``basis`` when exact arithmetic shows it is an
+    optimal basis of ``form``, else None.
 
     A basis names m variables (z_j is j, the slack of row i is nz + i).
     Its basic z columns and its tight rows (those whose slack is
@@ -532,8 +526,9 @@ def _certify(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certificate]:
     transposed, for the duals of its rows; each pinned row's dual then
     follows by back-substitution.  The basis is optimal when the basic
     values are >= 0, every other row holds, and the duals and the reduced
-    costs of the nonbasic z columns are >= 0.  Returns None otherwise, or
-    when the system is singular, as it is when two rows pin one column.
+    costs of the nonbasic z columns are >= 0: primal and dual
+    feasibility, and nothing more.  Returns None otherwise, or when the
+    system is singular, as it is when two rows pin one column.
     """
     rows, rhs, cost = form.rows, form.rhs, form.cost
     m, nz = len(rows), len(cost)
@@ -577,27 +572,13 @@ def _certify(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certificate]:
     e *= scale  # every dual is duals[.] / e
     if any(y < 0 for y in duals.values()):
         return None
-    # A free x_j is z_p - z_q; when one of the two is basic the other's
-    # reduced cost is zero without making the optimum ambiguous.
-    twins = {}
-    for sub in form.subs:
-        if sub[0] == "split":
-            twins[sub[1]], twins[sub[2]] = sub[2], sub[1]
-    basic = set(cols)
-    unique = all(duals.values())
-    for j in range(nz):
-        if j in basic:
-            continue
-        reduced = cost[j] * e + sum(rows[i][j] * y for i, y in duals.items() if y)
-        if reduced < 0:
+    for j in set(range(nz)).difference(cols):  # the nonbasic z columns
+        if cost[j] * e + sum(rows[i][j] * y for i, y in duals.items() if y) < 0:
             return None
-        if reduced == 0 and twins.get(j) not in basic:
-            unique = False
     z = [_ZERO] * nz
     for j, v in zip(cols, values):
         z[j] = Fraction(v, d)
-    value = Fraction(sum(cost[j] * v for j, v in zip(cols, values)), d)
-    return _Certificate(z, value, unique)
+    return z, Fraction(sum(cost[j] * v for j, v in zip(cols, values)), d)
 
 
 def _solve_square(M: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:

@@ -121,7 +121,7 @@ def _phase_two(
         row[:nz] = cost / (np.abs(cost).max(initial=0.0) or 1.0)
         row -= row[basis] @ T[:m]
     found = [list(basis) for _ in todo]
-    done = _float_pivots(stack, found, nz + m, budget, finite=True)
+    done = _float_pivots(stack, found, nz + m, budget)
     bases: list[Optional[list[int]]] = [None] * len(costs)
     for (k, _), left, basis_k in zip(todo, done, found):
         if left is not None:
@@ -130,16 +130,17 @@ def _phase_two(
 
 
 def _float_pivots(
-    stack: np.ndarray, bases: list[list[int]], limit: int, budget: int, finite: bool = False
+    stack: np.ndarray, bases: list[list[int]], limit: int, budget: int
 ) -> list[Optional[int]]:
     """Dantzig-rule pivots on columns below ``limit``, in step on every
     tableau of ``stack`` (one basis each), until each is optimal.
 
     Returns, per tableau, the budget left when it stopped optimal, or None
-    when it looks unbounded, when the budget runs out or, with ``finite``,
-    when it stopped holding a non-finite value.  A tableau that is done
-    leaves its slot to the last one still pivoting, so the work is always
-    on a prefix of the stack; the stack is left in no particular order.
+    when it looks unbounded, when the budget runs out or when it stopped
+    holding a non-finite value, which no later pivot makes finite again.
+    A tableau that is done leaves its slot to the last one still
+    pivoting, so the work is always on a prefix of the stack; the stack
+    is left in no particular order.
     """
     m = stack.shape[1] - 1
     at_slot = list(range(len(bases)))  # slot -> index of its tableau
@@ -166,7 +167,7 @@ def _float_pivots(
             rows[stray] = fits[stray].argmax(axis=1)
         done = np.flatnonzero(~entering | unbounded)
         for s in done[::-1]:
-            if not entering[s] and not (finite and not np.isfinite(T[s]).all()):
+            if not entering[s] and np.isfinite(T[s]).all():
                 left[at_slot[s]] = budget - spent
             live -= 1
             if s != live:

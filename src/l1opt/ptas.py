@@ -28,7 +28,9 @@ When its inner solver is the one of :func:`linear_mixed_inner_solver`,
 by LP duality the inner value is the largest of fixed linear forms in
 the integer block, and by Farkas' lemma feasibility is a fixed set of
 linear rows, so the block evaluator decides every point exactly and
-one LP runs, at the winner.  Other inner solvers run once per point.
+one LP runs, at the winner.  Both read one copy of the rows of
+[A_int | A_cont | b], each scaled to ints once.  Other inner solvers
+run once per point.
 
 kappa is caller-supplied.  Supplying an underestimate voids the
 guarantee, and nothing here checks it.
@@ -107,15 +109,12 @@ class MixedProblem:
 
     ``inner_solver`` receives the integer block and must return the
     exact (or tolerance-documented) optimum of the convex subproblem in
-    the continuous block.  The joint oracles are optional and only used
-    for auditing.
+    the continuous block.
     """
 
     n_int: int
     n_cont: int
     inner_solver: Callable[[tuple[int, ...]], InnerSolution]
-    objective: Optional[Callable] = None
-    constraints: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -287,32 +286,32 @@ class _DualForms:
     of the forms (c_int + A_int'u).x - u.b, and feasibility is the rows
     (A_int'v).x - v.b <= 0, which the block evaluator sums exactly.
 
-    Each constraint row, and c_cont, is scaled to ints.  One table holds
-    the signed minors of [A_cont; -c_cont] on its first columns, built by
-    Laplace expansion.  With p columns, the vertices come by Cramer's
-    rule from the p-subsets of rows with a nonzero minor, kept when
-    u >= 0, and the rays from the kernels of the (p+1)-subsets, kept
-    when their signs agree.  The objective's forms share one denominator,
-    so their largest value is exact; each row is scaled on its own.
+    It reads the rows of [A_int | A_cont | b] and c_int that the inner
+    solver scaled to ints, each over its own denominator, and scales
+    c_cont the same way.  One table holds the signed minors of
+    [A_cont; -c_cont] on its first columns, built by Laplace expansion.
+    With p columns, the vertices come by Cramer's rule from the p-subsets
+    of rows with a nonzero minor, kept when u >= 0, and the rays from the
+    kernels of the (p+1)-subsets, kept when their signs agree.  The
+    objective's forms share one denominator, so their largest value is
+    exact; each row is scaled on its own.
     ``forms`` is None when no vertex exists: A_cont lacks full column
     rank, or D is empty, and then a feasible point has an unbounded
     inner LP.
     """
 
-    def __init__(self, c_int, c_cont, A_int, A_cont, b):
-        self.n, self.m, self.p = len(c_int), len(b), len(c_cont)
-        p = self.p
-        self.data = (c_int, c_cont, A_int, A_cont, b)
+    def __init__(self, rows, c_ints, ci_scale, c_cont):
+        self.n, self.m, self.p = len(c_ints), len(rows), len(c_cont)
+        self.data = (rows, c_ints, ci_scale, c_cont)
         # Entries of the minor table, then the ray subsets.
-        tables = sum(math.comb(self.m + 1, k) for k in range(1, p + 1))
-        self.subsets = tables + math.comb(self.m, p + 1)
+        tables = sum(math.comb(self.m + 1, k) for k in range(1, self.p + 1))
+        self.subsets = tables + math.comb(self.m, self.p + 1)
 
     @cached_property
     def forms(self) -> Optional[tuple[Forms, Forms]]:
         """``(objective, rows)`` over ints, or None without a vertex."""
-        c_int, c_cont, A_int, A_cont, b = self.data
-        n, m, p = self.n, self.m, len(c_cont)
-        rows = [_scaled(a + c + [beta])[0] for a, c, beta in zip(A_int, A_cont, b)]
+        rows, c_ints, ci_scale, c_cont = self.data
+        n, m, p = self.n, self.m, self.p
         cont, c_scale = _scaled(c_cont)
         matrix = [row[n : n + p] for row in rows] + [[-v for v in cont]]
         # minors[S]: the determinant of rows S (sorted) and columns
@@ -351,7 +350,6 @@ class _DualForms:
         # With w = delta * c_scale * u, the form over the common denominator
         # lcm * c_scale * ci_scale is lcm * c_scale * c_int + (lcm / delta)
         # * ci_scale * (A_int'w, -w.b).
-        c_ints, ci_scale = _scaled(c_int)
         lcm = math.lcm(*[delta for _, delta in vertices])
         objective = []
         for w, delta in vertices:
@@ -408,21 +406,16 @@ def linear_mixed_inner_solver(
         for i, row in enumerate(matrix):
             if len(row) != width:
                 raise ShapeMismatchError(f"{name}[{i}] has {len(row)} entries, expected {width}")
-    # Each row of [A_int | b] and c_int over its own common denominator,
-    # so that b - A_int x and c_int.x cost integer sums and one Fraction.
-    scaled_rows = []
-    for row, beta in zip(A_int, b):
-        ints, scale = _scaled(row + [beta])
-        scaled_rows.append((ints[:-1], ints[-1], scale))
+    # Each row of [A_int | A_cont | b], and c_int, over its own common
+    # denominator, so that b - A_int x and c_int.x cost integer sums and
+    # one Fraction; the dual forms read the same rows.
+    scaled = [_scaled(a + c + [beta]) for a, c, beta in zip(A_int, A_cont, b)]
     c_ints, c_scale = _scaled(c_int)
 
     def inner(x: tuple[int, ...]) -> InnerSolution:
         if len(x) != n:
             raise ShapeMismatchError(f"the integer block has {len(x)} entries, expected {n}")
-        rhs = [
-            Fraction(beta - sum(a * v for a, v in zip(row, x)), scale)
-            for row, beta, scale in scaled_rows
-        ]
+        rhs = [Fraction(row[-1] - sum(a * v for a, v in zip(row, x)), scale) for row, scale in scaled]
         result = lp_solve(c_cont, A_cont, rhs, sense="min")
         if result.status == INFEASIBLE:
             return InnerSolution("infeasible", None, None)
@@ -431,7 +424,7 @@ def linear_mixed_inner_solver(
         fixed = Fraction(sum(ci * v for ci, v in zip(c_ints, x)), c_scale)
         return InnerSolution("optimal", result.x, fixed + result.value)
 
-    inner.dual_forms = _DualForms(c_int, c_cont, A_int, A_cont, b)
+    inner.dual_forms = _DualForms([row for row, _ in scaled], c_ints, c_scale, c_cont)
     return inner
 
 

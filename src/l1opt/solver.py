@@ -54,6 +54,7 @@ from typing import Callable, Optional, Sequence
 from .blocks import Forms, block_evaluator, block_scan, point_evaluator
 from .counting import Real, floor_radius
 from .errors import InvalidDimensionError, InvalidWeightsError, ShapeMismatchError
+from .lp import _scaled
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -162,15 +163,21 @@ class ProblemInstance:
         ``constraints`` and then to A x <= b, in the arithmetic's type.
 
         Each row of A is built once, as ``QuadraticConstraint(None, a,
-        -beta)``; beta is negated after its conversion, so string
-        coefficients such as ``"1/2"`` work.
+        -beta)``; beta is negated after its conversion.  Strings such as
+        ``"1/2"`` are read as Fractions in both modes, and a float-mode
+        value past the float range raises ``ValueError``.
         """
         if len(A) != len(b):
             raise ShapeMismatchError("A and b disagree on the number of constraints")
-        number = Fraction if arithmetic == RATIONAL else float
 
         def conv(v):
-            return number(_finite(v))
+            value = Fraction(v) if isinstance(v, str) else _finite(v)
+            if arithmetic == RATIONAL:
+                return Fraction(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ValueError(f"coefficient {v!r} is past the float range") from None
 
         def matrix(M):
             return None if M is None else tuple(tuple(map(conv, row)) for row in M)
@@ -209,7 +216,6 @@ def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[Qua
     their data as ``block_forms``, which lets the solvers evaluate whole
     blocks of points at once (see :mod:`l1opt.blocks`).
     """
-    _check_square(Q, len(c), "Q")
     return _oracles(Q, c, rows)
 
 
@@ -265,7 +271,7 @@ def solve_l1_ip(
     threshold cut the run short.
     """
     opts = options or SolveOptions()
-    tol = _feasibility_tolerance(problem, opts)
+    tol = 0 if problem.arithmetic == RATIONAL else _float_tolerance(opts)
     return _solution_from(*scan_ball(problem, floor_radius(radius), tol, opts.stop_below))
 
 
@@ -290,8 +296,8 @@ def solve_weighted_l1_ip(
             f"weights has {len(weighted.weights)} entries, expected {problem.n}"
         )
     opts = options or SolveOptions()
-    tol = _feasibility_tolerance(problem, opts)
     exact = problem.arithmetic == RATIONAL
+    tol = 0 if exact else _float_tolerance(opts)
     conv = Fraction if exact else float
     # An infinite weight has no Fraction; it pins its coordinate as is.
     weights = tuple(w if w == math.inf else conv(w) for w in weighted.weights)
@@ -301,12 +307,10 @@ def solve_weighted_l1_ip(
     rho = floor_radius(radius / min(weights))
     if exact:
         # Clear denominators once: the budget test runs on Python ints.
-        unit = math.lcm(radius.denominator, *(weights[i].denominator for i in kept))
-        costs = [int(weights[i] * unit) for i in kept]
-        budget = int(radius * unit)
+        *costs, budget = _scaled([*(weights[i] for i in kept), radius])[0]
     else:
         costs = [weights[i] for i in kept]
-        budget = radius + _float_tolerance(opts)
+        budget = radius + tol
     found = scan_ball(problem, rho, tol, opts.stop_below, kept=kept, costs=costs, budget=budget)
     return _solution_from(*found)
 
@@ -349,12 +353,6 @@ def _solution_from(best, calls: int, points: int) -> Solution:
         return Solution("infeasible", None, None, calls, points)
     value, _, x = best
     return Solution("optimal", tuple(x), value, calls, points)
-
-
-def _feasibility_tolerance(problem: ProblemInstance, opts: SolveOptions):
-    if problem.arithmetic == RATIONAL:
-        return 0
-    return _float_tolerance(opts)
 
 
 def _float_tolerance(opts: SolveOptions) -> float:

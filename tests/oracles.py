@@ -15,7 +15,8 @@ the sampled Lipschitz check (:func:`check_lipschitz`), the single-cost
 float guide (:func:`guide_basis_reference`) and the Gauss-Jordan solve
 (:func:`solve_square_reference`, which :func:`certify_reference` runs on
 a certificate's whole system) that ``l1opt.lp`` used before it stacked
-its guides and eliminated forward only, and the l2 counts and covering
+its guides and eliminated forward only, the problem-file loader
+(:func:`load_problem`), and the l2 counts and covering
 formulas (:func:`count_l2_lattice_brute`, :func:`l2_count_bounds`,
 :func:`covering_bound_l1`, :func:`covering_bounds_linf`, built on
 :func:`big_bound_ratio_power`).  Past their size budgets the brute-force
@@ -28,7 +29,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,10 +42,16 @@ from l1opt.counting import (
     floor_radius,
 )
 from l1opt.errors import InvalidDimensionError
+from l1opt.files import ParsedProblem, _read_document, parse_problem
 from l1opt.lattice import LatticePoint, canonical_ordinal, iter_l1_points
-from l1opt.lp import _ZERO, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _Certificate, _LeqForm
+from l1opt.lp import _ZERO, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _LeqForm
 from l1opt.lp_guide import _GUIDE_TOL
 from l1opt.ptas import ApproxSolution, LipschitzProblem, MixedSolution
+
+
+def load_problem(path: str) -> ParsedProblem:
+    """The problem file at ``path``, read and validated as ``l1opt`` reads it."""
+    return parse_problem(_read_document(path))
 
 
 class GridTooLargeError(RuntimeError):
@@ -448,9 +455,17 @@ def _fraction_solve_square(M, v):
     return [aug[i][n] for i in range(n)]
 
 
-def certify_reference(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certificate]:
-    """Reference for ``l1opt.lp._certify``: the same checks with no pinned
-    rows, the whole k x k system eliminated at once.
+class ReferenceCertificate(NamedTuple):
+    z: list[Fraction]
+    value: Fraction  # cost.z
+    unique: bool  # every nonbasic reduced cost is positive, so z is the only optimum
+
+
+def certify_reference(form: _LeqForm, basis: Sequence[int]) -> Optional[ReferenceCertificate]:
+    """Reference for ``l1opt.lp._certify``, whose ``(z, value)`` is this
+    result's first two fields: the same checks with no pinned rows, the
+    whole k x k system eliminated at once, and whether the optimum is
+    unique.
 
     Check in exact arithmetic that ``basis`` is an optimal basis of ``form``.
 
@@ -502,7 +517,7 @@ def certify_reference(form: _LeqForm, basis: Sequence[int]) -> Optional[_Certifi
     for j, v in zip(cols, values):
         z[j] = Fraction(v, d)
     value = Fraction(sum(cost[j] * v for j, v in zip(cols, values)), d)
-    return _Certificate(z, value, unique)
+    return ReferenceCertificate(z, value, unique)
 
 
 def guide_basis_reference(form: _LeqForm) -> Optional[list[int]]:

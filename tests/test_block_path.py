@@ -15,6 +15,7 @@ a multiple of the block size.
 import contextlib
 import dataclasses
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from l1opt.solver import (
     QuadraticConstraint,
     SolveOptions,
     WeightedL1Spec,
+    make_linear_oracle,
     scan_ball,
     solve_l1_ip,
     solve_weighted_l1_ip,
@@ -595,3 +597,25 @@ def test_objective_with_several_forms_is_their_maximum(kind):
 def test_rational_forms_of_one_objective_must_share_a_scale():
     forms = Forms(1, ((None, (Fraction(1, 2),), 0), (None, (Fraction(1, 3),), 0)))
     assert block_evaluator(forms, Forms(1, ()), 2, 0, None, None) is None
+
+
+FLOAT_LP = ProblemInstance.linear((1.0, -0.5), ((1.0, 1.0),), (1.0,), FLOAT)
+
+
+@pytest.mark.parametrize(
+    "problem, stop_below",
+    [
+        # Coefficients that mix int and float.
+        (ProblemInstance(2, *make_linear_oracle((1, 0.5), ((1, 1),), (1,)), FLOAT), None),
+        # Thresholds that are neither a float nor a rational, or past the
+        # float range.
+        (FLOAT_LP, Decimal("-1")),
+        (FLOAT_LP, Fraction(10**400)),
+        (ProblemInstance.linear((1, Fraction(-1, 2)), ((1, 1),), (1,)), Decimal("-1")),
+    ],
+)
+def test_scans_with_no_block_evaluator_match_the_reference(problem, stop_below, evaluators_run):
+    tolerance = 0 if problem.arithmetic == RATIONAL else 1e-9
+    found = scan_ball(problem, 2, tolerance, stop_below)
+    assert evaluators_run == ["point_evaluator"]
+    assert repr(found) == repr(reference_scan(problem, 2, tolerance, stop_below))

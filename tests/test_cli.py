@@ -562,6 +562,17 @@ def test_weighted_solve_stdout_of_an_8_by_5_problem(path, monkeypatch, capsys, e
     assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
 
 
+def test_ptas_mixed_with_an_unbounded_continuous_part_exit_1():
+    # min y/2 over free y with no rows: every integer point's LP is
+    # unbounded, so the mixed problem is, and the solve ends in one error
+    # line, not a traceback.
+    data = pathlib.Path(__file__).parent / "data"
+    result = run_cli("ptas", data / "mixed_unbounded.json")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: continuous subproblem is unbounded\n"
+
+
 @pytest.mark.parametrize("path", ["block", "per-point"])
 def test_mixed_stdout_of_a_6_by_3_problem(path, monkeypatch, capsys):
     # Pinned from the per-point path, one exact LP per integer point; the

@@ -14,8 +14,8 @@ from l1opt.complexity import (
 )
 from l1opt.counting import oracle_complexity_bound
 from l1opt.errors import RegionInfeasibleError, RegionUnboundedError, ShapeMismatchError
-from l1opt.files import load_problem
 from l1opt.solver import ProblemInstance
+from oracles import load_problem
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from l1opt.complexity import LinearRegionBackend
 from l1opt.errors import RegionInfeasibleError, RegionUnboundedError, ShapeMismatchError
-from l1opt.files import load_problem
 from l1opt import lp, lp_guide
 from l1opt.lp import lp_optimum, lp_solve
 from l1opt.ptas import linear_mixed_inner_solver
@@ -21,6 +20,7 @@ from oracles import (
     certify_reference,
     fraction_lp_solve,
     guide_basis_reference,
+    load_problem,
     reference_float_pivots,
     solve_square_reference,
     vertex_lp_brute,
@@ -275,7 +275,7 @@ def check_optimum(instance):
     basis = lp_guide._guide_bases(form, [form.cost])[0]
     certificate = None if basis is None else lp._certify(form, basis)
     assert result.certified == (certificate is not None)
-    unique = certificate is not None and certificate.unique
+    unique = certificate is not None and certify_reference(form, basis).unique
     if unique:
         assert x == reference.x
     else:
@@ -309,11 +309,8 @@ def test_certificate_rejects_a_wrong_basis():
     assert lp._certify(form, [0, 3]) is None  # x = 4 breaks 3x + y <= 6
     assert lp._certify(form, [0, 0]) is None  # not a basis
     certificate = lp._certify(form, [1, 0])
-    assert certificate == (
-        [Fraction(8, 5), Fraction(6, 5)],
-        Fraction(-14, 5),
-        True,
-    )
+    assert certificate == ([Fraction(8, 5), Fraction(6, 5)], Fraction(-14, 5))
+    assert certify_reference(form, [1, 0]).unique
     assert lp_guide._guide_bases(form, [form.cost])[0] in ([0, 1], [1, 0])
     # Parallel rows make the basic columns singular.
     form = lp._leq_form("lp_optimum", [-1, -1], [[1, 1], [2, 2]], [1, 3], "min", [0, 0], None)
@@ -326,7 +323,8 @@ def test_certificate_rejects_a_wrong_basis():
     # but the row's dual is negative.
     form = lp._leq_form("lp_optimum", [1], [[1]], [1], "min", [0], None)
     assert lp._certify(form, [0]) is None
-    assert lp._certify(form, [1]) == ([Fraction(0)], Fraction(0), True)
+    assert lp._certify(form, [1]) == ([Fraction(0)], Fraction(0))
+    assert certify_reference(form, [1]).unique
 
 
 @st.composite
@@ -415,7 +413,8 @@ def pinning_lps(draw):
 def test_pinned_certificate_matches_the_whole_system(case):
     form, bases = case
     for basis in bases:
-        assert lp._certify(form, basis) == certify_reference(form, basis)
+        reference = certify_reference(form, basis)
+        assert lp._certify(form, basis) == (None if reference is None else reference[:2])
 
 
 def test_two_rows_pinning_one_column_are_singular():
@@ -429,8 +428,9 @@ def test_two_rows_pinning_one_column_are_singular():
     assert certify_reference(form, [0, 1, 4]) is None
     # With the second x row loose, the same point certifies.
     certificate = lp._certify(form, [0, 1, 3])
-    assert certificate == certify_reference(form, [0, 1, 3])
-    assert certificate == ([Fraction(1, 3), Fraction(1)], Fraction(-4, 3), True)
+    assert certificate == certify_reference(form, [0, 1, 3])[:2]
+    assert certificate == ([Fraction(1, 3), Fraction(1)], Fraction(-4, 3))
+    assert certify_reference(form, [0, 1, 3]).unique
 
 
 INF, NAN = float("inf"), float("nan")
@@ -548,6 +548,24 @@ def test_stacked_pivots_match_one_tableau_at_a_time(case):
         expected = [reference_float_pivots(T, basis, limit, budget) for T, basis in zip(tableaux, bases)]
     assert left == expected
     assert stacked_bases == bases
+
+
+def test_a_tableau_holding_a_non_finite_value_gives_none():
+    # Both tableaux are optimal at the start; the one whose rhs is
+    # infinite can never turn finite again, so it gives no basis.
+    T = np.array([[1.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
+    stack = np.array([T, T])
+    stack[1, 0, -1] = np.inf
+    assert lp_guide._float_pivots(stack, [[1], [1]], 2, 5) == [5, None]
+
+
+def test_an_lp_with_no_variables_and_no_rows():
+    # The guide's tableau has no column, and its empty basis certifies 0.
+    result = lp_optimum([], [], [])
+    reference = lp_solve([], [], [])
+    assert (result.status, result.value, result.x) == (reference.status, reference.value, reference.x)
+    assert (result.status, result.value, result.x) == ("optimal", 0, ())
+    assert result.certified and not reference.certified
 
 
 @st.composite

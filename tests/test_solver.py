@@ -106,11 +106,19 @@ def test_solve_ilp_example():
             (("1", "-0.1", "0.25"), ("0", "0", "-1"), ("0", "0", "0")),
             ("0.3", "-1.75", "0"),
         ),
+        (
+            FLOAT,
+            float,
+            ("1/2", "-3", "0"),
+            (("1", "-2/3", "0.25"), ("0", "0", "-1"), ("0", "0", "0")),
+            ("1/2", "-7/4", "0"),
+        ),
     ],
 )
 def test_linear_with_string_coefficients_equals_the_converted_instance(mode, number, c, A, b):
     # Each row is kept as (None, a, -beta), with beta negated after its
-    # conversion: negating the string "-7/4" itself would fail.
+    # conversion: negating the string "-7/4" itself would fail.  Strings
+    # are read as Fractions in both modes, so float mode takes "1/2" too.
     text = ProblemInstance.linear(c, A, b, arithmetic=mode)
     converted = ProblemInstance.linear(
         tuple(number(Fraction(v)) for v in c),
@@ -122,6 +130,17 @@ def test_linear_with_string_coefficients_equals_the_converted_instance(mode, num
         assert repr(text.evaluate(point.x)) == repr(converted.evaluate(point.x))
     # At the origin each residual is 0 + (-beta), which is 0 - beta: 0.0, not -0.0.
     assert repr(text.constraints((0, 0, 0))) == repr(tuple(0 - number(Fraction(v)) for v in b))
+
+
+@pytest.mark.parametrize("where", ["c", "A", "b"])
+def test_float_mode_string_past_the_float_range_is_a_value_error(where):
+    # A non-finite float coefficient raises ValueError; so does a string
+    # whose value float() cannot hold, never OverflowError.
+    data = {"c": ("1",), "A": (("1",),), "b": ("1",)}
+    data[where] = (("1e400",),) if where == "A" else ("-1e400",)
+    with pytest.raises(ValueError, match="past the float range"):
+        ProblemInstance.linear(data["c"], data["A"], data["b"], arithmetic=FLOAT)
+    assert ProblemInstance.linear(data["c"], data["A"], data["b"]).n == 1
 
 
 def test_solve_radius_zero():
