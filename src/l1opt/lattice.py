@@ -23,10 +23,15 @@ holds one block, at most ``BLOCK_CELLS // min(n, rho)`` points as
 support-indexed ``(pos, val)`` arrays, and :func:`iter_l1_points` also
 a dense points x (n + 1) int64 array of at most ``DENSE_CELLS`` cells
 (or one row, when n + 1 is larger).
+
+The walk depends on n and rho alone, so the blocks of the last ball of
+at most ``KEPT_CELLS`` cells (1 MB) that a walk drained are kept and
+serve later walks of it; blocks are read-only, kept or not.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from functools import partial
 from itertools import chain
@@ -58,6 +63,7 @@ def iter_l1_points(n: int, radius: Real) -> Iterator[LatticePoint]:
     below 1 yields just the origin.  The points are those of
     :func:`point_blocks`, turned into records a block at a time.
     """
+    n = operator.index(n)
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
     return chain.from_iterable(_point_records(n, floor_radius(radius)))
@@ -100,11 +106,19 @@ def _point_records(n: int, rho: int):
 # cost about 0.4 MB more on n = 40 solves and ran no faster.
 BLOCK_CELLS = 4096
 
+# Cells of the largest ball that is kept (1 MB at 16 bytes per cell).  A
+# ball at n = 12, radius 3 is 7,875 cells; one at n = 40, radius 3 is
+# 265,923 and is walked afresh.
+KEPT_CELLS = 1 << 16
+# ((n, rho, BLOCK_CELLS), blocks) of the last small ball a walk drained.
+# One tuple, replaced whole, so threads need no lock.
+_kept: tuple = (None, [])
+
 
 def point_blocks(n: int, rho: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The points of the rho-ball in canonical order, one block at a time.
 
-    Each block is a pair ``(pos, val)`` of arrays of shape
+    Each block is a pair ``(pos, val)`` of read-only arrays of shape
     points x min(n, rho).  Row r holds the support of one point in
     ascending index order in ``pos`` (intp) and the point's signed
     entries there in ``val`` (int64), padded with index n and value 0.
@@ -114,9 +128,39 @@ def point_blocks(n: int, rho: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     points x n block at n = 40 would be 13 times larger at radius 3.
     No entry leaves int64 in a walk that can run: an entry of
     magnitude m first shows up after at least m points.
+
+    A walk that drains a ball of at most ``KEPT_CELLS`` cells keeps its
+    blocks, in place of the ball kept before, for later walks of it; one
+    that stops early keeps nothing.
     """
+    n = operator.index(n)
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
+    width = min(n, rho)
+    # A ball holds the origin and 2 * n * rho points on the axes, so this
+    # bound turns a huge ball away before its count is computed.
+    if 0 < (1 + 2 * n * rho) * width <= KEPT_CELLS:
+        key = (n, rho, BLOCK_CELLS)
+        kept_key, blocks = _kept
+        if kept_key == key:
+            return iter(blocks)
+        if count_l1_lattice(n, rho) * width <= KEPT_CELLS:
+            return _keep(key, _walk(n, rho))
+    return _walk(n, rho)
+
+
+def _keep(key, walk):
+    """The blocks of ``walk``, kept under ``key`` once the walk ends."""
+    global _kept
+    blocks = []
+    for block in walk:
+        blocks.append(block)
+        yield block
+    _kept = (key, blocks)
+
+
+def _walk(n: int, rho: int):
+    """The blocks of :func:`point_blocks`, built afresh."""
     width = min(n, rho)
     cap = max(1, BLOCK_CELLS // max(width, 1))
     pad_pos = [[n] * (width - k) for k in range(width + 1)]
@@ -191,6 +235,7 @@ def _expand_signs(flat_pos, flat_val, first, counts, width):
     codes = np.arange(len(pos)) - np.repeat(np.cumsum(counts) - counts, counts)
     codes[: counts[0]] += first
     val *= 1 - 2 * ((codes[:, None] >> np.arange(width)) & 1)
+    pos.flags.writeable = val.flags.writeable = False
     return pos, val
 
 
@@ -206,7 +251,7 @@ def canonical_ordinal(x: Sequence[int], radius: Real) -> int:
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
     rho = floor_radius(radius)
-    mags = [abs(int(v)) for v in x]
+    mags = [abs(_integer(v, i)) for i, v in enumerate(x)]
     if sum(mags) > rho:
         raise OutOfBallError(f"point has l1 norm {sum(mags)} > {rho}")
     rank = 0
@@ -223,3 +268,13 @@ def canonical_ordinal(x: Sequence[int], radius: Real) -> int:
     support = [i for i, mag in enumerate(mags) if mag]
     sign_index = sum(1 << j for j, pos in enumerate(support) if x[pos] < 0)
     return rank + sign_index
+
+
+def _integer(v, i: int) -> int:
+    """``int(v)``, for an entry ``x[i]`` of integer value."""
+    try:
+        if int(v) == v:
+            return int(v)
+    except (ValueError, OverflowError):  # NaN, infinities
+        pass
+    raise ValueError(f"x[{i}] is not an integer: {v!r}")

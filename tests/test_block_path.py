@@ -26,7 +26,14 @@ from hypothesis import strategies as st
 from l1opt import lattice
 from l1opt.blocks import Forms, block_evaluator, block_scan
 from l1opt.lattice import iter_l1_points, point_blocks
-from l1opt.ptas import LipschitzProblem, solve_lipschitz_ptas, solve_weighted_lipschitz_ptas
+from l1opt.ptas import (
+    LipschitzProblem,
+    MixedProblem,
+    linear_mixed_inner_solver,
+    solve_lipschitz_ptas,
+    solve_mixed_integer,
+    solve_weighted_lipschitz_ptas,
+)
 from l1opt.solver import (
     FLOAT,
     RATIONAL,
@@ -619,3 +626,66 @@ def test_scans_with_no_block_evaluator_match_the_reference(problem, stop_below, 
     found = scan_ball(problem, 2, tolerance, stop_below)
     assert evaluators_run == ["point_evaluator"]
     assert repr(found) == repr(reference_scan(problem, 2, tolerance, stop_below))
+
+
+BIG = 3 * 10**18
+KEPT_BALL_SOLVES = {
+    "int64": (
+        lambda: solve_l1_ip(ProblemInstance.linear((1, -2, 3), ((1, 1, 0),), (2,)), 3),
+        "_int_evaluator",
+    ),
+    "object": (
+        lambda: solve_l1_ip(ProblemInstance.linear((BIG, -BIG + 1), ((BIG, -BIG),), (BIG + 7,)), 3),
+        "_int_evaluator",
+    ),
+    "float": (
+        lambda: solve_l1_ip(
+            ProblemInstance.quadratic(((1.5, 0), (0, 2)), (-3.0, 1.0), (), FLOAT), 4
+        ),
+        "_float_evaluator",
+    ),
+    "grid step": (
+        lambda: solve_lipschitz_ptas(
+            lipschitz(ProblemInstance.linear((1, -1), ((1, 1),), (1,)), radius=2.0), 0.5
+        ),
+        "_float_evaluator",
+    ),
+    "weighted kept subset": (
+        lambda: solve_weighted_l1_ip(
+            ProblemInstance.linear((-1, -1, 2), ((1, 1, 1),), (2,)),
+            WeightedL1Spec((1, 5, Fraction(1, 2)), 3),
+        ),
+        "_int_evaluator",
+    ),
+    "mixed dual forms": (
+        lambda: solve_mixed_integer(
+            MixedProblem(
+                3,
+                1,
+                linear_mixed_inner_solver(
+                    (1, -1, 0), (1,), ((1, 1, 0), (0, 0, 0)), ((1,), (-1,)), (2, 1)
+                ),
+            ),
+            3,
+        ),
+        "_int_evaluator",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEPT_BALL_SOLVES))
+def test_solves_of_a_kept_ball_equal_the_first(kind, evaluators_run):
+    solve, evaluator = KEPT_BALL_SOLVES[kind]
+    lattice._kept = (None, [])
+    cold = solve()
+    assert lattice._kept[0] is not None
+    hot = solve()
+    assert repr(hot) == repr(cold)
+    assert evaluators_run == [evaluator, evaluator]
+
+
+def test_a_solve_that_stops_early_keeps_nothing():
+    lattice._kept = (None, [])
+    solution = solve_l1_ip(ProblemInstance.linear((1, 0, 0), (), ()), 2, SolveOptions(stop_below=-1))
+    assert solution.points_enumerated == 15
+    assert lattice._kept[0] is None

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import l1opt
-from l1opt import cli, files
+from l1opt import cli, files, lattice
 
 ILP = {
     "kind": "ilp",
@@ -560,6 +560,18 @@ def test_weighted_solve_stdout_of_an_8_by_5_problem(path, monkeypatch, capsys, e
     head, tail = capsys.readouterr().out.rsplit(', "version"', 1)
     assert head + "\n" == (data / "weighted_8x5.stdout").read_text()
     assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
+
+
+def test_enumerate_stdout_of_a_kept_ball(capsys):
+    # The canonical order, pinned: the first walk drains the radius-3
+    # ball in dimension 4 and keeps its blocks, and the second is served
+    # from them; both print the same 129 lines.
+    golden = (pathlib.Path(__file__).parent / "data" / "enumerate_4x3.stdout").read_text()
+    lattice._kept = (None, [])
+    for _ in ("cold", "kept"):
+        assert cli.main(["enumerate", "4", "3"]) == 0
+        assert capsys.readouterr().out == golden
+        assert lattice._kept[0] == (4, 3, lattice.BLOCK_CELLS)
 
 
 def test_ptas_mixed_with_an_unbounded_continuous_part_exit_1():

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import islice, zip_longest
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +145,7 @@ def test_walk_prefixes_of_huge_balls_match_the_reference(n, radius, block_cells)
 def test_walk_is_lazy():
     # The ball holds about 10^2400 points: the first one must come from
     # the first block, not from a walk over the rest.
+    lattice._kept = (None, [])
     drawn = 0
     magnitudes = lattice._magnitudes
 
@@ -168,3 +172,148 @@ def test_walk_memory_does_not_grow_with_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * lattice.DENSE_CELLS
+
+
+def test_a_dimension_is_read_as_an_integer():
+    for walk in (iter_l1_points, lattice.point_blocks):
+        for n in (2.0, 2.5):
+            with pytest.raises(TypeError):
+                walk(n, 1)
+    lattice._kept = (None, [])
+    assert [p.x for p in iter_l1_points(True, 1)] == [(0,), (1,), (-1,)]
+    assert len(list(lattice.point_blocks(True, 1))) == 1
+    assert lattice._kept[0] == (1, 1, lattice.BLOCK_CELLS)
+    assert type(lattice._kept[0][0]) is int
+
+
+def test_canonical_ordinal_of_integral_values():
+    for two in (2, 2.0, np.int64(2), Fraction(2)):
+        assert canonical_ordinal((two, 0), 2) == canonical_ordinal((2, 0), 2)
+        assert canonical_ordinal((0, -two), 2) == canonical_ordinal((0, -2), 2)
+
+
+@pytest.mark.parametrize("entry", [1.7, -0.5, math.nan, math.inf, -math.inf, Fraction(1, 2)])
+def test_canonical_ordinal_rejects_non_integral_entries(entry):
+    with pytest.raises(ValueError, match=r"x\[1\]"):
+        canonical_ordinal((0, entry), 2)
+
+
+def blocks_equal(got, want):
+    assert len(got) == len(want)
+    for (got_pos, got_val), (pos, val) in zip(got, want):
+        for a, b in ((got_pos, pos), (got_val, val)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    radius=st.integers(0, 5),
+    block_cells=st.sampled_from([1, 3, 7, 40, lattice.BLOCK_CELLS]),
+)
+def test_kept_walks_match_the_reference_walk(n, radius, block_cells):
+    with walk_settings(block_cells, lattice.DENSE_CELLS):
+        lattice._kept = (None, [])
+        for _ in ("cold", "hot"):
+            assert_same_walk(iter_l1_points(n, radius), reference_l1_points(n, radius))
+        lattice._kept = (None, [])
+        cold = list(lattice.point_blocks(n, radius))
+        hot = list(lattice.point_blocks(n, radius))
+        blocks_equal(hot, cold)
+        blocks_equal(hot, list(lattice._walk(n, radius)))
+
+
+def test_blocks_are_read_only():
+    lattice._kept = (None, [])
+    for _ in ("cold", "hot"):
+        for pos, val in lattice.point_blocks(3, 2):
+            with pytest.raises(ValueError):
+                val[0, 0] = 5
+            with pytest.raises(ValueError):
+                pos[0, 0] = 0
+    assert lattice._kept[0] == (3, 2, lattice.BLOCK_CELLS)
+
+
+def test_a_walk_that_stops_early_keeps_nothing():
+    lattice._kept = (None, [])
+    assert len(list(islice(iter_l1_points(4, 3), 128))) == 128
+    walk = lattice.point_blocks(4, 3)
+    next(walk)
+    walk.close()
+    for _ in lattice.point_blocks(4, 3):
+        break
+    assert lattice._kept[0] is None
+    assert len(list(iter_l1_points(4, 3))) == 129
+    assert lattice._kept[0] == (4, 3, lattice.BLOCK_CELLS)
+
+
+def test_a_large_ball_is_never_kept():
+    # The bound of 1 + 2 * n * rho points admits (40, 3); its count,
+    # 88,641 points of 3 cells, turns it away before a block is held.
+    lattice._kept = (None, [])
+    refuse = mock.Mock(side_effect=AssertionError("a large ball is held"))
+    with mock.patch.object(lattice, "_keep", refuse):
+        assert sum(len(pos) for pos, _ in lattice.point_blocks(40, 3)) == 88_641
+    assert lattice._kept[0] is None
+
+
+def test_admission_computes_no_point_count():
+    refuse = mock.Mock(side_effect=AssertionError("no count, no wrapper"))
+    with mock.patch.multiple(lattice, count_l1_lattice=refuse, _keep=refuse):
+        pos, val = next(lattice.point_blocks(10**4, 10**4))
+    assert pos.shape == (1, 10**4) and not val.any()
+
+
+def kept_cells():
+    return sum(pos.size for pos, _ in lattice._kept[1])
+
+
+def test_the_last_small_ball_drained_is_kept():
+    lattice._kept = (None, [])
+    for n in range(1, 9):
+        for rho in range(1, 6):
+            list(lattice.point_blocks(n, rho))
+            assert lattice._kept[0] == (n, rho, lattice.BLOCK_CELLS)
+            assert kept_cells() <= lattice.KEPT_CELLS
+    list(lattice.point_blocks(12, 3))
+    assert lattice._kept[0] == (12, 3, lattice.BLOCK_CELLS)
+    assert kept_cells() == 7875
+    # Neither a ball too large to keep nor a walk that stops early
+    # replaces the kept ball.
+    list(lattice.point_blocks(40, 3))
+    next(lattice.point_blocks(6, 3))
+    assert lattice._kept[0] == (12, 3, lattice.BLOCK_CELLS)
+
+
+def test_threads_that_replace_the_kept_ball_walk_balls_whole():
+    # With no lock, a thread may find its ball kept, replaced or being
+    # stored by another thread.
+    balls = [(12, 3), (8, 4), (6, 5), (9, 4), (7, 4), (10, 3)]
+    want = {ball: list(lattice._walk(*ball)) for ball in balls}
+    errors = []
+
+    def walk(offset):
+        try:
+            for i in range(24):
+                ball = balls[(i + offset) % len(balls)]
+                blocks_equal(list(lattice.point_blocks(*ball)), want[ball])
+        except Exception as exc:
+            errors.append(exc)
+
+    lattice._kept = (None, [])
+    threads = [threading.Thread(target=walk, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    key, blocks = lattice._kept
+    assert kept_cells() <= lattice.KEPT_CELLS
+    blocks_equal(blocks, want[key[:2]])
