@@ -62,8 +62,6 @@ from .solver import (
     Solution,
     SolveOptions,
     WeightedL1Spec,
-    make_linear_oracle,
-    make_quadratic_oracle,
     solve_l1_ip,
     solve_weighted_l1_ip,
 )

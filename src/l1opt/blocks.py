@@ -5,9 +5,10 @@ points from :func:`l1opt.lattice.point_blocks`, one evaluator call per
 block, and one reduction per block that applies the tie, NaN,
 early-stop and count rules.  The solvers differ only in the evaluator:
 :func:`block_evaluator` sums the forms of the built-in oracles of
-:mod:`l1opt.solver`, or the dual forms of a mixed problem's LPs, over a
-whole block in numpy, and :func:`point_evaluator` calls a per-point
-function (joint oracles, or an inner solver) once per admitted point.
+:meth:`l1opt.solver.ProblemInstance.linear` and ``.quadratic``, or the
+dual forms of a mixed problem's LPs, over a whole block in numpy, and
+:func:`point_evaluator` calls a per-point function (joint oracles, or
+an inner solver) once per admitted point.
 
 The built-in oracles carry their data as a :class:`Forms` (attribute
 ``block_forms``), so the data is found through the oracles themselves.

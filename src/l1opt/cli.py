@@ -3,10 +3,10 @@
 Commands: solve, count, bound, ptas, enumerate.  Results go to stdout
 as a single JSON document (newline-delimited JSON arrays for the point
 stream of ``enumerate``); diagnostics go to stderr.  Exit codes: 0 on
-success, 1 on input or usage errors and when the continuous part of a
-mixed problem is unbounded, 2 when a solve is infeasible or no grid
-point passes the relaxed test, 3 when the continuous relaxation of a
-bound query is unbounded.
+success, 1 on input or usage errors, when the continuous part of a
+mixed problem is unbounded and when a result holds an infinite or NaN
+float, 2 when a solve is infeasible or no grid point passes the relaxed
+test, 3 when the continuous relaxation of a bound query is unbounded.
 
 Every file command loads its file through one path: the flags
 ``--lambda``, ``--weights`` (split on commas), ``--epsilon`` and
@@ -54,7 +54,7 @@ from .ptas import (
     solve_mixed_integer,
     solve_weighted_lipschitz_ptas,
 )
-from .solver import SolveOptions, WeightedL1Spec, solve_l1_ip, solve_weighted_l1_ip
+from .solver import RATIONAL, SolveOptions, WeightedL1Spec, solve_l1_ip, solve_weighted_l1_ip
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -194,8 +194,7 @@ def _cmd_solve(args) -> int:
         solution = solve_weighted_l1_ip(instance, spec, options)
     else:
         solution = solve_l1_ip(instance, problem.radius, options)
-    objective = format_value(solution.objective)
-    return _report(_solved(solution, objective, solution.oracle_calls), started)
+    return _report(_solved(solution, solution.oracle_calls, problem.arithmetic == RATIONAL), started)
 
 
 def _cmd_count(args) -> int:
@@ -277,8 +276,7 @@ def _cmd_ptas(args) -> int:
         mixed = MixedProblem(n_int=problem.n, n_cont=problem.n_cont, inner_solver=inner)
         solution = solve_mixed_integer(mixed, problem.radius, parallel=args.parallel)
         y = None if solution.y is None else [format_value(v) for v in solution.y]
-        objective = format_value(solution.objective)
-        return _report(_solved(solution, objective, solution.inner_calls, y=y), started)
+        return _report(_solved(solution, solution.inner_calls, True, y=y), started)
     epsilon = problem.epsilon
     if epsilon is None:
         raise ProblemFileError(
@@ -299,8 +297,7 @@ def _cmd_ptas(args) -> int:
         )
     else:
         solution = solve_lipschitz_ptas(lipschitz, epsilon, parallel=args.parallel)
-    objective = None if solution.objective is None else float(solution.objective)
-    result = _solved(solution, objective, solution.oracle_calls)
+    result = _solved(solution, solution.oracle_calls, False)
     result.update(epsilon=epsilon, kappa=kappa, grid_radius=solution.grid_radius, step=solution.step)
     return _report(result, started)
 
@@ -319,8 +316,13 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _solved(solution, objective, calls: int, **y) -> dict:
-    """The record of a solve: status, objective, x (and y), then counts."""
+def _solved(solution, calls: int, exact: bool, **y) -> dict:
+    """The record of a solve: status, objective, x (and y), then counts.
+    The objective is written as an exact string when ``exact`` (rational
+    solves and mixed ones), and else as a float, zero included."""
+    objective = solution.objective
+    if objective is not None:
+        objective = format_value(objective) if exact else float(objective)
     return {
         "status": solution.status,
         "objective": objective,
@@ -333,7 +335,9 @@ def _solved(solution, objective, calls: int, **y) -> dict:
 
 def _report(result: dict, started: float) -> int:
     """Add ``version`` and ``wall_time_ms``, write ``result``, and return
-    the exit code of its ``status``: 0 for "ok", "optimal" or none, else 2."""
+    the exit code of its ``status``: 0 for "ok", "optimal" or none, else 2.
+    A result that holds an infinite or NaN float, which JSON cannot carry,
+    raises ``ValueError`` before anything is written."""
     result["version"] = __version__
     result["wall_time_ms"] = int(round(1000.0 * (time.perf_counter() - started)))
     # Exact counts are written in full, past CPython's int-to-str limit;
@@ -342,7 +346,9 @@ def _report(result: dict, started: float) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(result)
+        text = json.dumps(result, allow_nan=False)
+    except ValueError:
+        raise ValueError("the result holds a non-finite float, which JSON cannot carry") from None
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -29,12 +29,17 @@ DEFAULT_SLACK = 0.83
 _DEFAULT_DIGIT_CAP = 4300
 
 
+def _finite_radius(radius: Real) -> Real:
+    """``radius`` itself; ``ValueError`` for a negative, infinite or NaN radius."""
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
+    return radius
+
+
 def floor_radius(radius: Real) -> int:
     """Largest integer <= radius.  Exact for int and Fraction inputs;
     ``ValueError`` for a negative, infinite or NaN radius."""
-    if not 0 <= radius < math.inf:
-        raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
-    if isinstance(radius, Fraction):
+    if isinstance(_finite_radius(radius), Fraction):
         return radius.numerator // radius.denominator
     return int(math.floor(radius))
 
@@ -97,7 +102,11 @@ class BigBound:
 
     @classmethod
     def from_power(cls, base: int, exponent: Real) -> "BigBound":
-        """base**exponent with integrality detection for rational exponents."""
+        """base**exponent, with ``exact`` set only when that is an integer.
+
+        A float exponent within 1e-9 of an integer is read as that
+        integer, and any other as the exact rational it is.
+        """
         if base < 1:
             raise ValueError("base must be >= 1")
         if exponent < 0:
@@ -109,19 +118,15 @@ class BigBound:
         log10 = float(exponent) * math.log10(base)
         if isinstance(exponent, int):
             return cls.from_int(base**exponent) if _within_cap(log10) else cls(None, log10)
+        # In lowest terms, base**(p/q) is an integer exactly when base is
+        # a perfect q-th power r**q, and then it is r**p.  A root r >= 2
+        # needs base >= 2**q, so a longer q is never tried.
+        p, q = Fraction(exponent).as_integer_ratio()
         exact = None
-        if isinstance(exponent, Fraction):
-            # In lowest terms, base**(p/q) is an integer exactly when base
-            # is a perfect q-th power r**q, and then it is r**p.
-            p, q = exponent.numerator, exponent.denominator
+        if base == 1 or q < base.bit_length():
             root = _integer_root(base, q)
             if root**q == base and _within_cap(p * math.log10(root)):
                 exact = root**p
-        elif log10 < 15.0:
-            value = float(base) ** float(exponent)
-            nearest = round(value)
-            if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
-                exact = int(nearest)
         return cls(exact=exact, log10=log10)
 
 
@@ -188,9 +193,10 @@ def oracle_complexity_bound(
 
 
 def gaussian_width_bound(n: int, radius: Real) -> float:
-    """Closed-form bound radius*sqrt(2*ln(n)) on the Gaussian mean width of the l1 ball."""
+    """Closed-form bound radius*sqrt(2*ln(n)) on the Gaussian mean width of
+    the l1 ball; ``ValueError`` for a negative, infinite or NaN radius."""
     _require_bound_dimension(n)
-    return float(radius) * math.sqrt(2.0 * math.log(n))
+    return float(_finite_radius(radius)) * math.sqrt(2.0 * math.log(n))
 
 
 def estimate_gaussian_width(
@@ -206,9 +212,12 @@ def estimate_gaussian_width(
     average radius * max_j |g_j| over iid standard normal draws.
     Returns (mean, standard error).  Draws come from numpy's PCG64
     generator, so results are bit-identical for a fixed
-    (seed, samples) pair across platforms.
+    (seed, samples) pair across platforms.  A negative, infinite or NaN
+    radius raises ``ValueError``; a radius so large that the peaks
+    overflow gives an infinite mean and a NaN error, without a warning.
     """
     _require_bound_dimension(n)
+    _finite_radius(radius)
     if samples < 100:
         raise ValueError("need at least 100 samples")
     rng = np.random.default_rng(seed)
@@ -220,10 +229,9 @@ def estimate_gaussian_width(
         draws = rng.standard_normal((take, n))
         peaks[done : done + take] = np.abs(draws).max(axis=1)
         done += take
-    peaks *= float(radius)
-    mean = float(peaks.mean())
-    stderr = float(peaks.std(ddof=1) / math.sqrt(samples))
-    return mean, stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        peaks *= float(radius)
+        return float(peaks.mean()), float(peaks.std(ddof=1) / math.sqrt(samples))
 
 
 def _count_exponent(n: int, radius: Real, slack: Real, simplified: bool) -> Real:

@@ -2,10 +2,10 @@
 
 Problem files are JSON documents.  Numeric entries are exact by
 construction: integers, strings like ``"3/4"`` or ``"0.25"``, or
-``[numerator, denominator]`` pairs.  Bare JSON floats are rejected in
-rational mode, since they already lost their decimal identity.
-Rational results are serialized back as strings, so values round-trip
-without precision loss.
+``[numerator, denominator]`` pairs of two JSON integers.  Bare JSON
+floats are rejected in rational mode, since they already lost their
+decimal identity.  Rational results are serialized back as strings, so
+values round-trip without precision loss.
 """
 
 from __future__ import annotations
@@ -211,6 +211,8 @@ def _scalar(value: Any, arithmetic: str, fieldname: str) -> Any:
         if not math.isfinite(value):
             raise ProblemFileError(fieldname, f"must be finite, got {value}")
         return value
+    if isinstance(value, list) and len(value) == 2 and not all(type(v) is int for v in value):
+        raise ProblemFileError(fieldname, f"a [num, den] pair must hold two integers, got {value!r}")
     try:
         if isinstance(value, int):
             return Fraction(value) if arithmetic == RATIONAL else float(value)
@@ -218,9 +220,9 @@ def _scalar(value: Any, arithmetic: str, fieldname: str) -> Any:
             parsed = Fraction(value)
             return parsed if arithmetic == RATIONAL else float(parsed)
         if isinstance(value, list) and len(value) == 2:
-            parsed = Fraction(int(value[0]), int(value[1]))
+            parsed = Fraction(*value)
             return parsed if arithmetic == RATIONAL else float(parsed)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ProblemFileError(fieldname, f"not a valid number: {exc}")
     raise ProblemFileError(fieldname, f"unsupported value {value!r}")
 

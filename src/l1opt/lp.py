@@ -164,13 +164,15 @@ class _LeqForm(NamedTuple):
     """min cost.z subject to rows.z <= rhs, z >= 0: an LP after the bound
     substitution and the per-row integer scaling.
 
-    Row i is the original row times ``scales[i]``.  ``subs[j]`` says how
-    x_j is made of z: ``("shift_lo", L, k)`` is L + z_k, ``("shift_hi", U,
-    k)`` is U - z_k and ``("split", p, q)`` is z_p - z_q.  The constraint
-    part, from :func:`_leq_rows`, has no cost yet; :meth:`priced` adds
-    one, so LPs over one region share its rows.  ``cost`` is then the cost
-    (negated for "max") in z times ``cost_scale``, and ``cost_shift`` is
-    the constant that the bound shifts add to it.
+    Row i is the original row times ``scales[i]``.  ``subs[j]`` is the
+    pair ``(offset, terms)`` with x_j = offset + the sum of sign * z_k over
+    the ``(k, sign)`` pairs of ``terms``: L + z_k, U - z_k or z_p - z_q.
+    The z columns are numbered in order of j, and each x_j's columns in
+    order of its terms.  The constraint part, from :func:`_leq_rows`, has
+    no cost yet; :meth:`priced` adds one, so LPs over one region share its
+    rows.  ``cost`` is then the cost (negated for "max") in z times
+    ``cost_scale``, and ``cost_shift`` is the constant that the bound
+    shifts add to it.
     """
 
     rows: list[list[int]]
@@ -202,18 +204,15 @@ class _LeqForm(NamedTuple):
         self, z: list[Fraction], value: Fraction, pivots: int, certified: bool = False
     ) -> LPResult:
         """The optimal result for ``z`` with ``cost.z == value``, in terms of x."""
-        x = []
-        for sub in self.subs:
-            if sub[0] == "shift_lo":
-                x.append(sub[1] + z[sub[2]])
-            elif sub[0] == "shift_hi":
-                x.append(sub[1] - z[sub[2]])
-            else:
-                x.append(z[sub[1]] - z[sub[2]])
+        # Summed from the offset, so a bounded x_j costs one Fraction
+        # addition, as L + z_k does.
+        x = tuple(
+            sum((z[k] if sign > 0 else -z[k] for k, sign in terms), offset) for offset, terms in self.subs
+        )
         objective = value / self.cost_scale + self.cost_shift
         if self.maximize:
             objective = -objective
-        return LPResult(OPTIMAL, objective, tuple(x), pivots, certified)
+        return LPResult(OPTIMAL, objective, x, pivots, certified)
 
 
 def _optima(forms: Sequence[_LeqForm]) -> Iterator[LPResult]:
@@ -259,26 +258,22 @@ def _leq_rows(where, A, b, n, lower, upper) -> Optional[_LeqForm]:
         if lo[j] is not None and hi[j] is not None and lo[j] > hi[j]:
             return None
 
-    # Substitute every variable by nonnegative ones:
-    #   lower bound L present:        x = L + z
-    #   only an upper bound U:        x = U - z
-    #   free:                         x = z_pos - z_neg
-    # Upper bounds of shifted variables become extra <= rows.
+    # Substitute every variable by nonnegative ones: x = L + z with a
+    # lower bound L, x = U - z with only an upper bound U, and x = z_pos -
+    # z_neg when free.  Upper bounds of shifted variables become extra <= rows.
     subs: list[tuple] = []
     num_z = 0
     extra_rows: list[tuple[int, Fraction]] = []  # (z column, bound)
     for j in range(n):
         if lo[j] is not None:
-            subs.append(("shift_lo", lo[j], num_z))
+            subs.append((lo[j], ((num_z, 1),)))
             if hi[j] is not None:
                 extra_rows.append((num_z, hi[j] - lo[j]))
-            num_z += 1
         elif hi[j] is not None:
-            subs.append(("shift_hi", hi[j], num_z))
-            num_z += 1
+            subs.append((hi[j], ((num_z, -1),)))
         else:
-            subs.append(("split", num_z, num_z + 1))
-            num_z += 2
+            subs.append((_ZERO, ((num_z, 1), (num_z + 1, -1))))
+        num_z += len(subs[-1][1])
 
     # Each row is cleared of denominators on its own, rhs included.
     std_rows = []
@@ -301,26 +296,14 @@ def _leq_rows(where, A, b, n, lower, upper) -> Optional[_LeqForm]:
 
 def _expand(row: Sequence[int], subs: list[tuple]) -> list[int]:
     """``row``, one entry per x_j, as one entry per z column.  Each z column
-    comes from one variable, so this only places and negates entries: the
-    row keeps its denominators and its scale."""
-    out = [0] * (subs[-1][-1] + 1 if subs else 0)  # the last sub holds the last z column
-    for coef, sub in zip(row, subs):
-        if not coef:
-            continue
-        if sub[0] == "shift_lo":
-            out[sub[2]] = coef
-        elif sub[0] == "shift_hi":
-            out[sub[2]] = -coef
-        else:
-            out[sub[1]] = coef
-            out[sub[2]] = -coef
-    return out
+    comes from one variable, in order, so this only places and negates
+    entries: the row keeps its denominators and its scale."""
+    return [coef if sign > 0 else -coef for coef, (_, terms) in zip(row, subs) for _, sign in terms]
 
 
 def _constant_part(row: Sequence[Fraction], subs: list[tuple]) -> Fraction:
     """The part of ``row``.x that the bound shifts make constant."""
-    terms = (coef * sub[1] for coef, sub in zip(row, subs) if coef and sub[0] != "split" and sub[1])
-    return sum(terms, _ZERO)
+    return sum((coef * offset for coef, (offset, _) in zip(row, subs) if coef and offset), _ZERO)
 
 
 def _bound_list(bounds: Optional[Sequence], n: int, where: str, name: str) -> list[Optional[Fraction]]:

@@ -89,9 +89,10 @@ def _guide_bases(form: _LeqForm, costs: Sequence[list[int]]) -> list[Optional[li
                 return bases
             for r, var in enumerate(basis):
                 if var >= width:  # an artificial left basic at zero
+                    # Its row keeps its own slack's -1 (the two columns are
+                    # negatives of each other, exactly, while it is basic),
+                    # so the largest entry is at least 1.
                     col = int(np.abs(T[r, :width]).argmax())
-                    if not abs(T[r, col]) > _GUIDE_TOL:
-                        return bases
                     _float_pivot(T[None], [basis], np.array([r]), np.array([col]))
             T = np.delete(T, np.s_[width:-1], axis=1)
         per_chunk = max(1, GUIDE_CELLS // T.size)

@@ -15,13 +15,14 @@ Both approximation schemes walk the ball through
 grid step: each integer point y becomes the grid point ``step * y``,
 and the weighted budget is tested over the kept coordinates.  The block
 evaluator of :mod:`l1opt.blocks` runs when the problem's objective and
-constraints are built-in oracles (``make_linear_oracle`` or
-``make_quadratic_oracle``) over float or rational data and the step is
-a float; rational data is summed in float64 over its float image, as
-``Fraction * float`` computes it.  Other oracles run per point, and so
-does rational data with a constraint row that has a matrix but no
-linear coefficient.  The command line's ``ptas`` passes the built-in
-oracles of float and rational files as they are.
+constraints are built-in oracles (those of
+:meth:`l1opt.solver.ProblemInstance.linear` or ``.quadratic``) over
+float or rational data and the step is a float; rational data is summed
+in float64 over its float image, as ``Fraction * float`` computes it.
+Other oracles run per point, and so does rational data with a
+constraint row that has a matrix but no linear coefficient.  The
+command line's ``ptas`` passes the built-in oracles of float and
+rational files as they are.
 
 The mixed solver runs the same scan, :func:`l1opt.blocks.block_scan`.
 When its inner solver is the one of :func:`linear_mixed_inner_solver`,

@@ -25,9 +25,8 @@ their costs and the budget.  :func:`scan_ball` runs the one scan loop,
 same results, ties and counts:
 
 - The block evaluator (:mod:`l1opt.blocks`) runs whenever the objective
-  and the constraints are both built-in oracles (``make_linear_oracle``,
-  ``make_quadratic_oracle``, and so every problem of
-  :meth:`ProblemInstance.linear` and :meth:`ProblemInstance.quadratic`)
+  and the constraints are both built-in oracles (those of every problem
+  of :meth:`ProblemInstance.linear` and :meth:`ProblemInstance.quadratic`)
   over data of one kind, all float or all rational.  It evaluates every
   form at a whole block of points at once: float data, and rational
   data at grid points, in float64, summed as the oracles sum it;
@@ -194,21 +193,9 @@ class ProblemInstance:
         return cls(n=len(c), objective=objective, constraints=constraint_fn, arithmetic=arithmetic)
 
 
-def make_linear_oracle(c: Sequence, A: Sequence[Sequence], b: Sequence):
-    """Oracles for f(x) = c.x and g(x) = A x - b.
-
-    The oracles of :func:`make_quadratic_oracle` with no matrices, each
-    row a.x <= beta kept as ``QuadraticConstraint(None, a, -beta)``;
-    ``d + (-beta)`` equals ``d - beta`` bit for bit.  Infinite or NaN
-    float coefficients raise ``ValueError``.
-    """
-    if len(A) != len(b):
-        raise ShapeMismatchError("A and b disagree on the number of constraints")
-    return _oracles(None, c, tuple(QuadraticConstraint(None, row, -beta) for row, beta in zip(A, b)))
-
-
-def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[QuadraticConstraint]):
-    """Oracles for f(x) = x'Qx + c.x and quadratic constraint rows.
+def _oracles(Q, c: Sequence, rows: Sequence[QuadraticConstraint]):
+    """The built-in oracles of x'Qx + c.x, or of c.x when Q is None, and
+    of the rows x'Ax + b.x + c <= 0.
 
     Each call is the dense left-to-right sums over the nonzero
     coefficients, the reference sums of ``tests/oracles.py``.  Infinite
@@ -216,12 +203,6 @@ def make_quadratic_oracle(Q: Sequence[Sequence], c: Sequence, rows: Sequence[Qua
     their data as ``block_forms``, which lets the solvers evaluate whole
     blocks of points at once (see :mod:`l1opt.blocks`).
     """
-    return _oracles(Q, c, rows)
-
-
-def _oracles(Q, c: Sequence, rows: Sequence[QuadraticConstraint]):
-    """The built-in oracles of x'Qx + c.x, or of c.x when Q is None, and
-    of the rows x'Ax + b.x + c <= 0."""
     n = len(c)
     if Q is not None:
         _check_square(Q, n, "Q")

@@ -3,8 +3,11 @@
 Everything here is deliberately naive: box scans, vertex enumeration,
 exact rational arithmetic.  None of it shares code paths with the
 implementations under test beyond the canonical-ordinal helper, which
-has its own replay-based validation, and the ``LPResult`` record the
-Fraction simplex returns.
+has its own replay-based validation, the ``LPResult`` record the
+Fraction simplex returns, and the raw-typed builders of the built-in
+oracles (:func:`make_linear_oracle`, :func:`make_quadratic_oracle`),
+which call the package's own ``l1opt.solver._oracles`` on data that
+``ProblemInstance.linear`` and ``.quadratic`` would first convert.
 
 The references that only tests call live here too, not in the package:
 the per-point scan over ``iter_l1_points`` that the solvers ran before
@@ -41,12 +44,13 @@ from l1opt.counting import (
     count_linf_lattice,
     floor_radius,
 )
-from l1opt.errors import InvalidDimensionError
+from l1opt.errors import InvalidDimensionError, ShapeMismatchError
 from l1opt.files import ParsedProblem, _read_document, parse_problem
 from l1opt.lattice import LatticePoint, canonical_ordinal, iter_l1_points
 from l1opt.lp import _ZERO, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _LeqForm
 from l1opt.lp_guide import _GUIDE_TOL
 from l1opt.ptas import ApproxSolution, LipschitzProblem, MixedSolution
+from l1opt.solver import QuadraticConstraint, _oracles
 
 
 def load_problem(path: str) -> ParsedProblem:
@@ -500,9 +504,10 @@ def certify_reference(form: _LeqForm, basis: Sequence[int]) -> Optional[Referenc
     # A free x_j is z_p - z_q; when one of the two is basic the other's
     # reduced cost is zero without making the optimum ambiguous.
     twins = {}
-    for sub in form.subs:
-        if sub[0] == "split":
-            twins[sub[1]], twins[sub[2]] = sub[2], sub[1]
+    for _, terms in form.subs:
+        if len(terms) == 2:
+            (p, _), (q, _) = terms
+            twins[p], twins[q] = q, p
     basic = set(cols)
     unique = all(duals)
     for j in range(nz):
@@ -645,6 +650,24 @@ def solve_square_reference(M: list[list[int]], rhs: list[int]) -> Optional[tuple
     if prev < 0:
         return [-v for v in nums], -prev
     return nums, prev
+
+
+def make_linear_oracle(c, A, b):
+    """The built-in oracles of f(x) = c.x and g(x) = A x - b, over the
+    data as given: each row a.x <= beta kept as ``QuadraticConstraint(None,
+    a, -beta)``, and ``d + (-beta)`` equals ``d - beta`` bit for bit.
+    ``ProblemInstance.linear`` builds the same oracles after it converts
+    every value to the arithmetic's type.
+    """
+    if len(A) != len(b):
+        raise ShapeMismatchError("A and b disagree on the number of constraints")
+    return _oracles(None, c, tuple(QuadraticConstraint(None, row, -beta) for row, beta in zip(A, b)))
+
+
+def make_quadratic_oracle(Q, c, rows):
+    """The built-in oracles of f(x) = x'Qx + c.x and the quadratic
+    ``rows``, over the data as given; see :func:`make_linear_oracle`."""
+    return _oracles(Q, c, rows)
 
 
 def dense_dot(a, x):

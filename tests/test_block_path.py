@@ -41,12 +41,11 @@ from l1opt.solver import (
     QuadraticConstraint,
     SolveOptions,
     WeightedL1Spec,
-    make_linear_oracle,
     scan_ball,
     solve_l1_ip,
     solve_weighted_l1_ip,
 )
-from oracles import reference_l1_points, reference_scan
+from oracles import make_linear_oracle, reference_l1_points, reference_scan
 
 COEFFICIENTS = {
     RATIONAL: st.one_of(

@@ -294,3 +294,34 @@ def test_backend_checks_each_direction_against_its_rows():
     with pytest.raises(ShapeMismatchError, match="^constraint row has 2 entries, expected 3$"):
         backend.maximize([1, 0, 0])
     assert backend.maximize([0, -1])[0] == 1
+
+
+class FloatBox(ConvexOptBackend):
+    """A float backend for the box [0, 2.5] x [0, 2]: its maximum of x_2,
+    and of the lifted sum, comes out 1.9999999996 for an exact 2."""
+
+    def maximize(self, direction, lifted_bounds=None):
+        if lifted_bounds is not None:
+            return 1.9999999996, (1.0, 0.9999999996, 0.0, 0.0)
+        value = {(1, 0): 2.5, (0, 1): 1.9999999996}.get(tuple(direction), 0.0)
+        return value, (0.0, 0.0)
+
+
+def test_float_backend_values_are_floored_with_a_guard():
+    report = estimate_bound(FloatBox(), 2)
+    assert report.u == (2.5, 1.9999999996)
+    assert report.rho == 2
+    # Both upper ends floor to 2, so the box [0, 2]^2 of 9 points is scanned.
+    check = verify_cover(report, lambda x: sum(x) <= 2)
+    assert (check.passed, check.points_checked, check.exhaustive) == (True, 9, True)
+
+
+def test_verify_cover_sampling_finds_a_counterexample():
+    A, b = unit_box(3)
+    scaled = [v * 10 for v in b]
+    report = estimate_bound(LinearRegionBackend(A, scaled), 3)
+    corrupted = dataclasses.replace(report, rho=5)
+    check = verify_cover(corrupted, feasibility(A, scaled), budget=100, seed=0)
+    assert (check.passed, check.exhaustive, check.note) == (False, False, "sampled")
+    assert sum(check.counterexample) > 5 and feasibility(A, scaled)(check.counterexample)
+    assert 1 <= check.points_checked <= 100

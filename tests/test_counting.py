@@ -1,5 +1,7 @@
 import math
 import sys
+import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -230,3 +232,50 @@ def test_non_finite_radius_is_a_typed_error(radius):
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_bigbound_is_exact_or_absent():
+    # 7^10.58 is about 873,247,323.80 and 3^(225/8) about 2.6e13: neither
+    # is an integer, however close to one its float power lies.
+    for args, log10 in [((7, 2, 0.3), 8.941137263350836), ((3, 3, 0.5), 13.419035288990505)]:
+        bound = l1_count_upper_bound(*args[:2], slack=args[2], simplified=False)
+        assert bound.exact is None
+        assert bound.log10 == log10
+    # A float exponent is read as the exact rational it is.
+    assert BigBound.from_power(4, 12.5).exact == 2**25
+    assert BigBound.from_power(9, 3.5).exact == 3**7
+    assert BigBound.from_power(2, 0.1).exact is None
+    assert BigBound.from_power(1, Fraction(1, 10**30)).exact == 1
+    assert BigBound.from_power(1, 0.3).exact == 1
+
+
+def test_bigbound_never_roots_past_the_base():
+    # The exponent's denominator is about 10^24: no root r >= 2 of 3 has
+    # that degree, so none is computed.
+    started = time.perf_counter()
+    bound = oracle_complexity_bound(3, 2, slack=Fraction(1, 10**12), simplified=False)
+    assert time.perf_counter() - started < 1.0
+    assert bound.exact is None
+    assert bound.log10 == pytest.approx(9 * math.log10(3))
+
+
+@pytest.mark.parametrize("radius", [-1, -0.5, math.inf, math.nan, Fraction(-1, 3)])
+def test_gaussian_width_rejects_a_radius_that_is_negative_or_not_finite(radius):
+    with pytest.raises(ValueError, match="^radius must be finite and nonnegative, got "):
+        gaussian_width_bound(2, radius)
+    with pytest.raises(ValueError, match="^radius must be finite and nonnegative, got "):
+        estimate_gaussian_width(2, radius, 100)
+
+
+def test_gaussian_width_keeps_its_finite_values_and_overflows_quietly():
+    # The radius checks leave every finite value bit for bit as it was,
+    # and the radius is not floored (7/2 stays 7/2).
+    assert estimate_gaussian_width(5, 3, 1000, 2) == (4.689244565180057, 0.05187986130428012)
+    assert estimate_gaussian_width(3, Fraction(7, 2), 500, 1) == (4.669208616714304, 0.09488174016607974)
+    assert gaussian_width_bound(5, 3) == 5.382367733982305
+    assert gaussian_width_bound(4, Fraction(5, 2)) == 4.162773055788488
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, stderr = estimate_gaussian_width(2, 1e308, 100)
+        assert mean == math.inf and math.isnan(stderr)
+        assert estimate_gaussian_width(3, 1e300, 100) == (1.38459544640379e300, math.inf)

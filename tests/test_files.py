@@ -43,6 +43,24 @@ def test_parse_rejects_bare_floats_in_rational_mode():
     assert "c[0]" in str(err.value)
 
 
+@pytest.mark.parametrize("pair", [[None, 1], [1.5, 2], [[1], 2], ["1", 2], [True, 2], [1, float("inf")]])
+def test_a_pair_must_hold_two_integers(pair):
+    # None and a nested list ended in a TypeError traceback, 1.5 was
+    # truncated to 1 without a word, and inf ended in an OverflowError
+    # that named no field.
+    doc = dict(ILP_DOC, b=[pair])
+    with pytest.raises(ProblemFileError, match=r"^b\[0\]: a \[num, den\] pair must hold two integers, got "):
+        parse_problem(doc)
+
+
+@pytest.mark.parametrize("value", [-(10**400), [10**400, 1], "1e400"])
+def test_a_float_mode_value_past_the_float_range_names_its_field(value):
+    # It ended in an OverflowError whose message named no field.
+    doc = dict(ILP_DOC, arithmetic="float", c=[1, value])
+    with pytest.raises(ProblemFileError, match=r"^c\[1\]: not a valid number: "):
+        parse_problem(doc)
+
+
 def test_float_mode_accepts_floats():
     doc = dict(ILP_DOC, arithmetic="float", c=[0.5, -1.25], **{"lambda": 2.0})
     problem = parse_problem(doc)

@@ -516,6 +516,21 @@ def test_stacked_guide_keeps_each_failure_to_its_lp():
     assert [guide_basis_reference(form) for form in forms] == [None, None]
 
 
+@pytest.mark.parametrize("c", [[1], [-1], [0]])
+def test_an_artificial_left_basic_on_a_redundant_row_is_pivoted_out(c):
+    # 3 <= x <= 10, with x >= 3 written three times: phase 1 ends with the
+    # artificials of the redundant negative-rhs rows basic at zero.  Each
+    # such row keeps its own slack's -1, so the artificial always pivots
+    # out, and the guide's basis certifies the optimum.
+    A, b = [[-1], [-2], [-1]], [-3, -6, -3]
+    form = lp._leq_form("lp_optimum", c, A, b, "min", [0], [10])
+    basis = lp_guide._guide_bases(form, [form.cost])[0]
+    assert basis is not None and basis == guide_basis_reference(form)
+    result, reference = lp_optimum(c, A, b, lower=[0], upper=[10]), lp_solve(c, A, b, lower=[0], upper=[10])
+    assert result.certified and not reference.certified
+    assert (result.status, result.value, result.x) == (reference.status, reference.value, reference.x)
+
+
 @st.composite
 def float_tableaux(draw):
     """``(tableaux, bases, limit, budget)``: phase-2 float tableaux over one

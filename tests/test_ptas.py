@@ -20,7 +20,7 @@ from l1opt.ptas import (
     solve_mixed_integer,
     solve_weighted_lipschitz_ptas,
 )
-from l1opt.solver import ProblemInstance
+from l1opt.solver import ProblemInstance, QuadraticConstraint
 from oracles import GridTooLargeError, check_lipschitz, fine_grid_reference
 
 
@@ -343,6 +343,19 @@ def test_lipschitz_constant_helpers():
     # Row and column sums of |Q| both peak at 2, so the quadratic part
     # contributes 2 * (2 + 2) on the radius-2 ball, plus ||c||_1 = 2.
     assert constant == 2.0 * 4 + 2
+
+
+def test_quadratic_lipschitz_constant_takes_the_largest_row():
+    Q = [[1, 0], [0, 0]]
+    # |A| has row sums 3 and 7 and column sums 4 and 6: 2 * (7 + 6) + 2.
+    with_matrix = QuadraticConstraint(((1, 2), (3, -4)), (1, -1), 5)
+    # A row without a matrix contributes its ||b||_1 alone.
+    linear = QuadraticConstraint(None, (5, -6), 0)
+    # The objective alone: 2 * (1 + 1) + 0.
+    assert quadratic_lipschitz_constant(Q, [0, 0], (), radius=2) == 4.0
+    assert quadratic_lipschitz_constant(Q, [0, 0], (linear,), radius=2) == 11.0
+    assert quadratic_lipschitz_constant(Q, [0, 0], (linear, with_matrix), radius=2) == 28.0
+    assert quadratic_lipschitz_constant(Q, [0, 0], (with_matrix,), radius=Fraction(1, 2)) == 8.5
 
 
 def test_check_lipschitz_warns_on_underestimate():

@@ -45,8 +45,6 @@ PUBLIC_NAMES = [
     "linear_mixed_inner_solver",
     "lp_optimum",
     "lp_solve",
-    "make_linear_oracle",
-    "make_quadratic_oracle",
     "oracle_complexity_bound",
     "quadratic_lipschitz_constant",
     "solve_l1_ip",

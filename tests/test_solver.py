@@ -16,12 +16,17 @@ from l1opt.solver import (
     QuadraticConstraint,
     SolveOptions,
     WeightedL1Spec,
-    make_linear_oracle,
-    make_quadratic_oracle,
     solve_l1_ip,
     solve_weighted_l1_ip,
 )
-from oracles import random_ilp, random_quadratic, solve_ball_brute, solve_weighted_brute
+from oracles import (
+    make_linear_oracle,
+    make_quadratic_oracle,
+    random_ilp,
+    random_quadratic,
+    solve_ball_brute,
+    solve_weighted_brute,
+)
 
 
 def unconstrained(c, n=None):

@@ -21,12 +21,15 @@ from l1opt.solver import (
     QuadraticConstraint,
     SolveOptions,
     WeightedL1Spec,
-    make_linear_oracle,
-    make_quadratic_oracle,
     solve_l1_ip,
     solve_weighted_l1_ip,
 )
-from oracles import dense_linear_oracle, dense_quadratic_oracle
+from oracles import (
+    dense_linear_oracle,
+    dense_quadratic_oracle,
+    make_linear_oracle,
+    make_quadratic_oracle,
+)
 
 # Zeros are drawn often, so rows with zero entries come up; the float
 # values reach subnormals, where products underflow to signed zeros, and
