@@ -8,7 +8,9 @@ early-stop and count rules.  The solvers differ only in the evaluator:
 :meth:`l1opt.solver.ProblemInstance.linear` and ``.quadratic``, or the
 dual forms of a mixed problem's LPs, over a whole block in numpy, and
 :func:`point_evaluator` calls a per-point function (joint oracles, or
-an inner solver) once per admitted point.
+an inner solver) once per admitted point.  Every point that Python code
+sees, the winner's included, is read through
+:func:`l1opt.lattice.block_tuples`.
 
 The built-in oracles carry their data as a :class:`Forms` (attribute
 ``block_forms``), so the data is found through the oracles themselves.
@@ -24,8 +26,7 @@ by column over the support, from left to right and starting from zero.
   which bounds every partial sum, and else over Python ints (numpy
   arrays of dtype object), one form at a time, which are exact at any
   size; the constraints' sums pick their dtype by the same bound on
-  their own.  The same bound picks the dtype of the weighted budget's
-  sums.
+  their own.
 - Rational data at grid points (``step * y`` for a float step) is
   summed in float64 over each form's float image, since a rational
   coefficient times a float is the float product of its float image.
@@ -33,6 +34,11 @@ by column over the support, from left to right and starting from zero.
   its constant, so it is decided once, exactly.  A row with no linear
   coefficient but a matrix is exact at the origin only, so such a
   problem has no block evaluator.
+
+The constraint rows are decided by one row test per arithmetic,
+:func:`_float_rows` and :func:`_int_rows`.  A weighted budget
+``sum(costs[j] * |x_j|) <= budget`` is one more linear row, over the
+kept coordinates, which the same row test decides at |x|.
 
 A block is support-indexed: points x min(n, rho) arrays of indices and
 values, not dense points x n rows.  At n = 40 and rho = 3 a dense block
@@ -58,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import point_blocks
+from .lattice import block_tuples, point_blocks
 
 _INT64_MAX = (1 << 63) - 1
 _INT64_MIN = -(1 << 63)
@@ -128,7 +134,7 @@ def block_scan(n, rho, evaluator, objective, step=None, kept=None, costs=None, b
     if best is None:
         return None, calls, walked
     _, ordinal, pos, val, result = best
-    x = _point(n, pos.tolist(), val.tolist(), step)
+    x = next(block_tuples(n, pos[None], val[None], step))
     return (objective(x) if result is None else result, ordinal, x), calls, walked
 
 
@@ -138,23 +144,13 @@ def _at_or_below(values, stop):
     return values <= stop
 
 
-def _point(n, pos, val, step):
-    """The point with entries ``val`` at indices ``pos`` and zeros
-    elsewhere, each entry times ``step`` when there is one (so a zero is
-    ``step * 0``); padding has value 0."""
-    x = [0 if step is None else step * 0] * n
-    for i, v in zip(pos, val):
-        if v:
-            x[i] = v if step is None else step * v
-    return tuple(x)
-
-
 def point_evaluator(decide, n, stop=None, step=None):
     """``(evaluate, stop)`` that calls ``decide(x)`` once for each admitted
     point of a block, in canonical order.
 
     ``decide`` returns ``(value, result)``, with a value of None for an
-    infeasible point; x is built as :func:`block_scan` builds the winner.
+    infeasible point; x is read through :func:`l1opt.lattice.block_tuples`,
+    as :func:`block_scan` reads the winner.
     A NaN value is never eligible.  A block ends at its first eligible
     value at or below ``stop``, where the scan ends, so ``decide`` runs
     exactly as often as the scan counts calls.
@@ -163,14 +159,15 @@ def point_evaluator(decide, n, stop=None, step=None):
     def evaluate(pos, val, admitted):
         size = len(pos)
         values, results = [None] * size, [None] * size
-        admitted = [True] * size if admitted is None else admitted.tolist()
-        for r, p, v, admit in zip(range(size), pos.tolist(), val.tolist(), admitted):
-            if admit:
-                value, result = decide(_point(n, p, v, step))
-                if value is not None and value == value:
-                    values[r], results[r] = value, result
-                    if stop is not None and value <= stop:
-                        break
+        rows = range(size)
+        if admitted is not None:
+            rows, pos, val = np.flatnonzero(admitted).tolist(), pos[admitted], val[admitted]
+        for r, x in zip(rows, block_tuples(n, pos, val, step)):
+            value, result = decide(x)
+            if value is not None and value == value:
+                values[r], results[r] = value, result
+                if stop is not None and value <= stop:
+                    break
         eligible = np.fromiter((v is not None for v in values), dtype=bool, count=size)
         return np.fromiter(values, dtype=object, count=size), eligible, results
 
@@ -194,32 +191,59 @@ def block_evaluator(objective, rows, rho, tolerance, stop, step):
     if objective is None or rows is None or not objective.forms or objective.n != rows.n:
         return None
     types = objective.types | rows.types
-    if types <= {float} or (step is not None and types <= {int, Fraction}):
-        if not _exact_in_float64(rho, step):
-            return None
+    arithmetic = _arithmetic(types, rho, step)
+    if arithmetic is float:
         return _float_evaluator(objective, rows, tolerance, stop, step, types <= {float})
-    if types <= {int, Fraction}:
+    if arithmetic is int:
         return _int_evaluator(objective, rows, rho, tolerance, stop)
     return None
 
 
-def _exact_in_float64(rho, step):
-    """Whether every ``step * y`` (or y) of the rho-ball is the float64
-    product of exact float64 entries, and finite."""
-    return rho <= _EXACT_FLOAT_INT and (
-        step is None or (isinstance(step, float) and math.isfinite(step * rho))
-    )
+def _arithmetic(types, rho, step):
+    """How sums over data of ``types`` at the points of the rho-ball (times
+    ``step``) run as the scalar sums run them: ``float`` in float64, for
+    float data and for rational data at grid points, when every
+    ``step * y`` is exact and finite; ``int`` over scaled ints, for
+    rational data at integer points; None when neither holds."""
+    if types <= {float} or (step is not None and types <= {int, Fraction}):
+        exact = rho <= _EXACT_FLOAT_INT and (
+            step is None or (isinstance(step, float) and math.isfinite(step * rho))
+        )
+        return float if exact else None
+    return int if types <= {int, Fraction} else None
+
+
+def _floats(val, step):
+    """The entries of a block in float64: ``val``, or ``step * val``."""
+    return val.astype(np.float64) if step is None else step * val
 
 
 def _float_evaluator(objective, rows, tolerance, stop, step, floats):
     """The evaluator in float64, for float data (``floats``) or for
     rational data at grid points."""
-    tol = _float_floor(tolerance)
+    feasible = _float_rows(rows, tolerance, floats)
     threshold = None if stop is None else _float_floor(stop)
-    if tol is None or (stop is not None and threshold is None):
+    if feasible is None or (stop is not None and threshold is None):
         return None
+
+    @_float_errors
+    def evaluate(pos, val, admitted):
+        x = _floats(val, step)
+        values = _largest(objective.float_values(pos, x))
+        return values, feasible(pos, x) & (values == values), None
+
+    return evaluate, threshold
+
+
+def _float_rows(rows, tolerance, floats):
+    """``feasible(pos, x)``: the mask of a block's points, entries ``x`` in
+    float64, at which every row is at most ``tolerance``, each row summed
+    in float64; None for a tolerance that is neither a float nor a
+    rational, or for rational data at grid points (not ``floats``) with a
+    row that has a matrix but no linear coefficient."""
+    tol = _float_floor(tolerance)
     live = [(M, a, const) for M, a, const in rows.forms if M is not None or any(a)]
-    if not floats and any(not any(a) for M, a, const in live):
+    if tol is None or (not floats and any(not any(a) for M, a, const in live)):
         return None
     # A row with no coefficient is its constant at every point.
     passes = all(const <= tolerance for M, a, const in rows.forms if M is None and not any(a))
@@ -227,45 +251,58 @@ def _float_evaluator(objective, rows, tolerance, stop, step, floats):
         rows = Forms(rows.n, tuple(live))
 
     @_float_errors
-    def evaluate(pos, val, admitted):
-        x = val.astype(np.float64) if step is None else step * val
-        values = _largest(objective.float_values(pos, x))
-        feasible = (rows.float_values(pos, x) <= tol).all(axis=0)
-        return values, feasible & (values == values) & passes, None
+    def feasible(pos, x):
+        return (rows.float_values(pos, x) <= tol).all(axis=0) & passes
 
-    return evaluate, threshold
+    return feasible
 
 
 def _int_evaluator(objective, rows, rho, tolerance, stop):
     """The evaluator over scaled ints for rational data at integer
-    points: for the objective and the rows each, int64 within the bound
-    of :meth:`Forms.fits_int64`, and past it over Python ints (``big``),
-    one form at a time, so that a block holds one form's values at once."""
+    points: the objective in int64 within the bound of
+    :meth:`Forms.fits_int64`, and past it over Python ints (``big``), one
+    form at a time, and the rows by :func:`_int_rows`."""
     big = not objective.fits_int64(rho)
-    big_rows = not rows.fits_int64(rho)
-    limits = [_scaled_floor(tolerance, scale, big_rows) for scale in rows.ints.scales]
+    feasible = _int_rows(rows, rho, tolerance)
     scales = set(objective.ints.scales)
     threshold = None if stop is None else _scaled_floor(stop, min(scales), big)
-    if None in limits or len(scales) > 1 or (stop is not None and threshold is None):
+    if feasible is None or len(scales) > 1 or (stop is not None and threshold is None):
         return None
-    int64_limits = None if big_rows else np.array(limits, dtype=np.int64)[:, None]
 
     def evaluate(pos, val, admitted):
-        wide = val.astype(object) if big or big_rows else val
         if big:
+            wide = val.astype(object)
             forms = (_form_values(*form, pos, wide)[0] for form in objective.singles)
             values = reduce(np.maximum, forms)
         else:
             values = _largest(objective.int_values(pos, val))
-        if big_rows:
-            feasible = np.ones(len(pos), dtype=bool)
-            for form, limit in zip(rows.singles, limits):
-                feasible &= _form_values(*form, pos, wide)[0] <= limit
-        else:
-            feasible = (rows.int_values(pos, val) <= int64_limits).all(axis=0)
-        return values, feasible, None
+        return values, feasible(pos, val), None
 
     return evaluate, threshold
+
+
+def _int_rows(rows, rho, tolerance):
+    """``feasible(pos, val)``: the mask of a block's points at which every
+    row is at most ``tolerance``, over the rows scaled to ints: in int64
+    within the bound of :meth:`Forms.fits_int64`, and past it over Python
+    ints, one form at a time, so that a block holds one form's values at
+    once; None for a tolerance that is neither a float nor a rational."""
+    big = not rows.fits_int64(rho)
+    limits = [_scaled_floor(tolerance, scale, big) for scale in rows.ints.scales]
+    if None in limits:
+        return None
+    if not big:
+        limits = np.array(limits, dtype=np.int64)[:, None]
+        return lambda pos, val: (rows.int_values(pos, val) <= limits).all(axis=0)
+
+    def feasible(pos, val):
+        wide = val.astype(object)
+        mask = np.ones(len(pos), dtype=bool)
+        for form, limit in zip(rows.singles, limits):
+            mask &= _form_values(*form, pos, wide)[0] <= limit
+        return mask
+
+    return feasible
 
 
 def _largest(values):
@@ -276,40 +313,30 @@ def _largest(values):
 
 def _budget_mask(costs, budget, rho, step):
     """``admit(pos, val)``: the mask of a block's points within the
-    weighted budget ``sum(costs[j] * |x_j|) <= budget``, with every sum
-    over the support in ascending order, as the per-point sum runs it:
-    over ints for int costs at integer points, in float64 for float
-    costs at points exact in float64, and else point by point."""
-    if step is None and all(type(c) is int for c in costs) and type(budget) is int:
-        top = max(costs, default=0)
-        if max(top, top * rho) <= _INT64_MAX:
-            table, limit = np.array([*costs, 0], dtype=np.int64), min(budget, _INT64_MAX)
-        else:
-            table, limit = np.array([*costs, 0], dtype=object), budget
-        return lambda pos, val: (table[pos] * np.abs(val)).sum(axis=1) <= limit
-    floats = all(type(c) is float for c in costs) and isinstance(budget, float)
-    if floats and _exact_in_float64(rho, step):
-        table = np.array([*costs, 0.0])
+    weighted budget ``sum(costs[j] * |x_j|) <= budget``.
 
-        @_float_errors
-        def admit(pos, val):
-            x = val.astype(np.float64) if step is None else step * val
-            norm = np.zeros(len(pos))
-            for j in range(pos.shape[1]):
-                norm += table[pos[:, j]] * np.abs(x[:, j])
-            return ~(norm > budget)
-
-        return admit
+    The budget is one linear row over the kept coordinates, tested at
+    |x| by the row test of the evaluators, :func:`_int_rows` or
+    :func:`_float_rows`, so its sums run over the support in ascending
+    order, as the per-point sum runs them.  Where no block sum is exact
+    (a Fraction step, or float costs at a rho past 2^53) the sum runs
+    point by point, over the points of :func:`l1opt.lattice.block_tuples`.
+    """
+    row = Forms(len(costs), ((None, tuple(costs), 0),))
+    arithmetic = _arithmetic(row.types, rho, step)
+    if arithmetic is int:
+        feasible = _int_rows(row, rho, budget)
+        if feasible is not None:
+            return lambda pos, val: feasible(pos, np.abs(val))
+    elif arithmetic is float:
+        feasible = _float_rows(row, budget, row.types <= {float})
+        if feasible is not None:
+            return lambda pos, val: feasible(pos, np.abs(_floats(val, step)))
 
     def admit(pos, val):
-        mask = []
-        for p, v in zip(pos.tolist(), val.tolist()):
-            norm = 0
-            for j, y in zip(p, v):
-                if y:
-                    norm += costs[j] * abs(y if step is None else step * y)
-            mask.append(not norm > budget)
-        return np.array(mask, dtype=bool)
+        points = block_tuples(len(costs), pos, val, step)
+        norms = (sum(c * abs(v) for c, v in zip(costs, x) if v) for x in points)
+        return np.fromiter((not norm > budget for norm in norms), dtype=bool, count=len(pos))
 
     return admit
 

@@ -215,6 +215,9 @@ def estimate_gaussian_width(
     (seed, samples) pair across platforms.  A negative, infinite or NaN
     radius raises ``ValueError``; a radius so large that the peaks
     overflow gives an infinite mean and a NaN error, without a warning.
+    Where the mean is finite but the scaled peaks' error is not (their
+    squares overflow), the error is that of the unscaled peaks times the
+    radius.
     """
     _require_bound_dimension(n)
     _finite_radius(radius)
@@ -230,8 +233,11 @@ def estimate_gaussian_width(
         peaks[done : done + take] = np.abs(draws).max(axis=1)
         done += take
     with np.errstate(over="ignore", invalid="ignore"):
-        peaks *= float(radius)
-        return float(peaks.mean()), float(peaks.std(ddof=1) / math.sqrt(samples))
+        scaled = peaks * float(radius)
+        mean, error = float(scaled.mean()), float(scaled.std(ddof=1) / math.sqrt(samples))
+    if math.isfinite(mean) and not math.isfinite(error):
+        error = float(peaks.std(ddof=1) / math.sqrt(samples)) * float(radius)
+    return mean, error
 
 
 def _count_exponent(n: int, radius: Real, slack: Real, simplified: bool) -> Real:

@@ -16,11 +16,14 @@ for deterministic tie-breaking.
 There is one walk, :func:`point_blocks`: the magnitude vectors are
 walked in Python, a block of them at a time, and each block's sign
 expansion is done in numpy.  The solvers' numpy evaluator reads its
-blocks directly; :func:`iter_l1_points` turns them into one record per
-point, built in C (``struct`` unpacks the rows of a dense block into
-tuples of Python ints).  The point set is never materialized: a walk
-holds one block, at most ``BLOCK_CELLS // min(n, rho)`` points as
-support-indexed ``(pos, val)`` arrays, and :func:`iter_l1_points` also
+blocks directly.  There is one way from a block to points,
+:func:`block_tuples`, built in C (``struct`` unpacks the rows of a
+dense slice of the block into tuples of Python ints):
+:func:`iter_l1_points` turns its tuples into one record per point, and
+the solvers' per-point work, the winner of a scan included, reads its
+points through it.  The point set is never materialized: a walk holds
+one block, at most ``BLOCK_CELLS // min(n, rho)`` points as
+support-indexed ``(pos, val)`` arrays, and, where its points are read,
 a dense points x (n + 1) int64 array of at most ``DENSE_CELLS`` cells
 (or one row, when n + 1 is larger).
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 import operator
 import struct
 from functools import partial
-from itertools import chain
+from itertools import chain, count, repeat
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -61,44 +64,54 @@ def iter_l1_points(n: int, radius: Real) -> Iterator[LatticePoint]:
 
     Integer points of the ball only depend on floor(radius), so a radius
     below 1 yields just the origin.  The points are those of
-    :func:`point_blocks`, turned into records a block at a time.
+    :func:`point_blocks`, turned into records a block at a time, in C,
+    from the tuples of :func:`block_tuples`.
     """
     n = operator.index(n)
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
-    return chain.from_iterable(_point_records(n, floor_radius(radius)))
+    record = partial(tuple.__new__, LatticePoint)
+    # zip stops at a block's last point before it draws an ordinal, so
+    # one count runs on from block to block.
+    ordinals = count()
+    return chain.from_iterable(
+        map(record, zip(block_tuples(n, pos, val), np.abs(val).sum(axis=1).tolist(), ordinals))
+        for pos, val in point_blocks(n, floor_radius(radius))
+    )
 
 
-# Cells of the dense points x (n + 1) array that :func:`iter_l1_points`
+# Cells of the dense points x (n + 1) array that :func:`block_tuples`
 # scatters a block into, a slice of it at a time (512 KB).  At n = 40 a
 # whole block fits; at n = 10,000 and radius 1, a whole block of 4,096
 # points would take 328 MB.
 DENSE_CELLS = 1 << 16
 
 
-def _point_records(n: int, rho: int):
-    """One iterator of :class:`LatticePoint` per slice of a block.
+def block_tuples(n: int, pos: np.ndarray, val: np.ndarray, step=None) -> Iterator[tuple]:
+    """The points of a block of :func:`point_blocks` as tuples of length
+    n, in the block's order, each entry times ``step`` when there is one
+    (``tuple(map(step.__mul__, y))``, so a zero is ``step * 0``).
 
-    Each slice is scattered into a dense int64 array with a padding
-    column n, which ``struct`` unpacks row by row into tuples of Python
-    ints, skipping the padding; the records are built in C, and Python
-    code runs once per slice, which is one point only when n + 1 exceeds
-    ``DENSE_CELLS``.
+    Lazy: each slice of at most ``DENSE_CELLS`` cells is scattered into a
+    dense int64 array with a padding column n, which ``struct`` unpacks
+    row by row into tuples of Python ints, skipping the padding, only
+    when the points before it are used up.  The tuples are built in C,
+    and Python code runs once per slice, which is one point only when
+    n + 1 exceeds ``DENSE_CELLS``.
     """
     unpack = struct.Struct(f"{n}q8x").iter_unpack
-    record = partial(tuple.__new__, LatticePoint)
-    step = max(1, DENSE_CELLS // (n + 1))
-    ordinal = 0
-    for block_pos, block_val in point_blocks(n, rho):
-        for start in range(0, len(block_pos), step):
-            pos = block_pos[start : start + step]
-            val = block_val[start : start + step]
-            dense = np.zeros((len(pos), n + 1), dtype=np.int64)
-            dense[np.arange(len(pos))[:, None], pos] = val
-            end = ordinal + len(pos)
-            norms = np.abs(val).sum(axis=1).tolist()
-            yield map(record, zip(unpack(dense), norms, range(ordinal, end)))
-            ordinal = end
+    size = max(1, DENSE_CELLS // (n + 1))
+
+    def slices():
+        for start in range(0, len(pos), size):
+            rows = pos[start : start + size]
+            dense = np.zeros((len(rows), n + 1), dtype=np.int64)
+            dense[np.arange(len(rows))[:, None], rows] = val[start : start + size]
+            yield unpack(dense)
+            del dense  # before the next slice is built
+
+    points = chain.from_iterable(slices())
+    return points if step is None else map(tuple, map(map, repeat(step.__mul__), points))
 
 
 # Cells (points times columns) per block of :func:`point_blocks`: 32 KB

@@ -53,7 +53,6 @@ from typing import Callable, Optional, Sequence
 from .blocks import Forms, block_evaluator, block_scan, point_evaluator
 from .counting import Real, floor_radius
 from .errors import InvalidDimensionError, InvalidWeightsError, ShapeMismatchError
-from .lp import _scaled
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -266,7 +265,11 @@ def solve_weighted_l1_ip(
     Coordinates whose weight exceeds the radius are pinned to zero; the
     rest are enumerated inside a ball of effective radius
     radius / min(weights) and re-checked against the exact weighted
-    constraint before the oracle is consulted.  The minimum is taken
+    constraint before the oracle is consulted.  That constraint, with
+    the tolerance added to the radius in float mode, is one linear row
+    over the kept coordinates, with the weights as they are (Fractions
+    in rational mode), which the evaluators' row test decides (see
+    :mod:`l1opt.blocks`).  The minimum is taken
     over all weights, not just the surviving ones, trading a slightly
     larger enumeration for a direct match with the reduction as stated.
     ``points_enumerated`` counts enumerated candidates; ``oracle_calls``
@@ -286,12 +289,8 @@ def solve_weighted_l1_ip(
 
     kept = [i for i, w in enumerate(weights) if w <= radius]
     rho = floor_radius(radius / min(weights))
-    if exact:
-        # Clear denominators once: the budget test runs on Python ints.
-        *costs, budget = _scaled([*(weights[i] for i in kept), radius])[0]
-    else:
-        costs = [weights[i] for i in kept]
-        budget = radius + tol
+    costs = [weights[i] for i in kept]
+    budget = radius + tol
     found = scan_ball(problem, rho, tol, opts.stop_below, kept=kept, costs=costs, budget=budget)
     return _solution_from(*found)
 

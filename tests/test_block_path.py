@@ -17,6 +17,7 @@ import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -219,14 +220,17 @@ def test_ptas_block_path_matches_scalar_path(problem, epsilon, data, cells):
     stop=THRESHOLDS,
     nan=st.booleans(),
     cells=st.sampled_from([1, 2, 3, 7, 40]),
+    dense=st.sampled_from([1, 5]),
 )
 def test_both_evaluators_match_the_reference_scan_and_count_real_calls(
-    problem, data, rho, stop, nan, cells
+    problem, data, rho, stop, nan, cells, dense
 ):
     # Float and Fraction grid steps, weighted budgets over kept
-    # coordinates (int costs past int64 among them), thresholds that stop
-    # the scan anywhere in a block, and, for the wrapped oracles, NaN
-    # objective values wherever x_0 is nonzero.
+    # coordinates (int and Fraction costs and budgets, with costs past
+    # int64 once scaled among them), thresholds that stop the scan
+    # anywhere in a block, and, for the wrapped oracles, NaN objective
+    # values wherever x_0 is nonzero.  Small DENSE_CELLS values convert
+    # each block to points in several slices.
     step = data.draw(st.sampled_from([None, 0.5, 0.3, Fraction(1, 2)]))
     exact = problem.arithmetic == RATIONAL and step is None
     tolerance = 0 if exact else data.draw(st.sampled_from([1e-9, 0.5]))
@@ -234,11 +238,15 @@ def test_both_evaluators_match_the_reference_scan_and_count_real_calls(
     if data.draw(st.booleans()):
         kept = sorted(data.draw(st.sets(st.integers(0, problem.n - 1))))
         if exact:
-            cost, budgets = [1, 2, 3, 10**19 + 1], [0, 2, 5, 3 * 10**19]
+            cost = [1, 2, 3, 10**19 + 1, Fraction(1, 2), Fraction(10**19 + 1, 7)]
+            budgets = st.one_of(
+                st.sampled_from([0, 2, 5, 3 * 10**19, Fraction(3 * 10**19 + 3, 7)]),
+                st.fractions(min_value=0, max_value=6, max_denominator=4),
+            )
         else:
-            cost, budgets = [0.5, 1.0, 2.5], [0.0, 1.0, 2.5]
+            cost, budgets = [0.5, 1.0, 2.5], st.sampled_from([0.0, 1.0, 2.5])
         costs = data.draw(st.lists(st.sampled_from(cost), min_size=len(kept), max_size=len(kept)))
-        budget = data.draw(st.sampled_from(budgets))
+        budget = data.draw(budgets)
     if nan:
         objective = problem.objective
         problem = dataclasses.replace(
@@ -247,7 +255,7 @@ def test_both_evaluators_match_the_reference_scan_and_count_real_calls(
     args = (rho, tolerance, stop, step, kept, costs, budget)
     reference = repr(reference_scan(problem, *args))
     counted, seen = counting(problem)
-    with block_cells(cells):
+    with block_cells(cells), mock.patch.object(lattice, "DENSE_CELLS", dense):
         per_point = scan_ball(counted, *args)
         fast = scan_ball(problem, *args)
     assert repr(per_point) == repr(fast) == reference
@@ -461,6 +469,19 @@ def test_weighted_budget_admits_a_norm_equal_to_the_budget():
     solution = solve_weighted_l1_ip(problem, spec)
     assert repr(solution) == repr(solve_weighted_l1_ip(wrapped(problem), spec))
     assert solution.x == (0, 2)
+
+
+def test_a_rational_budget_between_two_scaled_norms():
+    # The costs 1/2 and 1 scale by 2 to 1 and 2, and the budget 7/3 to
+    # 14/3, which no scaled norm meets: the norm 2 (scaled 4) is within
+    # it and 5/2 (scaled 5) is not, so min -x_0 - 2 x_1 is -4, not -5.
+    problem = ProblemInstance.linear((-1, -2), (), ())
+    spec = WeightedL1Spec((Fraction(1, 2), 1), Fraction(7, 3))
+    solution = solve_weighted_l1_ip(problem, spec)
+    assert repr(solution) == repr(solve_weighted_l1_ip(wrapped(problem), spec))
+    assert solution.objective == -4 and solution.points_enumerated == 41
+    norms = (Fraction(abs(a), 2) + abs(b) for (a, b), _, _ in iter_l1_points(2, 4))
+    assert solution.oracle_calls == sum(norm <= spec.radius for norm in norms)
 
 
 @settings(max_examples=100, deadline=None)

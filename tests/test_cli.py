@@ -565,6 +565,23 @@ def test_weighted_solve_stdout_of_an_8_by_5_problem(path, monkeypatch, capsys, e
     # rejects 2,144 of the 2,241 points of the radius-4 walk.  Both
     # evaluators must print the pinned bytes, apart from wall_time_ms;
     # wrapped oracles take the per-point one.
+    block = "_int_evaluator"
+    assert_weighted_golden("weighted_8x5", block, path, monkeypatch, capsys, evaluators_run)
+
+
+@pytest.mark.parametrize("path", ["block", "per-point"])
+def test_weighted_float_solve_stdout_of_a_6_by_3_problem(path, monkeypatch, capsys, evaluators_run):
+    # A float weighted ILP: the weight 4.0 is over the radius 2.1 and pins
+    # x_4, and the optimum (1, 1, 1, 0, 0, 0) has the weighted norm
+    # 0.3 + 0.7 + 1.1, on the budget, which the float sums decide.
+    block = "_float_evaluator"
+    assert_weighted_golden("weighted_float_6x3", block, path, monkeypatch, capsys, evaluators_run)
+
+
+def assert_weighted_golden(name, block, path, monkeypatch, capsys, evaluators_run):
+    """``l1opt solve`` of the weighted file ``name`` prints its golden
+    bytes on the ``block`` evaluator or, with wrapped oracles, on the
+    per-point one."""
     data = pathlib.Path(__file__).parent / "data"
     if path == "per-point":
         solve = cli.solve_weighted_l1_ip
@@ -577,10 +594,10 @@ def test_weighted_solve_stdout_of_an_8_by_5_problem(path, monkeypatch, capsys, e
             return solve(instance, *args)
 
         monkeypatch.setattr(cli, "solve_weighted_l1_ip", wrapped)
-    assert cli.main(["solve", str(data / "weighted_8x5.json")]) == 0
-    assert evaluators_run == ["_int_evaluator" if path == "block" else "point_evaluator"]
+    assert cli.main(["solve", str(data / f"{name}.json")]) == 0
+    assert evaluators_run == [block if path == "block" else "point_evaluator"]
     head, tail = capsys.readouterr().out.rsplit(', "version"', 1)
-    assert head + "\n" == (data / "weighted_8x5.stdout").read_text()
+    assert head + "\n" == (data / f"{name}.stdout").read_text()
     assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
 
 
@@ -815,6 +832,15 @@ def test_an_overflowed_width_estimate_exit_1_without_warnings():
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "error: the result holds a non-finite float, which JSON cannot carry\n"
+
+
+def test_a_width_estimate_near_the_float_limit_exit_0():
+    # The squares of the scaled peaks overflow, but the mean and the
+    # standard error both fit a float.
+    result = run_cli("count", 3, "1e300", "--width-samples", 100)
+    assert result.returncode == 0, result.stderr
+    width = json.loads(result.stdout)["gaussian_width"]
+    assert (width["mean"], width["stderr"]) == (1.38459544640379e300, 5.797452907608434e298)
 
 
 def test_count_precise_bound_is_exact_only_for_an_integer():

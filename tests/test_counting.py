@@ -278,4 +278,4 @@ def test_gaussian_width_keeps_its_finite_values_and_overflows_quietly():
         warnings.simplefilter("error")
         mean, stderr = estimate_gaussian_width(2, 1e308, 100)
         assert mean == math.inf and math.isnan(stderr)
-        assert estimate_gaussian_width(3, 1e300, 100) == (1.38459544640379e300, math.inf)
+        assert estimate_gaussian_width(3, 1e300, 100) == (1.38459544640379e300, 5.797452907608434e298)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from l1opt import lattice
 from l1opt.errors import InvalidDimensionError, OutOfBallError
 from l1opt.lattice import LatticePoint, canonical_ordinal, iter_l1_points
+from l1opt.solver import ProblemInstance, solve_l1_ip
 from oracles import ball_points_brute, nonneg_ball_count_brute, reference_l1_points
 
 
@@ -164,14 +165,20 @@ def test_walk_is_lazy():
 def test_walk_memory_does_not_grow_with_the_block():
     # At n = 2,000 and radius 1 a whole block of 4,096 points as a dense
     # int64 array would take 65 MB; the walk scatters slices of
-    # DENSE_CELLS cells (512 KB) instead.
-    tracemalloc.start()
-    try:
-        assert next(iter_l1_points(2000, 1)).x == (0,) * 2000
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 8 * lattice.DENSE_CELLS
+    # DENSE_CELLS cells (512 KB) instead, and so does a scan that calls
+    # a wrapped objective once per point.
+    problem = ProblemInstance(2000, lambda x: x[0], lambda x: ())
+    for walk in (
+        lambda: next(iter_l1_points(2000, 1)).x == (0,) * 2000,
+        lambda: solve_l1_ip(problem, 1).x == (-1,) + (0,) * 1999,
+    ):
+        tracemalloc.start()
+        try:
+            assert walk()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * lattice.DENSE_CELLS
 
 
 def test_a_dimension_is_read_as_an_integer():
