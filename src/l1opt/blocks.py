@@ -3,14 +3,15 @@
 Every solver walks the ball through :func:`block_scan`: blocks of
 points from :func:`l1opt.lattice.point_blocks`, one evaluator call per
 block, and one reduction per block that applies the tie, NaN,
-early-stop and count rules.  The solvers differ only in the evaluator:
-:func:`block_evaluator` sums the forms of the built-in oracles of
-:meth:`l1opt.solver.ProblemInstance.linear` and ``.quadratic``, or the
-dual forms of a mixed problem's LPs, over a whole block in numpy, and
-:func:`point_evaluator` calls a per-point function (joint oracles, or
-an inner solver) once per admitted point.  Every point that Python code
-sees, the winner's included, is read through
-:func:`l1opt.lattice.block_tuples`.
+early-stop and count rules.  A solver hands the scan its forms and its
+per-point rule ``decide``, and the scan picks the evaluator, the one
+place that does: :func:`block_evaluator` sums the forms (those of the
+built-in oracles of :meth:`l1opt.solver.ProblemInstance.linear` and
+``.quadratic``, or the dual forms of a mixed problem's LPs) over a
+whole block in numpy, and where it refuses them :func:`point_evaluator`
+calls ``decide`` (joint oracles, or an inner solver) once per admitted
+point.  Every point that Python code sees, the winner's included, is
+read through :func:`l1opt.lattice.block_tuples`.
 
 The built-in oracles carry their data as a :class:`Forms` (attribute
 ``block_forms``), so the data is found through the oracles themselves.
@@ -33,7 +34,7 @@ by column over the support, from left to right and starting from zero.
   A constraint row with no coefficient at all has the exact value of
   its constant, so it is decided once, exactly.  A row with no linear
   coefficient but a matrix is exact at the origin only, so such a
-  problem has no block evaluator.
+  problem runs per point.
 
 The constraint rows are decided by one row test per arithmetic,
 :func:`_float_rows` and :func:`_int_rows`.  A weighted budget
@@ -48,15 +49,28 @@ raised peak RSS by 10.3 MB and support-indexed ones by 1.3 MB, and the
 dense ones took twice as long; the blocks of ``lattice.BLOCK_CELLS``
 raise it by about 0.8 MB on the ``wide`` workload.
 
-Generic and wrapped callables, data that mixes float with rational
-values, the rows above and thresholds that are neither floats nor
-rationals have no block evaluator, and run on the per-point one.
+Every refusal of the block path is a ``return None`` of
+:func:`block_evaluator`, and the walk then runs per point:
+
+- forms that are missing (generic and wrapped callables) or of another
+  dimension than the walk's;
+- a tolerance or stop that is neither a float nor a rational;
+- data that mixes float with rational values, or float sums that would
+  not be exact (:func:`_arithmetic`);
+- rational data at grid points with a row that has a matrix but no
+  linear coefficient;
+- objective forms over rational data whose scales differ.
+
+A rational threshold past the float range is no refusal: only finite
+floats are at most a rational above the range, and only -inf is at most
+one below it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
@@ -75,19 +89,20 @@ _EXACT_FLOAT_INT = 1 << 53
 _float_errors = np.errstate(over="ignore", invalid="ignore")
 
 
-def block_scan(n, rho, evaluator, objective, step=None, kept=None, costs=None, budget=None):
+def block_scan(n, rho, forms, decide, objective, tolerance=0, stop=None, step=None, kept=None,
+               costs=None, budget=None):
     """Best eligible ``(value, ordinal, x)`` over one walk of the rho-ball,
     with its counts: ``(best, calls, walked)``.
 
-    ``evaluator`` is ``(evaluate, stop)``, as :func:`block_evaluator` and
-    :func:`point_evaluator` make it.  ``evaluate(pos, val, admitted)``
-    returns a block's ``values``, the mask of its ``eligible`` points
-    (feasible, with a value that is not NaN) and ``results``: None, or
-    each point's own result.  The winner's value is its result, or, when
-    there are none, ``objective(x)``.  Each block takes one first-minimum
-    reduction: the smallest ordinal wins a tie, and ``stop``, in the units
-    of the values, ends the scan at the first eligible point at or below
-    it, with the counts of the walk up to that point.
+    The scan picks its evaluator: :func:`block_evaluator` over ``forms``,
+    the walk's ``(objective, rows)`` or None, with a point feasible when
+    every row is at most ``tolerance``; where that evaluator refuses them,
+    :func:`point_evaluator` over ``decide``.  Both give the same values,
+    eligible points and calls.  The winner's value is ``decide``'s result
+    on the per-point path, and ``objective(x)`` on the block path.  Each
+    block takes one first-minimum reduction: the smallest ordinal wins a
+    tie, and ``stop`` ends the scan at the first eligible point at or
+    below it, with the counts of the walk up to that point.
 
     With ``kept`` the ball spans only those coordinates of the n, and a
     point must pass the weighted budget ``sum(costs[j] * |x_j|) <= budget``
@@ -95,7 +110,8 @@ def block_scan(n, rho, evaluator, objective, step=None, kept=None, costs=None, b
     origin alone.  With a ``step`` the point is ``step * y``, as in the
     approximation schemes.
     """
-    evaluate, stop = evaluator
+    evaluator = block_evaluator(n, forms, rho, tolerance, stop, step)
+    evaluate, stop = evaluator or point_evaluator(decide, n, stop, step)
     admit = None if costs is None else _budget_mask(costs, budget, rho, step)
     if kept is None:
         blocks = point_blocks(n, rho)
@@ -148,12 +164,15 @@ def point_evaluator(decide, n, stop=None, step=None):
     """``(evaluate, stop)`` that calls ``decide(x)`` once for each admitted
     point of a block, in canonical order.
 
-    ``decide`` returns ``(value, result)``, with a value of None for an
-    infeasible point; x is read through :func:`l1opt.lattice.block_tuples`,
-    as :func:`block_scan` reads the winner.
-    A NaN value is never eligible.  A block ends at its first eligible
-    value at or below ``stop``, where the scan ends, so ``decide`` runs
-    exactly as often as the scan counts calls.
+    ``evaluate(pos, val, admitted)`` returns a block's ``values``, the
+    mask of its ``eligible`` points (feasible, with a value that is not
+    NaN) and ``results``, each point's own result; :func:`block_evaluator`
+    returns None for ``results``.  ``decide`` returns ``(value, result)``,
+    with a value of None for an infeasible point; x is read through
+    :func:`l1opt.lattice.block_tuples`, as :func:`block_scan` reads the
+    winner.  A block ends at its first eligible value at or below
+    ``stop``, where the scan ends, so ``decide`` runs exactly as often as
+    the scan counts calls.
     """
 
     def evaluate(pos, val, admitted):
@@ -174,27 +193,27 @@ def point_evaluator(decide, n, stop=None, step=None):
     return evaluate, stop
 
 
-def block_evaluator(objective, rows, rho, tolerance, stop, step):
-    """``(evaluate, stop)`` over the forms of a problem's ``objective`` and
-    its constraint ``rows``, or None when :func:`point_evaluator` must run.
+def block_evaluator(n, forms, rho, tolerance, stop, step):
+    """``(evaluate, stop)`` over ``forms``, the ``(objective, rows)`` of a
+    walk in dimension n, or None where :func:`point_evaluator` must run.
 
-    ``stop`` is ``stop_below`` in the units of the values.  Both must be
-    :class:`Forms` of one dimension, and their data must be all float or
-    all rational (int and Fraction).  The objective's value is the
-    largest of its forms' values, and over rational data its forms must
-    share one scale.  Float data, and rational data at grid points
-    of a float step, is summed in float64 as the scalar oracles sum it,
-    when every ``step * y`` of the ball is exact and finite; rational
-    data at integer points is scaled to ints per form and summed in int64
-    or, past the int64 bound, over Python ints.
+    ``stop`` is in the units of the values.  The objective's value is the
+    largest of its forms' values.  Each ``return None`` is one of the
+    refusals that the module docstring lists.
     """
-    if objective is None or rows is None or not objective.forms or objective.n != rows.n:
+    objective, rows = forms or (None, None)
+    if objective is None or rows is None or not objective.forms or not objective.n == rows.n == n:
+        return None
+    thresholds = (tolerance,) if stop is None else (tolerance, stop)
+    if not all(isinstance(t, (float, numbers.Rational)) for t in thresholds):
         return None
     types = objective.types | rows.types
     arithmetic = _arithmetic(types, rho, step)
     if arithmetic is float:
-        return _float_evaluator(objective, rows, tolerance, stop, step, types <= {float})
-    if arithmetic is int:
+        if not types <= {float} and any(M is not None and not any(a) for M, a, _ in rows.forms):
+            return None
+        return _float_evaluator(objective, rows, tolerance, stop, step)
+    if arithmetic is int and len(set(objective.ints.scales)) == 1:
         return _int_evaluator(objective, rows, rho, tolerance, stop)
     return None
 
@@ -218,13 +237,11 @@ def _floats(val, step):
     return val.astype(np.float64) if step is None else step * val
 
 
-def _float_evaluator(objective, rows, tolerance, stop, step, floats):
-    """The evaluator in float64, for float data (``floats``) or for
-    rational data at grid points."""
-    feasible = _float_rows(rows, tolerance, floats)
+def _float_evaluator(objective, rows, tolerance, stop, step):
+    """The evaluator in float64, for float data or for rational data at
+    grid points."""
+    feasible = _float_rows(rows, tolerance)
     threshold = None if stop is None else _float_floor(stop)
-    if feasible is None or (stop is not None and threshold is None):
-        return None
 
     @_float_errors
     def evaluate(pos, val, admitted):
@@ -235,20 +252,16 @@ def _float_evaluator(objective, rows, tolerance, stop, step, floats):
     return evaluate, threshold
 
 
-def _float_rows(rows, tolerance, floats):
+def _float_rows(rows, tolerance):
     """``feasible(pos, x)``: the mask of a block's points, entries ``x`` in
     float64, at which every row is at most ``tolerance``, each row summed
-    in float64; None for a tolerance that is neither a float nor a
-    rational, or for rational data at grid points (not ``floats``) with a
-    row that has a matrix but no linear coefficient."""
+    in float64."""
     tol = _float_floor(tolerance)
-    live = [(M, a, const) for M, a, const in rows.forms if M is not None or any(a)]
-    if tol is None or (not floats and any(not any(a) for M, a, const in live)):
-        return None
     # A row with no coefficient is its constant at every point.
     passes = all(const <= tolerance for M, a, const in rows.forms if M is None and not any(a))
+    live = tuple((M, a, const) for M, a, const in rows.forms if M is not None or any(a))
     if len(live) < len(rows.forms):
-        rows = Forms(rows.n, tuple(live))
+        rows = Forms(rows.n, live)
 
     @_float_errors
     def feasible(pos, x):
@@ -259,15 +272,12 @@ def _float_rows(rows, tolerance, floats):
 
 def _int_evaluator(objective, rows, rho, tolerance, stop):
     """The evaluator over scaled ints for rational data at integer
-    points: the objective in int64 within the bound of
-    :meth:`Forms.fits_int64`, and past it over Python ints (``big``), one
-    form at a time, and the rows by :func:`_int_rows`."""
+    points, whose objective forms share one scale: the objective in int64
+    within the bound of :meth:`Forms.fits_int64`, and past it over Python
+    ints (``big``), one form at a time, and the rows by :func:`_int_rows`."""
     big = not objective.fits_int64(rho)
     feasible = _int_rows(rows, rho, tolerance)
-    scales = set(objective.ints.scales)
-    threshold = None if stop is None else _scaled_floor(stop, min(scales), big)
-    if feasible is None or len(scales) > 1 or (stop is not None and threshold is None):
-        return None
+    threshold = None if stop is None else _scaled_floor(stop, objective.ints.scales[0], big)
 
     def evaluate(pos, val, admitted):
         if big:
@@ -286,11 +296,9 @@ def _int_rows(rows, rho, tolerance):
     row is at most ``tolerance``, over the rows scaled to ints: in int64
     within the bound of :meth:`Forms.fits_int64`, and past it over Python
     ints, one form at a time, so that a block holds one form's values at
-    once; None for a tolerance that is neither a float nor a rational."""
+    once."""
     big = not rows.fits_int64(rho)
     limits = [_scaled_floor(tolerance, scale, big) for scale in rows.ints.scales]
-    if None in limits:
-        return None
     if not big:
         limits = np.array(limits, dtype=np.int64)[:, None]
         return lambda pos, val: (rows.int_values(pos, val) <= limits).all(axis=0)
@@ -326,12 +334,10 @@ def _budget_mask(costs, budget, rho, step):
     arithmetic = _arithmetic(row.types, rho, step)
     if arithmetic is int:
         feasible = _int_rows(row, rho, budget)
-        if feasible is not None:
-            return lambda pos, val: feasible(pos, np.abs(val))
-    elif arithmetic is float:
-        feasible = _float_rows(row, budget, row.types <= {float})
-        if feasible is not None:
-            return lambda pos, val: feasible(pos, np.abs(_floats(val, step)))
+        return lambda pos, val: feasible(pos, np.abs(val))
+    if arithmetic is float:
+        feasible = _float_rows(row, budget)
+        return lambda pos, val: feasible(pos, np.abs(_floats(val, step)))
 
     def admit(pos, val):
         points = block_tuples(len(costs), pos, val, step)
@@ -475,28 +481,26 @@ def _form_values(L, consts, quads, pos, x):
 
 
 def _float_floor(t):
-    """The largest float at most ``t``, so that a float v has v <= t
-    exactly when v <= this; None for a ``t`` that is neither a float nor
-    a rational within the float range."""
+    """The largest float at most ``t``, a float or a rational, so that a
+    float v has v <= t exactly when v <= this.  For a ``t`` above the
+    float range that is the largest finite float, since every finite float
+    and no infinite one is at most such a ``t``; below the range it is
+    -inf."""
     if isinstance(t, float):
         return t
-    if not isinstance(t, numbers.Rational):
-        return None
     try:
         f = float(t)
     except OverflowError:
-        return None
+        return sys.float_info.max if t > 0 else -math.inf
     return math.nextafter(f, -math.inf) if f > t else f
 
 
 def _scaled_floor(t, scale: int, big: bool):
-    """floor(t * scale), so that an int value v has v / scale <= t
-    exactly when v <= this; for values in int64 clamped to int64, and
-    for Python int values (``big``) an infinite or NaN ``t`` itself.
-    None when ``t`` is neither a float nor a rational."""
+    """floor(t * scale) for a float or a rational ``t``, so that an int
+    value v has v / scale <= t exactly when v <= this; for values in int64
+    clamped to int64, and for Python int values (``big``) an infinite or
+    NaN ``t`` itself."""
     if isinstance(t, float) and not math.isfinite(t):
         return t if big else (_INT64_MAX if t > 0 else _INT64_MIN)
-    if not isinstance(t, (float, numbers.Rational)):
-        return None
     floor = math.floor(Fraction(t) * scale)
     return floor if big else min(max(floor, _INT64_MIN), _INT64_MAX)

@@ -122,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ptas = sub.add_parser("ptas", help="additive approximation of a Lipschitz problem file")
     p_ptas.add_argument("file")
-    p_ptas.add_argument("--epsilon", type=float, default=None)
-    p_ptas.add_argument("--kappa", type=float, default=None, help="override the Lipschitz constant")
+    p_ptas.add_argument("--epsilon", default=None)
+    p_ptas.add_argument("--kappa", default=None, help="override the Lipschitz constant")
     _add_parallel(p_ptas)
     p_ptas.set_defaults(handler=_cmd_ptas)
 

@@ -32,6 +32,7 @@ PROBLEM_KINDS = (
     "lipschitz-quadratic",
     "mixed",
 )
+_NON_FINITE = ("inf", "infinity", "nan")
 
 @dataclass(frozen=True)
 class ParsedProblem:
@@ -223,6 +224,9 @@ def _scalar(value: Any, arithmetic: str, fieldname: str) -> Any:
             parsed = Fraction(*value)
             return parsed if arithmetic == RATIONAL else float(parsed)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # "inf" and "nan" spell floats that no Fraction holds.
+        if isinstance(value, str) and value.strip().lower().lstrip("+-") in _NON_FINITE:
+            raise ProblemFileError(fieldname, f"must be finite, got {value}")
         raise ProblemFileError(fieldname, f"not a valid number: {exc}")
     raise ProblemFileError(fieldname, f"unsupported value {value!r}")
 

@@ -13,18 +13,19 @@ exists.
 Both approximation schemes walk the ball through
 :func:`l1opt.solver.scan_ball`, the walk of the exact solvers, with the
 grid step: each integer point y becomes the grid point ``step * y``,
-and the weighted budget is tested over the kept coordinates.  The block
-evaluator of :mod:`l1opt.blocks` runs when the problem's objective and
-constraints are built-in oracles (those of
-:meth:`l1opt.solver.ProblemInstance.linear` or ``.quadratic``) over
-float or rational data and the step is a float; rational data is summed
-in float64 over its float image, as ``Fraction * float`` computes it.
-Other oracles run per point, and so does rational data with a
-constraint row that has a matrix but no linear coefficient.  The
-command line's ``ptas`` passes the built-in oracles of float and
-rational files as they are.
+and the weighted budget is tested over the kept coordinates.  The scan,
+:func:`l1opt.blocks.block_scan`, picks the evaluator.  The block
+evaluator runs when the problem's objective and constraints are
+built-in oracles (those of :meth:`l1opt.solver.ProblemInstance.linear`
+or ``.quadratic``) over float or rational data and the step is a
+float; rational data is summed in float64 over its float image, as
+``Fraction * float`` computes it.  Every case that runs per point is a
+refusal of :func:`l1opt.blocks.block_evaluator`.  The command line's
+``ptas`` passes the built-in oracles of float and rational files as
+they are.
 
-The mixed solver runs the same scan, :func:`l1opt.blocks.block_scan`.
+The mixed solver runs the same scan, and hands it the dual forms of
+:func:`_dual_forms` and a per-point rule that calls the inner solver.
 When its inner solver is the one of :func:`linear_mixed_inner_solver`,
 by LP duality the inner value is the largest of fixed linear forms in
 the integer block, and by Farkas' lemma feasibility is a fixed set of
@@ -47,7 +48,7 @@ from itertools import chain, combinations
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .blocks import Forms, block_evaluator, block_scan, point_evaluator
+from .blocks import Forms, block_scan
 from .counting import Real, count_l1_lattice, floor_radius
 from .errors import InnerSolverError, InvalidDimensionError, ShapeMismatchError
 from .lp import INFEASIBLE, OPTIMAL, _scaled, exact_rationals, lp_solve
@@ -231,17 +232,13 @@ def solve_mixed_integer(problem: MixedProblem, radius: Real, parallel: int = 1) 
     """
     _check_parallel(parallel)
     inner = problem.inner_solver
+
+    def decide(x: tuple[int, ...]):
+        solved = inner(x)
+        return (solved.value if solved.status == "optimal" else None), solved
+
     forms = _dual_forms(problem, radius)
-    rho = floor_radius(radius)
-    evaluator = None if forms is None else block_evaluator(*forms, rho, 0, None, None)
-    if evaluator is None:
-
-        def decide(x: tuple[int, ...]):
-            solved = inner(x)
-            return (solved.value if solved.status == "optimal" else None), solved
-
-        evaluator = point_evaluator(decide, problem.n_int)
-    best, calls, points = block_scan(problem.n_int, rho, evaluator, inner)
+    best, calls, points = block_scan(problem.n_int, floor_radius(radius), forms, decide, inner)
     if best is None:
         return MixedSolution("infeasible", None, None, None, calls, points)
     solved, _, x = best
@@ -252,10 +249,12 @@ def _dual_forms(problem: MixedProblem, radius: Real) -> Optional[tuple[Forms, Fo
     """The dual forms ``(objective, rows)`` of the inner solver, or None
     when the per-point evaluator must run.
 
-    Only the closure of :func:`linear_mixed_inner_solver` carries them,
-    so a wrapped or generic inner solver runs per point, and so does an
-    integer block whose length is not ``len(c_int)``, which the inner
-    solver refuses with ``ShapeMismatchError``.  The forms are built
+    These are the refusals that only a mixed solve has; the scan's
+    :func:`l1opt.blocks.block_evaluator` holds the rest, forms of another
+    dimension than the integer block among them, which the inner solver
+    refuses with ``ShapeMismatchError``.  Only the closure of
+    :func:`linear_mixed_inner_solver` carries the forms, so a wrapped or
+    generic inner solver runs per point.  The forms are built
     only when the minor table and the ray subsets hold at most
     (m + 1)(p + 1) entries per point of the ball, and they are None
     when no vertex is found.  The per-point evaluator builds and pivots
@@ -266,7 +265,7 @@ def _dual_forms(problem: MixedProblem, radius: Real) -> Optional[tuple[Forms, Fo
     grows as C(m + 1, p), from being built for a small ball.
     """
     dual = getattr(problem.inner_solver, "dual_forms", None)
-    if dual is None or dual.n != problem.n_int:
+    if dual is None:
         return None
     tableau = (dual.m + 1) * (dual.p + 1)
     if dual.subsets > tableau * count_l1_lattice(problem.n_int, radius):

@@ -20,8 +20,10 @@ function, :func:`scan_ball`: :func:`solve_l1_ip` and
 :func:`solve_weighted_l1_ip` here, and the approximation schemes of
 :mod:`l1opt.ptas`, which pass a grid step.  The solvers only compute
 the ball's radius and, for a weighted budget, the kept coordinates,
-their costs and the budget.  :func:`scan_ball` runs the one scan loop,
-:func:`l1opt.blocks.block_scan`, with one of two evaluators, with the
+their costs and the budget.  :func:`scan_ball` only works out the
+oracles' forms and the per-point rule over
+:meth:`ProblemInstance.evaluate`; the one scan loop,
+:func:`l1opt.blocks.block_scan`, picks one of two evaluators, with the
 same results, ties and counts:
 
 - The block evaluator (:mod:`l1opt.blocks`) runs whenever the objective
@@ -35,11 +37,10 @@ same results, ties and counts:
   fits in int64 and over Python ints past it.  The winner's value is
   recomputed by the scalar objective.
 - The per-point evaluator calls :meth:`ProblemInstance.evaluate` once
-  per point for every other case: generic callables, oracles replaced
-  or wrapped (say by ``dataclasses.replace``), data that mixes float
-  with rational values, rational data at grid points with a constraint
-  row that has a matrix but no linear coefficient, and a
-  ``stop_below`` or tolerance that is neither a float nor a rational.
+  per point wherever :func:`l1opt.blocks.block_evaluator` refuses the
+  walk; :mod:`l1opt.blocks` lists every refusal.  Generic callables, oracles
+  replaced or wrapped (say by ``dataclasses.replace``) and data that
+  mixes float with rational values are among them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .blocks import Forms, block_evaluator, block_scan, point_evaluator
+from .blocks import Forms, block_scan
 from .counting import Real, floor_radius
 from .errors import InvalidDimensionError, InvalidWeightsError, ShapeMismatchError
 
@@ -301,25 +302,19 @@ def scan_ball(problem, rho, tolerance, stop=None, step=None, kept=None, costs=No
 
     The walk of :func:`solve_l1_ip`, :func:`solve_weighted_l1_ip` and
     both approximation schemes: :func:`l1opt.blocks.block_scan`, with
-    its ``step``, ``kept``, ``costs`` and ``budget``.  It runs the block
-    evaluator of the oracles' forms when there is one, and else the
-    per-point evaluator over :meth:`ProblemInstance.evaluate`, which
+    its ``step``, ``kept``, ``costs`` and ``budget``, over the oracles'
+    forms, and per point over :meth:`ProblemInstance.evaluate`, which
     takes a point as feasible when every constraint is at most
     ``tolerance``.
     """
-    oracles = (problem.objective, problem.constraints)
-    objective, rows = (getattr(f, "block_forms", None) for f in oracles)
-    evaluator = None
-    if objective is not None and objective.n == problem.n:
-        evaluator = block_evaluator(objective, rows, rho, tolerance, stop, step)
-    if evaluator is None:
+    forms = tuple(getattr(f, "block_forms", None) for f in (problem.objective, problem.constraints))
 
-        def decide(x):
-            value, residuals = problem.evaluate(x)
-            return (value if all(g <= tolerance for g in residuals) else None), value
+    def decide(x):
+        value, residuals = problem.evaluate(x)
+        return (value if all(g <= tolerance for g in residuals) else None), value
 
-        evaluator = point_evaluator(decide, problem.n, stop, step)
-    return block_scan(problem.n, rho, evaluator, problem.objective, step, kept, costs, budget)
+    walk = (tolerance, stop, step, kept, costs, budget)
+    return block_scan(problem.n, rho, forms, decide, problem.objective, *walk)
 
 
 def _check_parallel(parallel: int) -> None:

@@ -113,8 +113,8 @@ def problems(draw, modes=(RATIONAL, FLOAT), huge=None):
 
 def problem_evaluator(problem, rho, tolerance, stop, step):
     """The block evaluator of a problem's oracles, or None."""
-    forms = (getattr(f, "block_forms", None) for f in (problem.objective, problem.constraints))
-    return block_evaluator(*forms, rho, tolerance, stop, step)
+    forms = tuple(getattr(f, "block_forms", None) for f in (problem.objective, problem.constraints))
+    return block_evaluator(problem.n, forms, rho, tolerance, stop, step)
 
 
 def wrapped(problem):
@@ -212,6 +212,15 @@ def test_ptas_block_path_matches_scalar_path(problem, epsilon, data, cells):
     assert repr(weighted) == repr(solve_weighted_lipschitz_ptas(slow, weights, epsilon))
 
 
+# Int and Fraction costs and budgets of exact weighted scans, with costs
+# past int64 once scaled among them.
+EXACT_COSTS = [1, 2, 3, 10**19 + 1, Fraction(1, 2), Fraction(10**19 + 1, 7)]
+EXACT_BUDGETS = st.one_of(
+    st.sampled_from([0, 2, 5, 3 * 10**19, Fraction(3 * 10**19 + 3, 7)]),
+    st.fractions(min_value=0, max_value=6, max_denominator=4),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     problem=problems(),
@@ -238,11 +247,7 @@ def test_both_evaluators_match_the_reference_scan_and_count_real_calls(
     if data.draw(st.booleans()):
         kept = sorted(data.draw(st.sets(st.integers(0, problem.n - 1))))
         if exact:
-            cost = [1, 2, 3, 10**19 + 1, Fraction(1, 2), Fraction(10**19 + 1, 7)]
-            budgets = st.one_of(
-                st.sampled_from([0, 2, 5, 3 * 10**19, Fraction(3 * 10**19 + 3, 7)]),
-                st.fractions(min_value=0, max_value=6, max_denominator=4),
-            )
+            cost, budgets = EXACT_COSTS, EXACT_BUDGETS
         else:
             cost, budgets = [0.5, 1.0, 2.5], st.sampled_from([0.0, 1.0, 2.5])
         costs = data.draw(st.lists(st.sampled_from(cost), min_size=len(kept), max_size=len(kept)))
@@ -264,6 +269,27 @@ def test_both_evaluators_match_the_reference_scan_and_count_real_calls(
         # A point over the budget never reaches the oracle.
         for x in seen:
             assert not sum(c * abs(x[k]) for c, k in zip(costs, kept)) > budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=problems(modes=(RATIONAL,)),
+    data=st.data(),
+    rho=st.integers(0, 3),
+    stop=THRESHOLDS,
+    cells=st.sampled_from([1, 3, 7, 40]),
+)
+def test_exact_weighted_scans_match_the_reference_scan(problem, data, rho, stop, cells):
+    # Every example is an exact weighted scan: the budget is a row over
+    # the scaled ints of a nonempty kept set, decided at |x|, and a
+    # fractional budget falls between two scaled norms.
+    kept = sorted(data.draw(st.sets(st.integers(0, problem.n - 1), min_size=1)))
+    size = len(kept)
+    costs = data.draw(st.lists(st.sampled_from(EXACT_COSTS), min_size=size, max_size=size))
+    args = (rho, 0, stop, None, kept, costs, data.draw(EXACT_BUDGETS))
+    with block_cells(cells):
+        found = scan_ball(problem, *args)
+    assert repr(found) == repr(reference_scan(problem, *args))
 
 
 # Rational values whose scaled forms leave int64 at small radii: huge
@@ -610,20 +636,23 @@ def test_objective_with_several_forms_is_their_maximum(kind):
         return max(sum(a * v for a, v in zip(coefs, x)) + const for _, coefs, const in forms)
 
     objective.block_forms = Forms(3, tuple(forms))
+
+    def decide(x):
+        return (objective(x) if x[0] + x[1] <= 1 else None), None
+
     expected = None
     for point in iter_l1_points(3, 2):
-        if point.x[0] + point.x[1] <= 1:
-            value = objective(point.x)
-            if expected is None or value < expected[0]:
-                expected = (value, point.ordinal, point.x)
-    evaluator = block_evaluator(objective.block_forms, rows, 2, 0, None, None)
-    assert evaluator is not None
-    assert block_scan(3, 2, evaluator, objective) == (expected, 25, 25)
+        value = decide(point.x)[0]
+        if value is not None and (expected is None or value < expected[0]):
+            expected = (value, point.ordinal, point.x)
+    walk = (objective.block_forms, rows)
+    assert block_evaluator(3, walk, 2, 0, None, None) is not None
+    assert block_scan(3, 2, walk, decide, objective) == (expected, 25, 25)
 
 
 def test_rational_forms_of_one_objective_must_share_a_scale():
     forms = Forms(1, ((None, (Fraction(1, 2),), 0), (None, (Fraction(1, 3),), 0)))
-    assert block_evaluator(forms, Forms(1, ()), 2, 0, None, None) is None
+    assert block_evaluator(1, (forms, Forms(1, ())), 2, 0, None, None) is None
 
 
 FLOAT_LP = ProblemInstance.linear((1.0, -0.5), ((1.0, 1.0),), (1.0,), FLOAT)
@@ -634,10 +663,8 @@ FLOAT_LP = ProblemInstance.linear((1.0, -0.5), ((1.0, 1.0),), (1.0,), FLOAT)
     [
         # Coefficients that mix int and float.
         (ProblemInstance(2, *make_linear_oracle((1, 0.5), ((1, 1),), (1,)), FLOAT), None),
-        # Thresholds that are neither a float nor a rational, or past the
-        # float range.
+        # Thresholds that are neither a float nor a rational.
         (FLOAT_LP, Decimal("-1")),
-        (FLOAT_LP, Fraction(10**400)),
         (ProblemInstance.linear((1, Fraction(-1, 2)), ((1, 1),), (1,)), Decimal("-1")),
     ],
 )
@@ -646,6 +673,23 @@ def test_scans_with_no_block_evaluator_match_the_reference(problem, stop_below, 
     found = scan_ball(problem, 2, tolerance, stop_below)
     assert evaluators_run == ["point_evaluator"]
     assert repr(found) == repr(reference_scan(problem, 2, tolerance, stop_below))
+
+
+@pytest.mark.parametrize(
+    "tolerance, stop_below",
+    [
+        (1e-9, Fraction(10**400)),
+        (1e-9, Fraction(-(10**400))),
+        (Fraction(10**400), None),
+        (Fraction(-(10**400)), None),
+    ],
+)
+def test_thresholds_past_the_float_range_take_the_block_path(tolerance, stop_below, evaluators_run):
+    # Every finite float, and no infinite one, is at most 10**400; the
+    # stop at 10**400 ends the walk at its first feasible point.
+    found = scan_ball(FLOAT_LP, 2, tolerance, stop_below)
+    assert evaluators_run == ["_float_evaluator"]
+    assert repr(found) == repr(reference_scan(FLOAT_LP, 2, tolerance, stop_below))
 
 
 BIG = 3 * 10**18

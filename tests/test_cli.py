@@ -449,6 +449,15 @@ def test_weights_flag_acts_as_the_file_field(tmp_path):
     assert _without_timing(flag.stdout) == _without_timing(edited.stdout)
 
 
+@pytest.mark.parametrize("flag, text", [("--epsilon", "1/2"), ("--kappa", "3/2")])
+def test_ptas_flags_act_as_the_file_fields(tmp_path, flag, text):
+    # The flags take the file grammar, fractions included.
+    flagged = run_cli("ptas", write(tmp_path, LIPSCHITZ), flag, text)
+    edited = run_cli("ptas", write(tmp_path, dict(LIPSCHITZ, **{flag[2:]: text}), "edited.json"))
+    assert flagged.returncode == edited.returncode == 0, flagged.stderr
+    assert _without_timing(flagged.stdout) == _without_timing(edited.stdout)
+
+
 @pytest.mark.parametrize(
     "command, doc, flags, field",
     [

@@ -62,8 +62,8 @@ def problems(draw):
 
 
 def on_block_path(problem, radius=3, tolerance=0):
-    forms = (getattr(f, "block_forms", None) for f in (problem.objective, problem.constraints))
-    return block_evaluator(*forms, radius, tolerance, None, None) is not None
+    forms = tuple(getattr(f, "block_forms", None) for f in (problem.objective, problem.constraints))
+    return block_evaluator(problem.n, forms, radius, tolerance, None, None) is not None
 
 
 def with_wrapped_oracles(problem):

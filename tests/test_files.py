@@ -61,6 +61,15 @@ def test_a_float_mode_value_past_the_float_range_names_its_field(value):
         parse_problem(doc)
 
 
+@pytest.mark.parametrize("arithmetic", ["rational", "float"])
+@pytest.mark.parametrize("text", ["inf", "-Infinity", "NaN"])
+def test_a_non_finite_string_is_refused_as_not_finite(arithmetic, text):
+    # No Fraction reads these, so the error quoted the Fraction parser.
+    doc = dict(ILP_DOC, arithmetic=arithmetic, c=[1, text])
+    with pytest.raises(ProblemFileError, match=r"^c\[1\]: must be finite, got "):
+        parse_problem(doc)
+
+
 def test_float_mode_accepts_floats():
     doc = dict(ILP_DOC, arithmetic="float", c=[0.5, -1.25], **{"lambda": 2.0})
     problem = parse_problem(doc)
