@@ -663,8 +663,10 @@ FLOAT_LP = ProblemInstance.linear((1.0, -0.5), ((1.0, 1.0),), (1.0,), FLOAT)
     [
         # Coefficients that mix int and float.
         (ProblemInstance(2, *make_linear_oracle((1, 0.5), ((1, 1),), (1,)), FLOAT), None),
-        # Thresholds that are neither a float nor a rational.
+        # Thresholds that are neither a float nor a rational: a numpy
+        # float32 is no Python float.
         (FLOAT_LP, Decimal("-1")),
+        (FLOAT_LP, np.float32(-0.5)),
         (ProblemInstance.linear((1, Fraction(-1, 2)), ((1, 1),), (1,)), Decimal("-1")),
     ],
 )
