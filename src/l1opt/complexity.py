@@ -27,7 +27,7 @@ import numpy as np
 
 from .counting import BigBound, DEFAULT_SLACK, Real, oracle_complexity_bound
 from .errors import InvalidDimensionError, RegionInfeasibleError, RegionUnboundedError
-from .lp import INFEASIBLE, UNBOUNDED, _leq_rows, _optima, exact_rationals, lp_optimum
+from .lp import INFEASIBLE, UNBOUNDED, _leq_rows, _lifted, _optima, exact_rationals, lp_optimum
 
 # Guards against a float backend reporting 1.9999999996 for an exactly
 # integral maximum; exact backends are floored without it.
@@ -73,7 +73,12 @@ class LinearRegionBackend(ConvexOptBackend):
     it returns ``[maximize(d) for d in directions]`` and raises the same
     error after the same ``lp_calls``, but it reads every direction
     first, so a non-finite one raises before any solve.  The lifted solve
-    runs once per estimate and builds its own form.  ``lp_calls`` counts
+    runs once per estimate, on the region's form too: its rows, with each
+    free x_j's two columns reordered into the s and t blocks, are the
+    integers of [A | -A], and only the rows of the upper bounds are new
+    (``lp._lifted``).  Bounds that form cannot take (one that is negative
+    or None, a wrong length) and a ragged A go through ``lp_optimum``, so
+    they raise its errors.  ``lp_calls`` counts
     the solves, ``certified_solves`` those answered by a certified guide
     basis and ``fallback_pivots`` the exact simplex pivots of the others.
     Infinite or NaN entries of A or b raise ``ValueError``.
@@ -91,28 +96,28 @@ class LinearRegionBackend(ConvexOptBackend):
     def maximize(self, direction, lifted_bounds=None):
         if lifted_bounds is None:
             return self.maximize_all([direction])[0]
-        s_upper, t_upper = lifted_bounds
         n = self.n
+        cost = exact_rationals(direction, "lp_optimum: c")
+        upper = [*lifted_bounds[0], *lifted_bounds[1]]
+        shaped = len(self.A) == len(self.b) and all(len(row) == n for row in self.A)
+        if shaped and len(cost) == 2 * n == len(upper) and None not in upper:
+            bounds = exact_rationals(upper, "lp_optimum: upper")
+            if min(bounds, default=0) >= 0:
+                return self._answer(next(_optima([_lifted(self._region(n), cost, bounds)])))
         rows = [list(row) + [-v for v in row] for row in self.A]
-        return self._answer(
-            lp_optimum(
-                direction,
-                rows,
-                self.b,
-                sense="max",
-                lower=[0] * (2 * n),
-                upper=list(s_upper) + list(t_upper),
-            )
-        )
+        return self._answer(lp_optimum(direction, rows, self.b, "max", [0] * (2 * n), upper))
 
     def maximize_all(self, directions):
-        forms = []
         # Named as lp_optimum names its input, so errors read the same.
-        for cost in [exact_rationals(direction, "lp_optimum: c") for direction in directions]:
-            if self._rows is None or len(self._rows.subs) != len(cost):
-                self._rows = _leq_rows("lp_optimum", self.A, self.b, len(cost), None, None)
-            forms.append(self._rows.priced(cost, maximize=True))
-        return [self._answer(result) for result in _optima(forms)]
+        costs = [exact_rationals(direction, "lp_optimum: c") for direction in directions]
+        return [self._answer(result) for result in _optima([self._region(len(c)).priced(c, True) for c in costs])]
+
+    def _region(self, n):
+        """The constraint part of the region's ≤-form over n variables,
+        built on the first call and kept."""
+        if self._rows is None or len(self._rows.subs) != n:
+            self._rows = _leq_rows("lp_optimum", self.A, self.b, n, None, None)
+        return self._rows
 
     def _answer(self, result):
         self.lp_calls += 1

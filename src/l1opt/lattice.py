@@ -95,23 +95,30 @@ def block_tuples(n: int, pos: np.ndarray, val: np.ndarray, step=None) -> Iterato
     Lazy: each slice of at most ``DENSE_CELLS`` cells is scattered into a
     dense int64 array with a padding column n, which ``struct`` unpacks
     row by row into tuples of Python ints, skipping the padding, only
-    when the points before it are used up.  The tuples are built in C,
-    and Python code runs once per slice, which is one point only when
-    n + 1 exceeds ``DENSE_CELLS``.
+    when the points before it are used up.  For a float step the slice is
+    float64, scaled in place, and ``struct`` unpacks doubles: each entry
+    is below 2^53, so it converts exactly, and each is one IEEE product,
+    the float that ``step.__mul__`` gives.  The tuples are built in C, and
+    Python code runs once per slice, which is one point only when n + 1
+    exceeds ``DENSE_CELLS``; another step is applied by ``map``.
     """
-    unpack = struct.Struct(f"{n}q8x").iter_unpack
+    floats = type(step) is float
+    unpack = struct.Struct(f"{n}{'d' if floats else 'q'}8x").iter_unpack
     size = max(1, DENSE_CELLS // (n + 1))
 
     def slices():
         for start in range(0, len(pos), size):
             rows = pos[start : start + size]
-            dense = np.zeros((len(rows), n + 1), dtype=np.int64)
+            dense = np.zeros((len(rows), n + 1), dtype=np.float64 if floats else np.int64)
             dense[np.arange(len(rows))[:, None], rows] = val[start : start + size]
+            if floats:
+                with np.errstate(all="ignore"):  # inf and nan, as step.__mul__ gives them
+                    dense *= step
             yield unpack(dense)
             del dense  # before the next slice is built
 
     points = chain.from_iterable(slices())
-    return points if step is None else map(tuple, map(map, repeat(step.__mul__), points))
+    return points if step is None or floats else map(tuple, map(map, repeat(step.__mul__), points))
 
 
 # Cells (points times columns) per block of :func:`point_blocks`: 32 KB

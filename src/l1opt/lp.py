@@ -36,15 +36,18 @@ of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
 - *Certificate.*  The basic columns and the tight rows (those whose
   slack is nonbasic) form a k x k integer system.  A tight row with one
   nonzero among the basic columns, such as a variable bound, pins its
-  column; fraction-free forward elimination and exact integer
-  back-substitution solve the block of the other rows and columns for
-  the remaining basic values and, transposed, for their duals, and the
+  column.  The block of the other rows and columns is factored once, by
+  fraction-free forward elimination, which leaves its LU factors in
+  place (Nakos, Turner & Williams 1997): exact integer back-substitution
+  gives the remaining basic values, an O(k^2) replay of the same factors
+  transposed gives the duals of its rows (Zhou & Jeffrey 2008), and the
   pinned rows' duals follow by back-substitution.  The basis is accepted
   only when, exactly, the basic values are >= 0, every row holds, and
   the duals and the reduced costs of the nonbasic columns are >= 0:
   primal and dual feasibility, so the point is optimal.  The certificate
-  is that point z and its value; whether the optimum is unique is not
-  decided.
+  is that point z, as integer numerators over one denominator, which
+  ``_LeqForm.result`` turns into x and the value, one Fraction each;
+  whether the optimum is unique is not decided.
 - *Fallback.*  Data past the float range, a non-finite value, the cap, a
   singular basis, a failed check or a guide status other than optimal
   all lead to ``lp_solve``.  Status and value are therefore always
@@ -56,12 +59,15 @@ of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
 On the 2n + 1 LPs of ``complexity.estimate_bound`` at 12 variables and
 48 rows, the guide's basis passes.  The 2n coordinate LPs share their
 region's constraint rows (``_leq_rows``), differ only in the cost
-(``_LeqForm.priced``) and go through one stacked guide (``_optima``).
-On the 1,200 certificate systems of the benchmark's bound jobs (seeds
-1-3), forward elimination took 0.20-0.25 s against 0.34 s for Gauss-Jordan
-(best of 5, 2-core host).  Pinning keeps the bound rows of the lifted LP,
-with denominators of about 120 bits, out of the elimination, whose
-integers would otherwise grow to about 1,400 bits.  The inner LPs of a
+(``_LeqForm.priced``) and go through one stacked guide (``_optima``);
+the lifted LP's form is those rows with their columns reordered, plus
+its bound rows (``_lifted``).  On the 600 certificates of the
+benchmark's bound jobs (seeds 1-3), one factorization and its
+transposed replay took 0.13-0.16 s against 0.21-0.23 s for the two
+forward eliminations that solved the primal and the transposed system
+apart (7 alternating runs, 2-core host).  Pinning keeps the bound rows
+of the lifted LP, with denominators of about 120 bits, out of the
+elimination, whose integers would otherwise grow to about 1,400 bits.  The inner LPs of a
 linear mixed solve use ``lp_solve``.  With the block evaluator the mixed
 solver decides every integer point through the LPs' duals and solves one
 LP, at the winner; the per-point evaluator, for a wrapped inner solver,
@@ -79,6 +85,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ShapeMismatchError
@@ -195,24 +202,24 @@ class _LeqForm(NamedTuple):
 
     def solve(self) -> LPResult:
         """The exact Bland simplex on this form."""
-        status, z, value, pivots = _solve_leq_form(self.cost, self.rows, self.rhs, self.scales)
+        status, nums, d, pivots = _solve_leq_form(self.cost, self.rows, self.rhs, self.scales)
         if status != OPTIMAL:
             return LPResult(status, None, None, pivots)
-        return self.result(z, value, pivots)
+        return self.result(nums, d, pivots)
 
-    def result(
-        self, z: list[Fraction], value: Fraction, pivots: int, certified: bool = False
-    ) -> LPResult:
-        """The optimal result for ``z`` with ``cost.z == value``, in terms of x."""
-        # Summed from the offset, so a bounded x_j costs one Fraction
-        # addition, as L + z_k does.
+    def result(self, nums: list[int], d: int, pivots: int, certified: bool = False) -> LPResult:
+        """The optimal result at z = nums / d, with d > 0, in terms of x.
+
+        Each x_j and the objective is built from integers as one Fraction,
+        so each costs one gcd."""
         x = tuple(
-            sum((z[k] if sign > 0 else -z[k] for k, sign in terms), offset) for offset, terms in self.subs
+            Fraction(off.numerator * d + off.denominator * sum(nums[k] * sign for k, sign in terms), off.denominator * d)
+            for off, terms in self.subs
         )
-        objective = value / self.cost_scale + self.cost_shift
-        if self.maximize:
-            objective = -objective
-        return LPResult(OPTIMAL, objective, x, pivots, certified)
+        shift, scale = self.cost_shift, d * self.cost_scale
+        value = sum(map(mul, self.cost, nums)) * shift.denominator + shift.numerator * scale
+        value = Fraction(-value if self.maximize else value, scale * shift.denominator)
+        return LPResult(OPTIMAL, value, x, pivots, certified)
 
 
 def _optima(forms: Sequence[_LeqForm]) -> Iterator[LPResult]:
@@ -285,13 +292,30 @@ def _leq_rows(where, A, b, n, lower, upper) -> Optional[_LeqForm]:
         std_rhs.append(ints.pop())
         std_rows.append(_expand(ints, subs))
         scales.append(scale)
-    for col, bound in extra_rows:
-        row = [0] * num_z
-        row[col] = bound.denominator
-        std_rows.append(row)
-        std_rhs.append(bound.numerator)
-        scales.append(bound.denominator)
-    return _LeqForm(std_rows, std_rhs, scales, subs)
+    return _bounded(std_rows, std_rhs, scales, subs, extra_rows)
+
+
+def _bounded(rows, rhs, scales, subs, bounds) -> _LeqForm:
+    """The ≤-form of ``rows`` plus the row z_col <= bound for each
+    ``(col, bound)`` of ``bounds``, scaled by the bound's denominator."""
+    width = sum(len(terms) for _, terms in subs)
+    rows = rows + [[0] * col + [bound.denominator] + [0] * (width - 1 - col) for col, bound in bounds]
+    rhs = rhs + [bound.numerator for _, bound in bounds]
+    return _LeqForm(rows, rhs, scales + [bound.denominator for _, bound in bounds], subs)
+
+
+def _lifted(region: _LeqForm, cost: list[Fraction], upper: list[Fraction]) -> _LeqForm:
+    """``_leq_form(where, cost, [A | -A], b, "max", [0] * 2n, upper)``, for
+    bounds >= 0, from ``region``, ``_leq_rows(where, A, b, n, None, None)``.
+
+    Each free x_j of the region is z_2j - z_2j+1, so the region's rows,
+    with their z columns reordered as every z_2j and then every z_2j+1,
+    are the integers that the rows of [A | -A] scale to, under the same
+    rhs and scales.  Each upper bound adds its row, as in :func:`_leq_rows`.
+    """
+    rows = [row[0::2] + row[1::2] for row in region.rows]
+    subs = [(_ZERO, ((j, 1),)) for j in range(len(upper))]
+    return _bounded(rows, region.rhs, region.scales, subs, list(enumerate(upper))).priced(cost, True)
 
 
 def _expand(row: Sequence[int], subs: list[tuple]) -> list[int]:
@@ -325,11 +349,11 @@ def _solve_leq_form(
     rows: list[list[int]],
     rhs: list[int],
     scales: list[int],
-) -> tuple[str, list[Fraction], Fraction, int]:
+) -> tuple[str, list[int], int, int]:
     """min cost.z subject to rows.z <= rhs, z >= 0, via two-phase simplex.
 
     Row i is the original row times ``scales[i]``.  Returns
-    ``(status, z, cost.z, pivots)``.
+    ``(status, nums, d, pivots)``, with z = nums / d at an optimum.
     """
     m = len(rows)
     nz = len(cost)
@@ -365,19 +389,17 @@ def _solve_leq_form(
         red = tableau.reduced_costs([0] * artificial_floor + [lcm // scales[i] for i in neg])
         tableau.pivot_until_optimal(red, width)  # never unbounded: the objective is >= 0
         if red[-1] != 0:  # minimized artificial sum stayed positive
-            return INFEASIBLE, [], _ZERO, tableau.pivots
+            return INFEASIBLE, [], 1, tableau.pivots
         tableau.evict_artificials(artificial_floor)
 
     red = tableau.reduced_costs(cost + [0] * (width - nz))
     if tableau.pivot_until_optimal(red, artificial_floor) == UNBOUNDED:
-        return UNBOUNDED, [], _ZERO, tableau.pivots
-    denom = tableau.denom
-    z = [_ZERO] * nz
+        return UNBOUNDED, [], 1, tableau.pivots
+    nums = [0] * nz
     for row, var in zip(tableau.rows, basis):
         if var < nz:
-            z[var] = Fraction(row[-1], denom)
-    # The rhs slot of the reduced-cost row holds -D * cost.z.
-    return OPTIMAL, z, Fraction(-red[-1], denom), tableau.pivots
+            nums[var] = row[-1]
+    return OPTIMAL, nums, tableau.denom, tableau.pivots
 
 
 class _Tableau:
@@ -496,22 +518,23 @@ class _Tableau:
         self.rows = [[row[j] for j in keep] for row in self.rows]
 
 
-def _certify(form: _LeqForm, basis: Sequence[int]) -> Optional[tuple[list[Fraction], Fraction]]:
-    """``(z, cost.z)`` at ``basis`` when exact arithmetic shows it is an
-    optimal basis of ``form``, else None.
+def _certify(form: _LeqForm, basis: Sequence[int]) -> Optional[tuple[list[int], int]]:
+    """``(nums, d)``, with z = nums / d, at ``basis`` when exact arithmetic
+    shows it is an optimal basis of ``form``, else None.
 
     A basis names m variables (z_j is j, the slack of row i is nz + i).
     Its basic z columns and its tight rows (those whose slack is
     nonbasic) form a k x k system.  A tight row with one nonzero among
-    the basic columns pins that column at rhs / entry.  Bareiss
-    elimination solves the block of the other rows and columns, its rhs
-    less the pinned values, for the remaining basic values and,
-    transposed, for the duals of its rows; each pinned row's dual then
-    follows by back-substitution.  The basis is optimal when the basic
-    values are >= 0, every other row holds, and the duals and the reduced
-    costs of the nonbasic z columns are >= 0: primal and dual
-    feasibility, and nothing more.  Returns None otherwise, or when the
-    system is singular, as it is when two rows pin one column.
+    the basic columns pins that column at rhs / entry.  One fraction-free
+    factorization of the block of the other rows and columns, its rhs
+    less the pinned values (:func:`_solve_square`), gives the remaining
+    basic values and, replayed transposed (:func:`_solve_transposed`),
+    the duals of its rows; each pinned row's dual then follows by
+    back-substitution.  The basis is optimal when the basic values are
+    >= 0, every other row holds, and the duals and the reduced costs of
+    the nonbasic z columns are >= 0: primal and dual feasibility, and
+    nothing more.  Returns None otherwise, or when the system is
+    singular, as it is when two rows pin one column.
     """
     rows, rhs, cost = form.rows, form.rhs, form.cost
     m, nz = len(rows), len(cost)
@@ -537,52 +560,60 @@ def _certify(form: _LeqForm, basis: Sequence[int]) -> Optional[tuple[list[Fracti
     )
     if primal is None:
         return None
-    nums, d = primal
+    nums, d, lu = primal
     solved = dict(zip(free, nums))
     values = [solved[j] if j in solved else pinned[j] * d for j in cols]
-    d *= scale  # every basic value is values[.] / d
+    e, d = d, d * scale  # every basic value is values[.] / d
     if any(v < 0 for v in values):
         return None
     # Tight rows hold with equality by construction.
     for i in loose:
-        if sum(rows[i][j] * v for j, v in zip(cols, values) if v) > rhs[i] * d:
+        if sum(map(mul, [rows[i][j] for j in cols], values)) > rhs[i] * d:
             return None
-    block_duals, e = _solve_square([[rows[i][j] for i in block] for j in free], [-cost[j] for j in free])
+    block_duals = _solve_transposed(lu, [-cost[j] for j in free])
     duals = {i: y * scale for i, y in zip(block, block_duals)}
     for j, i in pins.items():
-        rest = sum(rows[r][j] * y for r, y in zip(block, block_duals) if y)
+        rest = sum(map(mul, [rows[r][j] for r in block], block_duals))
         duals[i] = (-cost[j] * e - rest) * (scale // rows[i][j])
     e *= scale  # every dual is duals[.] / e
     if any(y < 0 for y in duals.values()):
         return None
+    tight, ys = list(duals), list(duals.values())
     for j in set(range(nz)).difference(cols):  # the nonbasic z columns
-        if cost[j] * e + sum(rows[i][j] * y for i, y in duals.items() if y) < 0:
+        if cost[j] * e + sum(map(mul, [rows[i][j] for i in tight], ys)) < 0:
             return None
-    z = [_ZERO] * nz
-    for j, v in zip(cols, values):
-        z[j] = Fraction(v, d)
-    return z, Fraction(sum(cost[j] * v for j, v in zip(cols, values)), d)
+    z = dict(zip(cols, values))
+    return [z.get(j, 0) for j in range(nz)], d
 
 
-def _solve_square(M: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:
-    """``(nums, d)`` with ``M x = rhs`` at ``x = nums / d`` and d > 0, or
-    None when M is singular.
+def _solve_square(M: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int], int, tuple]]:
+    """``(nums, d, lu)`` with ``M x = rhs`` at ``x = nums / d`` and d > 0,
+    or None when M is singular.
 
     Fraction-free forward elimination: each step is the Bareiss update
     ``(p*a - f*b) // prev`` of the simplex tableau on the rows below the
-    pivot, and every division is exact.  The last pivot d is det(M) up to
-    sign, and d times the solution is integral (Cramer's rule), so exact
-    integer back-substitution gives it from the triangle:
+    pivot, and every division is exact.  The last pivot is det(M) up to
+    sign, d is its absolute value, and d times the solution is integral
+    (Cramer's rule), so exact integer back-substitution gives it from the
+    triangle:
     ``nums[i] = (d*T[i][k] - sum(T[i][j] * nums[j] for j > i)) // T[i][i]``.
+
+    The pass leaves M's fraction-free LU in T (Nakos, Turner & Williams
+    1997): U on and above the diagonal, and L below it, since column c of
+    the rows under the pivot is never written after step c.  ``lu`` is
+    ``(T, order)``, where row i of T comes from row ``order[i]`` of M, for
+    :func:`_solve_transposed`.
     """
     k = len(M)
     T = [row + [beta] for row, beta in zip(M, rhs)]
+    order = list(range(k))
     prev = 1
     for c in range(k):
         r = next((i for i in range(c, k) if T[i][c]), None)
         if r is None:
             return None
         T[c], T[r] = T[r], T[c]
+        order[c], order[r] = order[r], order[c]
         prow = T[c][c + 1 :]
         p = T[c][c]
         for row in T[c + 1 :]:
@@ -595,8 +626,30 @@ def _solve_square(M: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int
     nums = [0] * k
     for i in range(k - 1, -1, -1):
         row = T[i]
-        total = prev * row[k] - sum(row[j] * nums[j] for j in range(i + 1, k) if nums[j])
-        nums[i] = total // row[i]
-    if prev < 0:
-        return [-v for v in nums], -prev
-    return nums, prev
+        nums[i] = (abs(prev) * row[k] - sum(map(mul, row[i + 1 : k], nums[i + 1 :]))) // row[i]
+    return nums, abs(prev), (T, order)
+
+
+def _solve_transposed(lu: tuple, g: list[int]) -> list[int]:
+    """``nums`` with ``M^T y = g`` at ``y = nums / d``, where ``lu`` and d
+    come from :func:`_solve_square` on M.
+
+    With P the pivot order, PM = L D^-1 U gives (PM)^T = U^T D^-1 L^T, the
+    fraction-free LU of (PM)^T with the same pivots and no row exchange
+    (Zhou & Jeffrey 2008).  So Bareiss elimination of (PM)^T would take
+    row c of U as its multipliers at step c and leave L^T as its
+    triangle: the rhs is eliminated by replaying U's rows on g, d times
+    Py comes by back-substitution against L^T, column by column, and
+    un-permuting gives d times y.  O(k^2), with no second elimination.
+    """
+    T, order = lu
+    g = list(g)
+    prev = 1
+    for c, row in enumerate(T):
+        g[c + 1 :] = [(row[c] * a - g[c] * u) // prev for a, u in zip(g[c + 1 :], row[c + 1 : -1])]
+        prev = row[c]
+    nums = [abs(prev) * a for a in g]
+    for i in range(len(T) - 1, -1, -1):
+        nums[i] //= T[i][i]
+        nums[:i] = [a - u * nums[i] for a, u in zip(nums[:i], T[i])]
+    return [v for _, v in sorted(zip(order, nums))]

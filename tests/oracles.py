@@ -466,9 +466,10 @@ class ReferenceCertificate(NamedTuple):
 
 
 def certify_reference(form: _LeqForm, basis: Sequence[int]) -> Optional[ReferenceCertificate]:
-    """Reference for ``l1opt.lp._certify``, whose ``(z, value)`` is this
-    result's first two fields: the same checks with no pinned rows, the
-    whole k x k system eliminated at once, and whether the optimum is
+    """Reference for ``l1opt.lp._certify``, whose ``(nums, d)``, read as
+    z = nums / d and cost.z, is this result's first two fields: the same
+    checks with no pinned rows, the whole k x k system eliminated at
+    once and its transpose eliminated apart, and whether the optimum is
     unique.
 
     Check in exact arithmetic that ``basis`` is an optimal basis of ``form``.
@@ -615,7 +616,9 @@ def _reference_float_pivot(T: np.ndarray, basis: list[int], r: int, col: int) ->
 
 
 def solve_square_reference(M: list[list[int]], rhs: list[int]) -> Optional[tuple[list[int], int]]:
-    """Reference for ``l1opt.lp._solve_square``, by Gauss-Jordan elimination.
+    """Reference for ``l1opt.lp._solve_square``, whose first two fields
+    it gives, and, on the transpose, for ``l1opt.lp._solve_transposed``;
+    by Gauss-Jordan elimination.
 
     ``(nums, d)`` with ``M x = rhs`` at ``x = nums / d`` and d > 0, or
     None when M is singular.

@@ -332,6 +332,19 @@ def test_bound_stdout_of_a_region_without_the_origin():
     assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
 
 
+def test_bound_stdout_of_a_region_whose_lifted_lp_is_tight_at_its_bounds():
+    # Six variables with box rows whose rhs have 19-digit denominators and
+    # five cuts: l and u are nonzero on every coordinate, and the lifted
+    # LP's optimum is tight at seven of its bound rows.  Pinned before the
+    # lifted LP was built from the region's own rows.
+    data = pathlib.Path(__file__).parent / "data"
+    result = run_cli("bound", data / "bound_lifted.json")
+    assert result.returncode == 0, result.stderr
+    head, tail = result.stdout.rsplit(', "version"', 1)
+    assert head + "\n" == (data / "bound_lifted.stdout").read_text()
+    assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
+
+
 def test_weighted_ptas_stdout_of_a_2_dimensional_problem():
     # Weights (1, 100) with lambda = 2 pin x_2 to zero, so the best grid
     # point is the origin.  Without the weights ptas printed x = [0.0, 2.0],

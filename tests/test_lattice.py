@@ -143,6 +143,35 @@ def test_walk_prefixes_of_huge_balls_match_the_reference(n, radius, block_cells)
     assert count == 3000
 
 
+GRID_STEPS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.1, -0.3, 1e300, 5e-324, -0.0]),
+    st.fractions(max_denominator=7),
+    st.floats(min_value=-2, max_value=2).map(np.float64),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    rho=st.integers(0, 5),
+    step=GRID_STEPS,
+    dense_cells=st.sampled_from([1, 2, 5, 64, lattice.DENSE_CELLS]),
+)
+def test_grid_points_are_the_map_of_the_step(n, rho, step, dense_cells):
+    # A float step scales the dense slice in numpy and unpacks doubles;
+    # every other step multiplies entry by entry.  Both must print as
+    # tuple(map(step.__mul__, y)) does: the same floats, signed zeros,
+    # infinities and NaNs, and the same types.  DENSE_CELLS below n + 1
+    # gives slices of one point.
+    with walk_settings(lattice.BLOCK_CELLS, dense_cells):
+        for pos, val in lattice.point_blocks(n, rho):
+            got = list(lattice.block_tuples(n, pos, val, step))
+            expected = [tuple(map(step.__mul__, y)) for y in lattice.block_tuples(n, pos, val)]
+            assert repr(got) == repr(expected)
+
+
 def test_walk_is_lazy():
     # The ball holds about 10^2400 points: the first one must come from
     # the first block, not from a walk over the rest.

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l1opt import complexity
 from l1opt.complexity import LinearRegionBackend
 from l1opt.errors import RegionInfeasibleError, RegionUnboundedError, ShapeMismatchError
 from l1opt import lp, lp_guide
@@ -27,6 +28,16 @@ from oracles import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def certified(form, basis):
+    """``lp._certify(form, basis)``, its integer ``(nums, d)`` read as
+    ``(z, cost.z)`` in Fractions, as ``certify_reference`` gives them."""
+    certificate = lp._certify(form, basis)
+    if certificate is None:
+        return None
+    nums, d = certificate
+    return [Fraction(v, d) for v in nums], Fraction(sum(a * v for a, v in zip(form.cost, nums)), d)
 
 
 def test_simple_max():
@@ -308,7 +319,7 @@ def test_certificate_rejects_a_wrong_basis():
     assert lp._certify(form, [0, 2]) is None  # x = 2 leaves y pricing out
     assert lp._certify(form, [0, 3]) is None  # x = 4 breaks 3x + y <= 6
     assert lp._certify(form, [0, 0]) is None  # not a basis
-    certificate = lp._certify(form, [1, 0])
+    certificate = certified(form, [1, 0])
     assert certificate == ([Fraction(8, 5), Fraction(6, 5)], Fraction(-14, 5))
     assert certify_reference(form, [1, 0]).unique
     assert lp_guide._guide_bases(form, [form.cost])[0] in ([0, 1], [1, 0])
@@ -323,7 +334,7 @@ def test_certificate_rejects_a_wrong_basis():
     # but the row's dual is negative.
     form = lp._leq_form("lp_optimum", [1], [[1]], [1], "min", [0], None)
     assert lp._certify(form, [0]) is None
-    assert lp._certify(form, [1]) == ([Fraction(0)], Fraction(0))
+    assert certified(form, [1]) == ([Fraction(0)], Fraction(0))
     assert certify_reference(form, [1]).unique
 
 
@@ -414,7 +425,7 @@ def test_pinned_certificate_matches_the_whole_system(case):
     form, bases = case
     for basis in bases:
         reference = certify_reference(form, basis)
-        assert lp._certify(form, basis) == (None if reference is None else reference[:2])
+        assert certified(form, basis) == (None if reference is None else reference[:2])
 
 
 def test_two_rows_pinning_one_column_are_singular():
@@ -427,7 +438,7 @@ def test_two_rows_pinning_one_column_are_singular():
     assert lp._certify(form, [0, 1, 4]) is None
     assert certify_reference(form, [0, 1, 4]) is None
     # With the second x row loose, the same point certifies.
-    certificate = lp._certify(form, [0, 1, 3])
+    certificate = certified(form, [0, 1, 3])
     assert certificate == certify_reference(form, [0, 1, 3])[:2]
     assert certificate == ([Fraction(1, 3), Fraction(1)], Fraction(-4, 3))
     assert certify_reference(form, [0, 1, 3]).unique
@@ -602,11 +613,30 @@ def square_systems(draw):
 def test_forward_elimination_matches_gauss_jordan(case):
     M, rhs = case
     solved = lp._solve_square(M, rhs)
-    assert solved == solve_square_reference(M, rhs)
+    assert (None if solved is None else solved[:2]) == solve_square_reference(M, rhs)
     if solved is not None:
-        nums, d = solved
+        nums, d, _ = solved
         assert d > 0
         assert all(sum(a * v for a, v in zip(row, nums)) == beta * d for row, beta in zip(M, rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_systems())
+def test_transposed_solve_matches_gauss_jordan_on_the_transpose(case):
+    # A certificate's duals come from the factors of its primal system:
+    # M^T y = g solved from _solve_square's lu of M, with M's d.
+    M, g = case
+    transposed = [list(column) for column in zip(*M)]
+    solved = lp._solve_square(M, g)
+    reference = solve_square_reference(transposed, g)
+    assert (solved is None) == (reference is None)
+    if solved is not None:
+        _, d, lu = solved
+        given_g = list(g)
+        nums = lp._solve_transposed(lu, g)
+        assert g == given_g
+        assert (nums, d) == reference
+        assert all(sum(a * v for a, v in zip(row, nums)) == beta * d for row, beta in zip(transposed, g))
 
 
 def test_guide_stack_stays_within_its_cell_budget():
@@ -670,3 +700,72 @@ def test_maximize_all_raises_where_maximize_does(A, b, error, calls):
     with pytest.raises(error):
         together.maximize_all(directions)
     assert together.lp_calls == one_at_a_time.lp_calls == calls
+
+
+@st.composite
+def lifted_regions(draw):
+    """``(A, b, direction, s_upper, t_upper)``: a region of the "lifted"
+    shape (rhs with denominators up to 10^30), a direction over (s, t),
+    and upper bounds >= 0 with denominators up to 10^30, zeros included.
+    A negative rhs can leave the lifted LP empty."""
+    entry, rhs_entry, bound = LP_SHAPES["lifted"]
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = draw(st.lists(rhs_entry, min_size=m, max_size=m))
+    unit = st.just([Fraction(1)] * (2 * n))
+    direction = draw(st.one_of(unit, st.lists(st.one_of(SMALL, HUGE_DENOMINATOR), min_size=2 * n, max_size=2 * n)))
+    upper = draw(st.lists(st.one_of(st.just(Fraction(0)), bound.map(abs)), min_size=2 * n, max_size=2 * n))
+    return A, b, direction, upper[:n], upper[n:]
+
+
+def lifted_args(A, b, direction, s_upper, t_upper):
+    """The arguments of the lifted LP as ``lp_optimum`` takes them."""
+    rows = [list(row) + [-v for v in row] for row in A]
+    return direction, rows, b, "max", [0] * len(direction), list(s_upper) + list(t_upper)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifted_regions())
+def test_lifted_form_from_the_region_rows_is_the_form_lp_optimum_builds(case):
+    # The backend reorders its region's z columns in place of building
+    # [A | -A] afresh: the same ≤-form field by field, so the same guide,
+    # basis, certificate and result.
+    A, b, direction, s_upper, t_upper = case
+    backend = LinearRegionBackend(A, b)
+    forms = []
+
+    def spy(group):
+        forms.extend(group)
+        return lp._optima(group)
+
+    errors = {"infeasible": RegionInfeasibleError, "unbounded": RegionUnboundedError}
+    expected = lp_optimum(*lifted_args(*case))
+    with mock.patch.object(complexity, "_optima", spy):
+        if expected.status in errors:
+            with pytest.raises(errors[expected.status]):
+                backend.maximize(direction, lifted_bounds=(s_upper, t_upper))
+        else:
+            assert backend.maximize(direction, lifted_bounds=(s_upper, t_upper)) == (expected.value, expected.x)
+    assert forms == [lp._leq_form("lp_optimum", *lifted_args(*case))]
+    assert (backend.certified_solves, backend.fallback_pivots) == (expected.certified, expected.pivots)
+
+
+def test_lifted_bounds_the_region_rows_cannot_take_go_to_lp_optimum():
+    A, b = [[1, Fraction(1, 3)], [-1, 0]], [1, Fraction(2, 10**30 + 1)]
+    backend = LinearRegionBackend(A, b)
+    with pytest.raises(RegionInfeasibleError, match="is empty"):
+        backend.maximize([1] * 4, lifted_bounds=([1, Fraction(-1, 10**30)], [1, 1]))
+    with pytest.raises(ShapeMismatchError, match="^bound vector has 3 entries, expected 4$"):
+        backend.maximize([1] * 4, lifted_bounds=([1, 1], [1]))
+    with pytest.raises(ShapeMismatchError, match="^constraint row has 4 entries, expected 3$"):
+        backend.maximize([1] * 3, lifted_bounds=([1, 1], [1]))
+    with pytest.raises(ValueError, match=re.escape("lp_optimum: upper[3] = nan is not a finite number")):
+        backend.maximize([1] * 4, lifted_bounds=([1, 1], [1, float("nan")]))
+    # No upper bound on s_0: lp_optimum's form has no row for it.
+    expected = lp_optimum(*lifted_args(A, b, [1] * 4, [None, 1], [1, 1]))
+    assert backend.maximize([1] * 4, lifted_bounds=([None, 1], [1, 1])) == (expected.value, expected.x)
+    # A ragged region raises lp_optimum's own error for the lifted rows.
+    ragged = LinearRegionBackend([[1, 0], [1]], [1, 1])
+    with pytest.raises(ShapeMismatchError, match="^constraint row has 2 entries, expected 4$"):
+        ragged.maximize([1] * 4, lifted_bounds=([1, 1], [1, 1]))
