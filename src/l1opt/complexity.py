@@ -27,7 +27,7 @@ import numpy as np
 
 from .counting import BigBound, DEFAULT_SLACK, Real, oracle_complexity_bound
 from .errors import InvalidDimensionError, RegionInfeasibleError, RegionUnboundedError
-from .lp import INFEASIBLE, UNBOUNDED, _leq_rows, _lifted, _optima, exact_rationals, lp_optimum
+from .lp import INFEASIBLE, UNBOUNDED, _leq_rows, _lifted, _optima, exact_rationals
 
 # Guards against a float backend reporting 1.9999999996 for an exactly
 # integral maximum; exact backends are floored without it.
@@ -76,9 +76,8 @@ class LinearRegionBackend(ConvexOptBackend):
     runs once per estimate, on the region's form too: its rows, with each
     free x_j's two columns reordered into the s and t blocks, are the
     integers of [A | -A], and only the rows of the upper bounds are new
-    (``lp._lifted``).  Bounds that form cannot take (one that is negative
-    or None, a wrong length) and a ragged A go through ``lp_optimum``, so
-    they raise its errors.  ``lp_calls`` counts
+    (``lp._lifted``).  Errors read as ``lp_optimum``'s, and a ragged A
+    raises the same one on every solve.  ``lp_calls`` counts
     the solves, ``certified_solves`` those answered by a certified guide
     basis and ``fallback_pivots`` the exact simplex pivots of the others.
     Infinite or NaN entries of A or b raise ``ValueError``.
@@ -96,16 +95,9 @@ class LinearRegionBackend(ConvexOptBackend):
     def maximize(self, direction, lifted_bounds=None):
         if lifted_bounds is None:
             return self.maximize_all([direction])[0]
-        n = self.n
         cost = exact_rationals(direction, "lp_optimum: c")
         upper = [*lifted_bounds[0], *lifted_bounds[1]]
-        shaped = len(self.A) == len(self.b) and all(len(row) == n for row in self.A)
-        if shaped and len(cost) == 2 * n == len(upper) and None not in upper:
-            bounds = exact_rationals(upper, "lp_optimum: upper")
-            if min(bounds, default=0) >= 0:
-                return self._answer(next(_optima([_lifted(self._region(n), cost, bounds)])))
-        rows = [list(row) + [-v for v in row] for row in self.A]
-        return self._answer(lp_optimum(direction, rows, self.b, "max", [0] * (2 * n), upper))
+        return self._answer(next(_optima([_lifted(self._region(self.n), cost, upper)])))
 
     def maximize_all(self, directions):
         # Named as lp_optimum names its input, so errors read the same.

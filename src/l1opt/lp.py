@@ -67,12 +67,10 @@ transposed replay took 0.13-0.16 s against 0.21-0.23 s for the two
 forward eliminations that solved the primal and the transposed system
 apart (7 alternating runs, 2-core host).  Pinning keeps the bound rows
 of the lifted LP, with denominators of about 120 bits, out of the
-elimination, whose integers would otherwise grow to about 1,400 bits.  The inner LPs of a
-linear mixed solve use ``lp_solve``.  With the block evaluator the mixed
-solver decides every integer point through the LPs' duals and solves one
-LP, at the winner; the per-point evaluator, for a wrapped inner solver,
-solves one per point, where the guide's fixed cost made a solve about 1.3 times
-slower.
+elimination, whose integers would otherwise grow to about 1,400 bits.
+The inner LP of a linear mixed solve is priced once, and each integer
+point sets only its rhs and runs the exact simplex, not the guide,
+whose fixed cost made a solve about 1.3 times slower.
 
 Intended for small instances (tens of variables): the coordinate-range
 and lifted-radius programs of the runtime-bound estimator, and LP
@@ -81,7 +79,6 @@ subproblems of mixed integer/continuous solves.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,9 +197,9 @@ class _LeqForm(NamedTuple):
         # CPython's tuple free list, up to 2,000 of them (about 0.2 MB).
         return _LeqForm(self.rows, self.rhs, self.scales, self.subs, cost, scale, shift, maximize)
 
-    def solve(self) -> LPResult:
-        """The exact Bland simplex on this form."""
-        status, nums, d, pivots = _solve_leq_form(self.cost, self.rows, self.rhs, self.scales)
+    def solve(self, rhs: Optional[list[int]] = None) -> LPResult:
+        """The exact Bland simplex on this form, or on its rows under ``rhs``."""
+        status, nums, d, pivots = _solve_leq_form(self.cost, self.rows, self.rhs if rhs is None else rhs, self.scales)
         if status != OPTIMAL:
             return LPResult(status, None, None, pivots)
         return self.result(nums, d, pivots)
@@ -226,18 +223,14 @@ def _optima(forms: Sequence[_LeqForm]) -> Iterator[LPResult]:
     """For each form, in order, as they are asked for: the result at the
     guide's basis if :func:`_certify` accepts it, else ``form.solve()``.
 
-    Consecutive forms that share one region's rows (priced from one
-    :func:`_leq_rows` form) share one stacked guide, :func:`_guide_bases`;
-    the certificates and any exact fallbacks follow one LP at a time.
+    Every form is priced from one region's rows, so all share one stacked
+    guide, :func:`_guide_bases`; a form that broke this would only cost an
+    exact fallback, as each certificate checks its own form's rows.
     """
-    for _, group in itertools.groupby(forms, key=lambda form: id(form.rows)):
-        group = list(group)
-        for form, basis in zip(group, _guide_bases(group[0], [form.cost for form in group])):
-            certificate = None if basis is None else _certify(form, basis)
-            if certificate is None:
-                yield form.solve()
-            else:
-                yield form.result(*certificate, 0, certified=True)
+    bases = _guide_bases(forms[0], [form.cost for form in forms]) if forms else []
+    for form, basis in zip(forms, bases):
+        certificate = None if basis is None else _certify(form, basis)
+        yield form.solve() if certificate is None else form.result(*certificate, 0, certified=True)
 
 
 def _leq_form(where, c, A, b, sense, lower, upper) -> Optional[_LeqForm]:
@@ -304,18 +297,23 @@ def _bounded(rows, rhs, scales, subs, bounds) -> _LeqForm:
     return _LeqForm(rows, rhs, scales + [bound.denominator for _, bound in bounds], subs)
 
 
-def _lifted(region: _LeqForm, cost: list[Fraction], upper: list[Fraction]) -> _LeqForm:
-    """``_leq_form(where, cost, [A | -A], b, "max", [0] * 2n, upper)``, for
-    bounds >= 0, from ``region``, ``_leq_rows(where, A, b, n, None, None)``.
+def _lifted(region: _LeqForm, cost: list[Fraction], upper: Sequence) -> _LeqForm:
+    """``_leq_form(where, cost, [A | -A], b, "max", [0] * 2n, upper)`` from
+    ``region``, ``_leq_rows(where, A, b, n, None, None)``.
 
     Each free x_j of the region is z_2j - z_2j+1, so the region's rows,
     with their z columns reordered as every z_2j and then every z_2j+1,
     are the integers that the rows of [A | -A] scale to, under the same
-    rhs and scales.  Each upper bound adds its row, as in :func:`_leq_rows`.
+    rhs and scales.  Each upper bound that is not None adds its row, as
+    in :func:`_leq_rows`; a negative one leaves the LP infeasible.
     """
+    width = 2 * len(region.subs)
+    if len(cost) != width:
+        raise ShapeMismatchError(f"constraint row has {width} entries, expected {len(cost)}")
+    bounds = [(j, u) for j, u in enumerate(_bound_list(upper, width, "lp_optimum", "upper")) if u is not None]
     rows = [row[0::2] + row[1::2] for row in region.rows]
-    subs = [(_ZERO, ((j, 1),)) for j in range(len(upper))]
-    return _bounded(rows, region.rhs, region.scales, subs, list(enumerate(upper))).priced(cost, True)
+    subs = [(_ZERO, ((j, 1),)) for j in range(width)]
+    return _bounded(rows, region.rhs, region.scales, subs, bounds).priced(cost, True)
 
 
 def _expand(row: Sequence[int], subs: list[tuple]) -> list[int]:

@@ -51,7 +51,7 @@ from typing import Callable, Optional, Sequence
 from .blocks import Forms, block_scan
 from .counting import Real, count_l1_lattice, floor_radius
 from .errors import InnerSolverError, InvalidDimensionError, ShapeMismatchError
-from .lp import INFEASIBLE, OPTIMAL, _scaled, exact_rationals, lp_solve
+from .lp import INFEASIBLE, OPTIMAL, _leq_rows, _LeqForm, _scaled, exact_rationals
 from .solver import WeightedL1Spec, _check_parallel, scan_ball
 
 
@@ -388,8 +388,9 @@ def linear_mixed_inner_solver(
     subproblem aborts the solve, since the mixed problem itself is then
     unbounded.  Infinite or NaN data raises ``ValueError``, and rows or
     an integer block whose lengths disagree with ``c_int`` and ``c_cont``
-    raise ``ShapeMismatchError``.  The solver carries the subproblems'
-    dual data as ``dual_forms``, built on first use, which lets
+    raise ``ShapeMismatchError``.  The LP over y is built once; a point
+    sets only its rhs.  The solver carries its dual data as
+    ``dual_forms``, built on first use, which lets
     :func:`solve_mixed_integer` decide every point with the block
     evaluator.
     """
@@ -407,16 +408,18 @@ def linear_mixed_inner_solver(
             if len(row) != width:
                 raise ShapeMismatchError(f"{name}[{i}] has {len(row)} entries, expected {width}")
     # Each row of [A_int | A_cont | b], and c_int, over its own common
-    # denominator, so that b - A_int x and c_int.x cost integer sums and
-    # one Fraction; the dual forms read the same rows.
+    # denominator, so that b - A_int x and c_int.x cost integer sums; the
+    # dual forms and the LP over the free y read the same rows.  Its rows
+    # keep their scales, so phase 1 weighs each artificial as lp_solve would.
     scaled = [_scaled(a + c + [beta]) for a, c, beta in zip(A_int, A_cont, b)]
     c_ints, c_scale = _scaled(c_int)
+    rows = _leq_rows(where, [row[n:-1] for row, _ in scaled], [0] * len(b), len(c_cont), None, None)
+    form = _LeqForm(rows.rows, rows.rhs, [scale for _, scale in scaled], rows.subs).priced(c_cont, False)
 
     def inner(x: tuple[int, ...]) -> InnerSolution:
         if len(x) != n:
             raise ShapeMismatchError(f"the integer block has {len(x)} entries, expected {n}")
-        rhs = [Fraction(row[-1] - sum(a * v for a, v in zip(row, x)), scale) for row, scale in scaled]
-        result = lp_solve(c_cont, A_cont, rhs, sense="min")
+        result = form.solve([row[-1] - sum(map(mul, row, x)) for row, _ in scaled])
         if result.status == INFEASIBLE:
             return InnerSolution("infeasible", None, None)
         if result.status != OPTIMAL:

@@ -12,7 +12,9 @@ which call the package's own ``l1opt.solver._oracles`` on data that
 The references that only tests call live here too, not in the package:
 the per-point scan over ``iter_l1_points`` that the solvers ran before
 every walk went through ``l1opt.blocks.block_scan``
-(:func:`reference_scan`, :func:`reference_mixed`), the fine-grid
+(:func:`reference_scan`, :func:`reference_mixed`), the inner solver
+of linear mixed problems that ran ``lp_solve`` afresh at every point
+(:func:`linear_mixed_inner_reference`), the fine-grid
 reference for the approximation schemes (:func:`fine_grid_reference`),
 the sampled Lipschitz check (:func:`check_lipschitz`), the single-cost
 float guide (:func:`guide_basis_reference`) and the Gauss-Jordan solve
@@ -44,12 +46,12 @@ from l1opt.counting import (
     count_linf_lattice,
     floor_radius,
 )
-from l1opt.errors import InvalidDimensionError, ShapeMismatchError
+from l1opt.errors import InnerSolverError, InvalidDimensionError, ShapeMismatchError
 from l1opt.files import ParsedProblem, _read_document, parse_problem
 from l1opt.lattice import LatticePoint, canonical_ordinal, iter_l1_points
-from l1opt.lp import _ZERO, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _LeqForm
+from l1opt.lp import _ZERO, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _LeqForm, lp_solve
 from l1opt.lp_guide import _GUIDE_TOL
-from l1opt.ptas import ApproxSolution, LipschitzProblem, MixedSolution
+from l1opt.ptas import ApproxSolution, InnerSolution, LipschitzProblem, MixedSolution
 from l1opt.solver import QuadraticConstraint, _oracles
 
 
@@ -224,6 +226,25 @@ def reference_mixed(problem, radius) -> MixedSolution:
         return MixedSolution("infeasible", None, None, None, calls, points)
     value, _, (x, inner) = best
     return MixedSolution("optimal", x, tuple(inner.y), value, calls, points)
+
+
+def linear_mixed_inner_reference(c_int, c_cont, A_int, A_cont, b):
+    """``l1opt.ptas.linear_mixed_inner_solver`` as a fresh LP per point:
+    the rhs b - A_int x in Fractions, then ``lp_solve(c_cont, A_cont,
+    rhs)``, which validates and scales every row again.  An unbounded
+    subproblem raises ``InnerSolverError``."""
+
+    def inner(x: tuple[int, ...]) -> InnerSolution:
+        rhs = [Fraction(beta) - sum(Fraction(a) * v for a, v in zip(row, x)) for row, beta in zip(A_int, b)]
+        result = lp_solve(c_cont, A_cont, rhs, sense="min")
+        if result.status == INFEASIBLE:
+            return InnerSolution("infeasible", None, None)
+        if result.status != OPTIMAL:
+            raise InnerSolverError("continuous subproblem is unbounded")
+        fixed = sum((Fraction(c) * v for c, v in zip(c_int, x)), _ZERO)
+        return InnerSolution("optimal", result.x, fixed + result.value)
+
+    return inner
 
 
 def scan_points(points, evaluate, prepare=None, stop=None):

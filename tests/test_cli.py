@@ -666,6 +666,19 @@ def test_mixed_stdout_of_a_6_by_3_problem(path, monkeypatch, capsys):
     assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
 
 
+def test_mixed_stdout_of_a_2_by_4_problem_on_the_per_point_side(capsys, evaluators_run):
+    # Pinned before the inner LP was priced once per solver.  Its dual
+    # forms would take 2,757 minor-table entries and ray subsets against
+    # 14 x 5 tableau entries at each of the 13 points, 910, so the
+    # per-point evaluator runs the linear inner solver at every point.
+    data = pathlib.Path(__file__).parent / "data"
+    assert cli.main(["ptas", str(data / "mixed_2x4.json")]) == 0
+    head, tail = capsys.readouterr().out.rsplit(', "version"', 1)
+    assert head + "\n" == (data / "mixed_2x4.stdout").read_text()
+    assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
+    assert evaluators_run == ["point_evaluator"]
+
+
 @pytest.mark.parametrize(
     "doc",
     [

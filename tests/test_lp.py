@@ -751,7 +751,7 @@ def test_lifted_form_from_the_region_rows_is_the_form_lp_optimum_builds(case):
     assert (backend.certified_solves, backend.fallback_pivots) == (expected.certified, expected.pivots)
 
 
-def test_lifted_bounds_the_region_rows_cannot_take_go_to_lp_optimum():
+def test_lifted_bounds_that_are_negative_none_or_malformed():
     A, b = [[1, Fraction(1, 3)], [-1, 0]], [1, Fraction(2, 10**30 + 1)]
     backend = LinearRegionBackend(A, b)
     with pytest.raises(RegionInfeasibleError, match="is empty"):
@@ -765,7 +765,9 @@ def test_lifted_bounds_the_region_rows_cannot_take_go_to_lp_optimum():
     # No upper bound on s_0: lp_optimum's form has no row for it.
     expected = lp_optimum(*lifted_args(A, b, [1] * 4, [None, 1], [1, 1]))
     assert backend.maximize([1] * 4, lifted_bounds=([None, 1], [1, 1])) == (expected.value, expected.x)
-    # A ragged region raises lp_optimum's own error for the lifted rows.
+    # A ragged region raises one error on coordinate and lifted solves.
     ragged = LinearRegionBackend([[1, 0], [1]], [1, 1])
-    with pytest.raises(ShapeMismatchError, match="^constraint row has 2 entries, expected 4$"):
+    with pytest.raises(ShapeMismatchError, match="^constraint row has 1 entries, expected 2$"):
+        ragged.maximize([1, 1])
+    with pytest.raises(ShapeMismatchError, match="^constraint row has 1 entries, expected 2$"):
         ragged.maximize([1] * 4, lifted_bounds=([1, 1], [1, 1]))

@@ -7,7 +7,9 @@ winner.  The same solver wrapped in a lambda has no dual data and runs
 one LP per point.  Both must return ``repr``-equal solutions, counts
 included, or raise the same error, and so must ``reference_mixed`` of
 ``tests/oracles.py``.  Small ``BLOCK_CELLS`` values split a walk into
-many blocks.
+many blocks.  The inner solver's LP, built once with only the rhs set
+per point, must also match ``linear_mixed_inner_reference``, which
+builds the whole LP afresh at every point.
 """
 
 import math
@@ -18,11 +20,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from l1opt import lattice, ptas
+from l1opt import lattice, lp
 from l1opt.errors import InnerSolverError, ShapeMismatchError
 from l1opt.lattice import iter_l1_points
 from l1opt.ptas import MixedProblem, MixedSolution, linear_mixed_inner_solver, solve_mixed_integer
-from oracles import reference_mixed
+from oracles import linear_mixed_inner_reference, reference_mixed
 
 ENTRIES = {
     # Degenerate data: ties, repeated and parallel rows, zero minors.
@@ -148,19 +150,76 @@ def test_block_path_runs_one_lp_per_solve():
     data = ([1, -1], [1, 1], [[1, 0], [0, 1], [0, 0], [0, 0]], [[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 2, 2])
     inner = linear_mixed_inner_solver(*data)
     calls = []
-    lp_solve = ptas.lp_solve
+    solve = lp._solve_leq_form
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         calls.append(1)
-        return lp_solve(*args, **kwargs)
+        return solve(*args)
 
-    with mock.patch.object(ptas, "lp_solve", spy):
+    with mock.patch.object(lp, "_solve_leq_form", spy):
         block = solve_mixed_integer(MixedProblem(2, 2, inner), 2)
         assert len(calls) == 1
         per_point = solve_mixed_integer(MixedProblem(2, 2, lambda x: inner(x)), 2)
         assert len(calls) == 1 + 13
     assert repr(block) == repr(per_point)
     assert block.inner_calls == block.points_enumerated == 13
+
+
+@st.composite
+def inner_data(draw):
+    """``(n, c_int, c_cont, A_int, A_cont, b, radius)`` for the inner LPs
+    alone: A_int and b with denominators up to 9 that A_cont mostly
+    lacks, so rows scale by different factors, at times an all-zero
+    A_cont row, many zeros in c_cont (an optimal face that is not one vertex,
+    all of it when c_cont is zero), negative rhs that send points through
+    phase 1 or leave them infeasible, and without box rows some
+    unbounded subproblems."""
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(2, 3))
+    m = draw(st.integers(2, 5))
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+    cont = st.sampled_from([-2, -1, 0, 1, 2, Fraction(1, 2)])
+    rhs = st.one_of(fractions, st.sampled_from([-1, Fraction(-1, 2), Fraction(-2, 3), Fraction(-3, 5), 1, 2]))
+    A_int = [[draw(fractions) for _ in range(n)] if draw(st.booleans()) else [0] * n for _ in range(m)]
+    A_cont = [[draw(cont) for _ in range(p)] for _ in range(m)]
+    b = [draw(rhs) for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=1)):
+        A_cont[i] = [0] * p
+    if draw(st.integers(0, 3)):
+        for j in range(p):
+            for sign in (1, -1):
+                A_int.append([draw(st.sampled_from([0, Fraction(1, 3)])) for _ in range(n)])
+                A_cont.append([sign if k == j else 0 for k in range(p)])
+                b.append(draw(st.sampled_from([1, Fraction(3, 2), Fraction(5, 7), 2])))
+    c_int = [draw(fractions) for _ in range(n)]
+    c_cont = [draw(st.sampled_from([0, 0, 1, -1, Fraction(-2, 3)])) for _ in range(p)]
+    if draw(st.booleans()):
+        c_cont = [0] * p
+    return n, c_int, c_cont, A_int, A_cont, b, draw(st.sampled_from([1, 2]))
+
+
+def inner_outcome(inner, x):
+    try:
+        return repr(inner(x))
+    except InnerSolverError as exc:
+        return f"InnerSolverError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(inner_data())
+# Every point of the feasible set is optimal, and y is where phase 1
+# ends: on the two negative rows, of scales 1 and 2, that needs each
+# artificial weighed as lp_solve weighs it.
+@example((1, [0], [0, 0], [[0], [0], [0]], [[-2, 2], [1, 0], [2, -1]], [-1, Fraction(-1, 2), 1], 1))
+def test_inner_solutions_match_a_fresh_lp_per_point(data):
+    # The inner LP priced once, with each point setting only its rhs,
+    # against lp_solve on the whole LP at each point: the same solution,
+    # y included, at every point of the ball, or the same error.
+    n, c_int, c_cont, A_int, A_cont, b, radius = data
+    inner = linear_mixed_inner_solver(c_int, c_cont, A_int, A_cont, b)
+    reference = linear_mixed_inner_reference(c_int, c_cont, A_int, A_cont, b)
+    for point in iter_l1_points(n, radius):
+        assert inner_outcome(inner, point.x) == inner_outcome(reference, point.x)
 
 
 @pytest.mark.parametrize("big", [False, True])
