@@ -8,27 +8,24 @@ mixed problem is unbounded and when a result holds an infinite or NaN
 float, 2 when a solve is infeasible or no grid point passes the relaxed
 test, 3 when the continuous relaxation of a bound query is unbounded.
 
-Every file command loads its file through one path: the flags
-``--lambda``, ``--weights`` (split on commas), ``--epsilon`` and
-``--kappa`` are written into the document's fields of the same names,
-and :func:`l1opt.files.parse_problem` validates flag and file values
-alike.  ``ptas`` runs the weighted scheme when the file has weights,
-and refuses weights on a mixed file; ``bound`` reads only the region.
+Every number that is not an integer takes the file grammar of
+:func:`l1opt.files._scalar`.  The flags ``--lambda``, ``--weights``
+(split on commas), ``--epsilon`` and ``--kappa`` are written into the
+file's fields of the same names before it is validated; the radius of
+``count`` and ``enumerate``, ``--delta``, ``--tolerance`` and its
+default, L1OPT_TOLERANCE, are parsed alike.
+``ptas`` runs the weighted scheme when the file has weights, and
+refuses weights on a mixed file; ``bound`` reads only the region.
 Every JSON result ends with ``version`` and ``wall_time_ms``.
-
-The L1OPT_TOLERANCE environment variable sets the default float-mode
-feasibility tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .complexity import LinearRegionBackend, estimate_bound, verify_cover
@@ -42,7 +39,7 @@ from .counting import (
     l1_count_upper_bound,
 )
 from .errors import InnerSolverError, ProblemFileError, RegionInfeasibleError, RegionUnboundedError
-from .files import ParsedProblem, _read_document, format_value, parse_problem
+from .files import ParsedProblem, _radius, _read_document, _scalar, format_value, parse_problem
 from .lattice import iter_l1_points
 from .ptas import (
     LipschitzProblem,
@@ -54,7 +51,7 @@ from .ptas import (
     solve_mixed_integer,
     solve_weighted_lipschitz_ptas,
 )
-from .solver import RATIONAL, SolveOptions, WeightedL1Spec, solve_l1_ip, solve_weighted_l1_ip
+from .solver import FLOAT, RATIONAL, SolveOptions, WeightedL1Spec, solve_l1_ip, solve_weighted_l1_ip
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--lambda", metavar="RADIUS", help="override the file's radius")
     p_solve.add_argument("--weights", help="comma-separated weights overriding the file")
     _add_parallel(p_solve)
-    p_solve.add_argument("--tolerance", type=float, default=None, help="float-mode feasibility tolerance")
+    p_solve.add_argument("--tolerance", default=None, help="float-mode feasibility tolerance")
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_count = sub.add_parser("count", help="lattice point counts and bound formulas")
@@ -106,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("radius", metavar="lambda")
     p_count.add_argument("--norm", choices=("l1", "linf"), default="l1")
     p_count.add_argument("--bounds", action="store_true", help="include lower/upper bound formulas")
-    p_count.add_argument("--delta", type=float, default=DEFAULT_SLACK)
+    p_count.add_argument("--delta", default=DEFAULT_SLACK)
     p_count.add_argument("--precise", action="store_true", help="use the delta form instead of the simplified bound")
     p_count.add_argument("--width-samples", type=int, default=None, metavar="S",
                          help="also estimate the Gaussian mean width from S samples")
@@ -115,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="a-priori oracle-complexity bound for a problem file")
     p_bound.add_argument("file")
-    p_bound.add_argument("--delta", type=float, default=DEFAULT_SLACK)
+    p_bound.add_argument("--delta", default=DEFAULT_SLACK)
     p_bound.add_argument("--precise", action="store_true", help="use the delta form instead of the simplified bound")
     p_bound.add_argument("--verify", action="store_true", help="brute-force check the covering radius")
     p_bound.set_defaults(handler=_cmd_bound)
@@ -199,9 +196,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_count(args) -> int:
     started = time.perf_counter()
-    radius = _parse_cli_number(args.radius, "lambda")
-    if radius < 0:
-        raise ValueError("lambda must be >= 0")
+    radius = _radius(args.radius, RATIONAL)
     if args.norm == "l1":
         count = count_l1_lattice(args.n, radius)
     else:
@@ -215,11 +210,12 @@ def _cmd_count(args) -> int:
     if args.bounds:
         if args.norm != "l1":
             raise ValueError("--bounds applies to the l1 norm only")
-        upper = l1_count_upper_bound(args.n, radius, slack=args.delta, simplified=not args.precise)
+        delta = _scalar(args.delta, FLOAT, "--delta")
+        upper = l1_count_upper_bound(args.n, radius, slack=delta, simplified=not args.precise)
         result["bounds"] = {
             "lower": l1_count_lower_bound(args.n),
             "upper": {"exact": upper.exact, "log10": upper.log10},
-            "delta": args.delta,
+            "delta": delta,
             "simplified": not args.precise,
         }
     if args.width_samples is not None:
@@ -236,9 +232,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_bound(args) -> int:
     started = time.perf_counter()
+    slack = _scalar(args.delta, FLOAT, "--delta")
     problem = _load(args, "bound")
     backend = LinearRegionBackend(problem.A, problem.b)
-    report = estimate_bound(backend, problem.n, slack=args.delta, simplified=not args.precise)
+    report = estimate_bound(backend, problem.n, slack=slack, simplified=not args.precise)
     result = {
         "status": "ok",
         "bound_report": {
@@ -303,9 +300,7 @@ def _cmd_ptas(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    radius = _parse_cli_number(args.radius, "lambda")
-    if radius < 0:
-        raise ValueError("lambda must be >= 0")
+    radius = _radius(args.radius, RATIONAL)
     emitted = 0
     out = sys.stdout
     for point in iter_l1_points(args.n, radius):
@@ -369,35 +364,11 @@ def _derived_kappa(problem: ParsedProblem) -> float:
     return kappa or 1.0
 
 
-def _parse_cli_number(text: str, label: str) -> Fraction:
-    text = str(text)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        shown = text if len(text) <= 40 else text[:40] + "..."
-        # Past CPython's int-to-str digit limit an int cannot be parsed;
-        # say so instead of calling the value not a number.
-        digits = sum(map(str.isdigit, text))
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and digits > limit:
-            raise ValueError(f"{label}: too many digits ({digits}, at most {limit}): {shown!r}")
-        raise ValueError(f"{label}: not a number: {shown!r}")
-
-
 def _default_tolerance(flag_value):
-    source, value = "--tolerance", flag_value
-    if value is None:
-        env = os.environ.get("L1OPT_TOLERANCE")
-        if not env:
-            return None
-        source = "L1OPT_TOLERANCE"
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(f"{source}: not a number: {env!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{source} must be finite, got {value}")
-    return value
+    if flag_value is not None:
+        return _scalar(flag_value, FLOAT, "--tolerance")
+    env = os.environ.get("L1OPT_TOLERANCE")
+    return _scalar(env, FLOAT, "L1OPT_TOLERANCE") if env else None
 
 
 if __name__ == "__main__":

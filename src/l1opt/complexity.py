@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .counting import BigBound, DEFAULT_SLACK, Real, oracle_complexity_bound
+from .counting import BigBound, DEFAULT_SLACK, Real, _require_slack, oracle_complexity_bound
 from .errors import InvalidDimensionError, RegionInfeasibleError, RegionUnboundedError
 from .lp import INFEASIBLE, UNBOUNDED, _leq_rows, _lifted, _optima, exact_rationals
 
@@ -171,6 +171,7 @@ def estimate_bound(
     """
     if n < 2:
         raise InvalidDimensionError("bound estimation requires dimension >= 2")
+    _require_slack(slack)
     linear = isinstance(backend, LinearRegionBackend)
     if linear:
         certified, pivots = backend.certified_solves, backend.fallback_pivots

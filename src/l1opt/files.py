@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
@@ -91,9 +92,7 @@ def parse_problem(doc: Any) -> ParsedProblem:
     if m < 0:
         raise ProblemFileError("m", "constraint count must be >= 0")
 
-    radius = _scalar(doc.get("lambda"), arithmetic, "lambda")
-    if radius < 0:
-        raise ProblemFileError("lambda", "must be >= 0")
+    radius = _radius(doc.get("lambda"), arithmetic)
 
     weights = None
     if doc.get("weights") is not None:
@@ -224,11 +223,26 @@ def _scalar(value: Any, arithmetic: str, fieldname: str) -> Any:
             parsed = Fraction(*value)
             return parsed if arithmetic == RATIONAL else float(parsed)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        # "inf" and "nan" spell floats that no Fraction holds.
-        if isinstance(value, str) and value.strip().lower().lstrip("+-") in _NON_FINITE:
-            raise ProblemFileError(fieldname, f"must be finite, got {value}")
+        if isinstance(value, str):
+            # "inf" and "nan" spell floats that no Fraction holds, and past
+            # CPython's int-to-str digit limit an int cannot be parsed.
+            if value.strip().lower().lstrip("+-") in _NON_FINITE:
+                raise ProblemFileError(fieldname, f"must be finite, got {value}")
+            digits = sum(map(str.isdigit, value))
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and digits > limit:
+                raise ProblemFileError(
+                    fieldname, f"too many digits ({digits}, at most {limit}): {value[:40] + '...'!r}"
+                )
         raise ProblemFileError(fieldname, f"not a valid number: {exc}")
     raise ProblemFileError(fieldname, f"unsupported value {value!r}")
+
+
+def _radius(value: Any, arithmetic: str) -> Any:
+    radius = _scalar(value, arithmetic, "lambda")
+    if radius < 0:
+        raise ProblemFileError("lambda", "must be >= 0")
+    return radius
 
 
 def _vector(value: Any, length: int, arithmetic: str, fieldname: str) -> tuple:

@@ -289,10 +289,10 @@ class _DualForms:
     It reads the rows of [A_int | A_cont | b] and c_int that the inner
     solver scaled to ints, each over its own denominator, and scales
     c_cont the same way.  One table holds the signed minors of
-    [A_cont; -c_cont] on its first columns, built by Laplace expansion.
-    With p columns, the vertices come by Cramer's rule from the p-subsets
-    of rows with a nonzero minor, kept when u >= 0, and the rays from the
-    kernels of the (p+1)-subsets, kept when their signs agree.  The
+    [A_cont; c_cont] on its first columns, built by Laplace expansion.
+    With p columns, the kernel v >= 0 of p + 1 of its rows is a ray
+    without c_cont's row, and else, when v_c > 0, the vertex
+    u = v_S / v_c on the other rows S (by homogenization).  The
     objective's forms share one denominator, so their largest value is
     exact; each row is scaled on its own.
     ``forms`` is None when no vertex exists: A_cont lacks full column
@@ -313,7 +313,7 @@ class _DualForms:
         rows, c_ints, ci_scale, c_cont = self.data
         n, m, p = self.n, self.m, self.p
         cont, c_scale = _scaled(c_cont)
-        matrix = [row[n : n + p] for row in rows] + [[-v for v in cont]]
+        matrix = [row[n : n + p] for row in rows] + [cont]
         # minors[S]: the determinant of rows S (sorted) and columns
         # 0..len(S)-1 of matrix, expanded along its last column.
         minors = {(): 1}
@@ -333,18 +333,24 @@ class _DualForms:
             picked = [rows_xb[s] for s in S] or [[0] * (n + 1)]
             return [sum(map(mul, weights, column)) for column in zip(*picked)]
 
-        vertices = []
-        for S in combinations(range(m), p):
-            delta = minors[S]
-            if delta:
-                # Row m, -c_cont, replaces row S[k]: p - 1 - k swaps move it there.
-                sign = -1 if delta < 0 else 1
-                nums = [
-                    minors[S[:k] + S[k + 1 :] + (m,)] * (-sign if (p - 1 - k) % 2 else sign)
-                    for k in range(p)
-                ]
-                if min(nums, default=0) >= 0:
-                    vertices.append((combine(nums, S), abs(delta)))
+        vertices, rays = [], {}
+        for T in combinations(range(m + 1), p + 1):
+            # v spans the kernel of rows T: sum(v[k] * matrix[T[k]]) = 0.
+            v = [-minors[T[:k] + T[k + 1 :]] if k % 2 else minors[T[:k] + T[k + 1 :]] for k in range(p + 1)]
+            if min(v) < 0 < max(v):
+                continue
+            if max(v) <= 0:
+                v = [-e for e in v]
+            if T[-1] == m:
+                # u = v[:p] / v[p] on rows T[:p], and v[p] = |minors[T[:p]]|.
+                if v[p]:
+                    vertices.append((combine(v[:p], T[:p]), v[p]))
+                continue
+            w = combine(v, T)
+            row = [*w[:n], -w[n]]
+            if any(w[:n]) or row[n] > 0:  # else it holds at every point
+                g = math.gcd(*row)
+                rays[tuple(e // g for e in row)] = None
         if not vertices:
             return None
         # With w = delta * c_scale * u, the form over the common denominator
@@ -357,16 +363,6 @@ class _DualForms:
             objective.append([lcm * c_scale * c + f * a for c, a in zip(c_ints, w)] + [-f * w[n]])
         g = math.gcd(*chain.from_iterable(objective)) or 1
         objective = dict.fromkeys(tuple(v // g for v in form) for form in objective)
-        rays = {}
-        for T in combinations(range(m), p + 1):
-            v = [-minors[T[:k] + T[k + 1 :]] if k % 2 else minors[T[:k] + T[k + 1 :]] for k in range(p + 1)]
-            if min(v) < 0 < max(v):
-                continue
-            w = combine(v if max(v) > 0 else [-e for e in v], T)
-            row = [*w[:n], -w[n]]
-            if any(w[:n]) or row[n] > 0:  # else it holds at every point
-                g = math.gcd(*row)
-                rays[tuple(e // g for e in row)] = None
         return (
             Forms(n, tuple((None, form[:n], form[n]) for form in objective)),
             Forms(n, tuple((None, row[:n], row[n]) for row in rays)),

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import signal
@@ -798,6 +799,59 @@ def test_non_finite_tolerance_exit_1(tmp_path, flags, env):
     assert result.stderr.startswith("error: ")
     assert "finite" in result.stderr
     assert ("--tolerance" if flags else "L1OPT_TOLERANCE") in result.stderr
+
+
+FLOAT_6X3 = pathlib.Path(__file__).parent / "data" / "weighted_float_6x3.json"
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [({}, ("count", 7, 2, "--bounds", "--precise", "--delta", d)) for d in ("3/10", "0.3")],
+        [({}, ("count", 3, radius)) for radius in ("5/2", "2.5")],
+        [({}, ("enumerate", 3, radius)) for radius in ("5/2", "2.5")],
+        [
+            ({}, ("solve", FLOAT_6X3, "--tolerance", "1/1000000000")),
+            ({"L1OPT_TOLERANCE": "1/1000000000"}, ("solve", FLOAT_6X3)),
+            ({}, ("solve", FLOAT_6X3)),
+        ],
+    ],
+)
+def test_every_number_on_the_command_line_takes_the_file_grammar(runs):
+    # --delta, --tolerance and L1OPT_TOLERANCE were read as Python floats,
+    # so "3/10" and "1/1000000000" exited 1; each spelling of a number
+    # must print the same bytes, apart from wall_time_ms.
+    outputs = []
+    for env, args in runs:
+        environ = {k: v for k, v in os.environ.items() if k != "L1OPT_TOLERANCE"} | env
+        result = subprocess.run(
+            [sys.executable, "-m", "l1opt", *map(str, args)], capture_output=True, text=True, env=environ
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(_without_timing(result.stdout))
+    assert outputs == [outputs[-1]] * len(outputs)
+    if args == ("solve", FLOAT_6X3):
+        golden = FLOAT_6X3.with_suffix(".stdout").read_text()
+        assert outputs[-1].rsplit(', "version"', 1)[0] + "\n" == golden
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+)
+@pytest.mark.parametrize("field", ["lambda", "weights[1]", "c[1]"])
+def test_a_string_past_the_int_digit_limit_names_its_field(tmp_path, field):
+    # In a flag or a file such a string exited 1 with Python's own
+    # message, unlike the radius of count and enumerate.
+    limit = sys.get_int_max_str_digits()
+    huge = "1" + "0" * limit
+    flags = {"lambda": ("--lambda", huge), "weights[1]": ("--weights", "1," + huge), "c[1]": ()}[field]
+    doc = dict(ILP, c=["-1", huge]) if field == "c[1]" else ILP
+    result = run_cli("solve", write(tmp_path, doc), *flags)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    message = f"error: {field}: too many digits ({limit + 1}, at most {limit}): '1000"
+    assert result.stderr.startswith(message)
+    assert len(result.stderr) < 200
 
 
 def test_negative_enumerate_limit_exit_1():

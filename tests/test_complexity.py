@@ -111,6 +111,15 @@ def test_dimension_one_is_rejected():
         estimate_bound(LinearRegionBackend([[1], [-1]], [1, 0]), 1)
 
 
+@pytest.mark.parametrize("slack", [2, float("nan"), 0])
+def test_a_bad_slack_is_refused_before_the_first_solve(slack):
+    # The slack was checked by the bound formula, after all 2n + 1 solves.
+    backend = LinearRegionBackend(*unit_box(2))
+    with pytest.raises(ValueError, match=r"^slack must lie in \(0, 1\), got "):
+        estimate_bound(backend, 2, slack=slack)
+    assert backend.lp_calls == 0
+
+
 def test_verify_cover_box_and_simplex():
     A, b = unit_box(2)
     report = estimate_bound(LinearRegionBackend(A, b), 2)

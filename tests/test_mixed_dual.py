@@ -44,7 +44,10 @@ def mixed_data(draw, boxed=None):
     """``(n, c_int, c_cont, A_int, A_cont, b, radius)``: some with a
     rank-deficient A_cont, some with box rows that keep every
     subproblem bounded (``boxed``) and may be empty, and the rest often
-    unbounded or infeasible."""
+    unbounded or infeasible.  Some repeat a row or zero a row of A_cont,
+    so that a vertex of the dual D has several bases; some zero c_cont;
+    and some make D empty, with A_cont's first column >= 0 against
+    c_cont[0] > 0."""
     n = draw(st.integers(1, 3))
     p = draw(st.integers(0, 3))
     m = draw(st.integers(0, 5))
@@ -55,21 +58,37 @@ def mixed_data(draw, boxed=None):
     if p >= 2 and draw(st.booleans()):
         for row in A_cont:
             row[1] = row[0]
+    if m and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        if draw(st.booleans()):
+            A_cont[i] = [0] * p
+        else:
+            A_int.append(list(A_int[i]))
+            A_cont.append(list(A_cont[i]))
+            b.append(b[i])
+    c_int = [draw(entry) for _ in range(n)]
+    c_cont = [draw(entry) for _ in range(p)]
+    dual = draw(st.sampled_from(["drawn", "zero c_cont", "empty"]))
+    if dual == "zero c_cont":
+        c_cont = [0] * p
+    elif dual == "empty" and p and not boxed:
+        for row in A_cont:
+            row[0] = abs(row[0])
+        c_cont[0] = draw(st.sampled_from([1, 2, Fraction(1, 2)]))
+        boxed = False
     if boxed if boxed is not None else draw(st.booleans()):
         for j in range(p):
             for sign in (1, -1):
                 A_int.append([0] * n)
                 A_cont.append([sign if k == j else 0 for k in range(p)])
                 b.append(draw(st.sampled_from([-1, 0, 1, 2, Fraction(3, 2)])))
-    c_int = [draw(entry) for _ in range(n)]
-    c_cont = [draw(entry) for _ in range(p)]
     radius = draw(st.sampled_from([0, 1, 2, 3, Fraction(5, 2)]))
     return n, c_int, c_cont, A_int, A_cont, b, radius
 
 
-def outcome(problem, radius):
+def outcome(problem, radius, solve=solve_mixed_integer):
     try:
-        solution = solve_mixed_integer(problem, radius)
+        solution = solve(problem, radius)
     except InnerSolverError as exc:
         return f"InnerSolverError: {exc}"
     assert solution.inner_calls == solution.points_enumerated
@@ -89,6 +108,20 @@ def test_block_path_matches_the_per_point_path(data, cells):
         block = outcome(MixedProblem(n, p, inner), radius)
     per_point = outcome(MixedProblem(n, p, lambda x: inner(x)), radius)
     assert block == per_point
+
+
+@settings(deadline=None)
+@given(mixed_data(), CELLS)
+def test_block_path_matches_the_reference(data, cells):
+    # The other tests meet reference_mixed on the per-point path only: a
+    # wrapped inner solver carries no dual forms.  Here the forms of
+    # degenerate, empty and rank-deficient duals, and of a zero c_cont,
+    # meet it directly.
+    n, c_int, c_cont, A_int, A_cont, b, radius = data
+    problem = MixedProblem(n, len(c_cont), linear_mixed_inner_solver(c_int, c_cont, A_int, A_cont, b))
+    with mock.patch.object(lattice, "BLOCK_CELLS", cells):
+        block = outcome(problem, radius)
+    assert block == outcome(problem, radius, reference_mixed)
 
 
 @settings(max_examples=150, deadline=None)
