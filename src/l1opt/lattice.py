@@ -29,7 +29,8 @@ a dense points x (n + 1) int64 array of at most ``DENSE_CELLS`` cells
 
 The walk depends on n and rho alone, so the blocks of the last ball of
 at most ``KEPT_CELLS`` cells (1 MB) that a walk drained are kept and
-serve later walks of it; blocks are read-only, kept or not.
+serve later walks of it; blocks are read-only and column-major, kept
+or not.
 """
 
 from __future__ import annotations
@@ -138,10 +139,12 @@ _kept: tuple = (None, [])
 def point_blocks(n: int, rho: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The points of the rho-ball in canonical order, one block at a time.
 
-    Each block is a pair ``(pos, val)`` of read-only arrays of shape
-    points x min(n, rho).  Row r holds the support of one point in
-    ascending index order in ``pos`` (intp) and the point's signed
-    entries there in ``val`` (int64), padded with index n and value 0.
+    Each block is a pair ``(pos, val)`` of read-only, column-major
+    arrays of shape points x min(n, rho), kept or not, so that a column
+    is a contiguous row of ``pos.T`` and ``val.T``.  Row r holds the
+    support of one point in ascending index order in ``pos`` (intp) and
+    the point's signed entries there in ``val`` (int64), padded with
+    index n and value 0.
     The row of a point is its ordinal minus the number of points in the
     blocks before it.  Blocks hold at most ``BLOCK_CELLS // min(n, rho)``
     points (at least one), so memory does not grow with n: a dense
@@ -247,7 +250,7 @@ def _expand_signs(flat_pos, flat_val, first, counts, width):
     """Block arrays for magnitude rows, given row after row in the flat
     lists, each taking ``count`` consecutive sign codes, from ``first``
     on for the first row and from 0 on for the others: bit j of a code
-    negates column j."""
+    negates column j.  The arrays are column-major and read-only."""
     shape = (len(counts), width)
     counts = np.array(counts)
     pos = np.repeat(np.array(flat_pos, dtype=np.intp).reshape(shape), counts, axis=0)
@@ -255,6 +258,7 @@ def _expand_signs(flat_pos, flat_val, first, counts, width):
     codes = np.arange(len(pos)) - np.repeat(np.cumsum(counts) - counts, counts)
     codes[: counts[0]] += first
     val *= 1 - 2 * ((codes[:, None] >> np.arange(width)) & 1)
+    pos, val = np.asfortranarray(pos), np.asfortranarray(val)
     pos.flags.writeable = val.flags.writeable = False
     return pos, val
 

@@ -21,11 +21,13 @@ float guide (:func:`guide_basis_reference`) and the Gauss-Jordan solve
 (:func:`solve_square_reference`, which :func:`certify_reference` runs on
 a certificate's whole system) that ``l1opt.lp`` used before it stacked
 its guides and eliminated forward only, the problem-file loader
-(:func:`load_problem`), and the l2 counts and covering
-formulas (:func:`count_l2_lattice_brute`, :func:`l2_count_bounds`,
-:func:`covering_bound_l1`, :func:`covering_bounds_linf`, built on
-:func:`big_bound_ratio_power`).  Past their size budgets the brute-force
-scans raise :class:`GridTooLargeError`.
+(:func:`load_problem`), the block kernel as it read coefficients by
+advanced indexing (:func:`form_values_reference`), and the l2 counts
+and covering formulas (:func:`count_l2_lattice_brute`,
+:func:`l2_count_bounds`, :func:`covering_bound_l1`,
+:func:`covering_bounds_linf`, built on :func:`big_bound_ratio_power`).
+Past their size budgets the brute-force scans raise
+:class:`GridTooLargeError`.
 """
 
 from __future__ import annotations
@@ -741,6 +743,29 @@ def dense_quadratic_oracle(Q, c, rows):
         return tuple(values)
 
     return objective, constraints
+
+
+def form_values_reference(L, consts, quads, pos, x):
+    """The block kernel ``l1opt.blocks._form_values`` as it was before it
+    gathered with ``np.take``: the values of forms ``(L, consts, quads)``
+    at a block with entries ``x``, each summed column by column over the
+    support from zero, in the dtype of the arrays and ``x``, with every
+    coefficient read by advanced indexing."""
+    width = pos.shape[1]
+    dtype = np.result_type(L, x)
+    values = np.zeros((len(L), len(pos)), dtype=dtype)
+    for j in range(width):
+        values += L[:, pos[:, j]] * x[:, j]
+    values += consts[:, None]
+    for f, M in quads:
+        total = np.zeros(len(pos), dtype=dtype)
+        for i in range(width):
+            row = np.zeros(len(pos), dtype=dtype)
+            for j in range(width):
+                row += M[pos[:, i], pos[:, j]] * x[:, j]
+            total += x[:, i] * row
+        values[f] += total
+    return values
 
 
 def random_fraction(rng, lo=-5, hi=5, max_den=5) -> Fraction:

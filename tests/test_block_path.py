@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from l1opt import lattice
-from l1opt.blocks import Forms, block_evaluator, block_scan
+from l1opt.blocks import Forms, _form_values, block_evaluator, block_scan
 from l1opt.lattice import iter_l1_points, point_blocks
 from l1opt.ptas import (
     LipschitzProblem,
@@ -46,7 +46,12 @@ from l1opt.solver import (
     solve_l1_ip,
     solve_weighted_l1_ip,
 )
-from oracles import make_linear_oracle, reference_l1_points, reference_scan
+from oracles import (
+    form_values_reference,
+    make_linear_oracle,
+    reference_l1_points,
+    reference_scan,
+)
 
 COEFFICIENTS = {
     RATIONAL: st.one_of(
@@ -554,6 +559,72 @@ def assert_block_values(problem, radius, grid):
             else:
                 scales = forms[0].ints.scales + forms[1].ints.scales
                 assert [Fraction(int(v), s) for v, s in zip(got, scales)] == expected
+
+
+# Kernel entries of each dtype: float coefficients whose products give
+# signed zeros and whose sums round differently in another order, and
+# sometimes (KERNEL_HUGE) infinities and NaN, which hide the order of
+# the other terms; int64 ones; and Python ints past int64.
+KERNEL_ENTRIES = {
+    "float64": st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.sampled_from([0.1, 0.3, 1 / 3, -0.7, 2.5]),
+        st.floats(-5, 5),
+    ),
+    "int64": st.integers(-(2**20), 2**20),
+    "object": st.one_of(st.integers(-(2**20), 2**20), st.sampled_from([10**30, -(3**50)])),
+}
+KERNEL_HUGE = st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan])
+
+
+def kernel_inputs(draw, kind):
+    """``(L, consts, quads, pos, x)`` for the block kernel: forms over
+    indices 0..n with non-symmetric matrices, a block of width 0-4 in
+    either memory layout, and entries as the evaluators pass them
+    (int64, Python ints, or float64 at a float step)."""
+    entry = KERNEL_ENTRIES[kind]
+    if kind == "float64" and draw(st.integers(0, 3)) == 0:
+        entry = st.one_of(entry, KERNEL_HUGE)
+    n, forms = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    points, width = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+
+    def array(shape, values=entry, dtype=kind):
+        size = math.prod(shape)
+        entries = draw(st.lists(values, min_size=size, max_size=size))
+        return np.array(entries, dtype=dtype).reshape(shape)
+
+    L, consts = array((forms, n + 1)), array((forms,))
+    quadratic = draw(st.lists(st.booleans(), min_size=forms, max_size=forms))
+    quads = [(f, array((n + 1, n + 1))) for f, q in enumerate(quadratic) if q]
+    pos = array((points, width), st.integers(0, n), np.intp)
+    val = array((points, width), st.integers(-3, 3), np.int64)
+    if kind == "float64":
+        step = draw(st.one_of(st.none(), st.sampled_from([0.1, 0.3, -0.5, 1e-300, 1e300])))
+        x = val.astype(np.float64) if step is None else step * val
+    else:
+        x = val.astype(object) if kind == "object" and draw(st.booleans()) else val
+    if draw(st.booleans()):
+        pos, x = np.asfortranarray(pos), np.asfortranarray(x)
+    return L, consts, quads, pos, x
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_ENTRIES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_block_kernel_matches_the_indexing_reference(kind, data):
+    # Float values must be the reference's bytes, so that signed zeros
+    # (0.0 * -2), infinities and NaN count; int values must be its values
+    # in its element types.
+    inputs = kernel_inputs(data.draw, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _form_values(*inputs)
+        expected = form_values_reference(*inputs)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    if got.dtype == np.float64:
+        assert got.tobytes() == expected.tobytes()
+    else:
+        assert got.tolist() == expected.tolist()
+        assert [type(v) for v in got.flat] == [type(v) for v in expected.flat]
 
 
 def test_block_walk_matches_the_point_walk():

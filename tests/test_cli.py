@@ -589,7 +589,7 @@ def test_weighted_solve_stdout_of_an_8_by_5_problem(path, monkeypatch, capsys, e
     # evaluators must print the pinned bytes, apart from wall_time_ms;
     # wrapped oracles take the per-point one.
     block = "_int_evaluator"
-    assert_weighted_golden("weighted_8x5", block, path, monkeypatch, capsys, evaluators_run)
+    assert_solve_golden("weighted_8x5", block, path, monkeypatch, capsys, evaluators_run)
 
 
 @pytest.mark.parametrize("path", ["block", "per-point"])
@@ -598,30 +598,58 @@ def test_weighted_float_solve_stdout_of_a_6_by_3_problem(path, monkeypatch, caps
     # x_4, and the optimum (1, 1, 1, 0, 0, 0) has the weighted norm
     # 0.3 + 0.7 + 1.1, on the budget, which the float sums decide.
     block = "_float_evaluator"
-    assert_weighted_golden("weighted_float_6x3", block, path, monkeypatch, capsys, evaluators_run)
+    assert_solve_golden("weighted_float_6x3", block, path, monkeypatch, capsys, evaluators_run)
 
 
-def assert_weighted_golden(name, block, path, monkeypatch, capsys, evaluators_run):
-    """``l1opt solve`` of the weighted file ``name`` prints its golden
-    bytes on the ``block`` evaluator or, with wrapped oracles, on the
-    per-point one."""
+@pytest.mark.parametrize("path", ["block", "per-point"])
+def test_rational_quadratic_solve_stdout_of_an_8_variable_problem(
+    path, monkeypatch, capsys, evaluators_run
+):
+    # A rational IQP with a non-symmetric Q and two linear rows, over the
+    # 833 points of the radius-3 ball.  The optimum has three nonzero
+    # entries, two of them negative, so its value reads entries of Q off
+    # the diagonal, Q[i][j] and Q[j][i] alike.
+    block = "_int_evaluator"
+    assert_solve_golden("iqp_rational", block, path, monkeypatch, capsys, evaluators_run)
+
+
+@pytest.mark.parametrize("path", ["block", "per-point"])
+def test_float_quadratic_row_solve_stdout_of_a_6_variable_problem(
+    path, monkeypatch, capsys, evaluators_run
+):
+    # A float IQCQP with one quadratic row, whose zero coefficients meet
+    # the negative entries of the optimum (0, -1, -1, 0, 0, -1), so its
+    # sums take products such as 0.0 * -1 = -0.0.
+    block = "_float_evaluator"
+    assert_solve_golden("iqcqp_float", block, path, monkeypatch, capsys, evaluators_run)
+
+
+def assert_solve_golden(name, block, path, monkeypatch, capsys, evaluators_run):
+    """``l1opt solve`` of the file ``name`` prints its golden bytes on the
+    ``block`` evaluator or, with wrapped oracles, on the per-point one."""
     data = pathlib.Path(__file__).parent / "data"
     if path == "per-point":
-        solve = cli.solve_weighted_l1_ip
-
-        def wrapped(instance, *args):
-            objective, constraints = instance.objective, instance.constraints
-            instance = dataclasses.replace(
-                instance, objective=lambda x: objective(x), constraints=lambda x: constraints(x)
-            )
-            return solve(instance, *args)
-
-        monkeypatch.setattr(cli, "solve_weighted_l1_ip", wrapped)
+        for solver in ("solve_l1_ip", "solve_weighted_l1_ip"):
+            monkeypatch.setattr(cli, solver, with_wrapped_oracles(getattr(cli, solver)))
     assert cli.main(["solve", str(data / f"{name}.json")]) == 0
     assert evaluators_run == [block if path == "block" else "point_evaluator"]
     head, tail = capsys.readouterr().out.rsplit(', "version"', 1)
     assert head + "\n" == (data / f"{name}.stdout").read_text()
     assert re.fullmatch(r': "%s", "wall_time_ms": \d+\}\n' % re.escape(l1opt.__version__), tail)
+
+
+def with_wrapped_oracles(solve):
+    """``solve`` on the instance with its oracles wrapped in lambdas, so
+    that its scan runs the per-point evaluator."""
+
+    def wrapped(instance, *args):
+        objective, constraints = instance.objective, instance.constraints
+        instance = dataclasses.replace(
+            instance, objective=lambda x: objective(x), constraints=lambda x: constraints(x)
+        )
+        return solve(instance, *args)
+
+    return wrapped
 
 
 def test_enumerate_stdout_of_a_kept_ball(capsys):

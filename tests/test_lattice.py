@@ -271,6 +271,23 @@ def test_blocks_are_read_only():
     assert lattice._kept[0] == (3, 2, lattice.BLOCK_CELLS)
 
 
+@pytest.mark.parametrize(
+    "n, radius, kept", [(3, 0, False), (3, 2, True), (4, 3, True), (40, 3, False)]
+)
+def test_blocks_are_column_major_and_read_only(n, radius, kept):
+    # The block kernel reads each support column as a contiguous row of
+    # pos.T and val.T.  The second walk of a small ball is served from its
+    # kept blocks; the origin alone (width 0) and the ball at (40, 3) are
+    # not kept and are walked afresh both times.
+    lattice._kept = (None, [])
+    for _ in ("fresh", "kept"):
+        for pos, val in lattice.point_blocks(n, radius):
+            for array in (pos, val):
+                assert array.flags.f_contiguous and not array.flags.writeable
+                assert array.shape[1] == min(n, radius)
+    assert lattice._kept[0] == ((n, radius, lattice.BLOCK_CELLS) if kept else None)
+
+
 def test_a_walk_that_stops_early_keeps_nothing():
     lattice._kept = (None, [])
     assert len(list(islice(iter_l1_points(4, 3), 128))) == 128
