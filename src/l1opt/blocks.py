@@ -105,7 +105,9 @@ def block_scan(n, rho, forms, decide, objective, tolerance=0, stop=None, step=No
     every row is at most ``tolerance``; where that evaluator refuses them,
     :func:`point_evaluator` over ``decide``.  Both give the same values,
     eligible points and calls.  The winner's value is ``decide``'s result
-    on the per-point path, and ``objective(x)`` on the block path.  Each
+    on the per-point path, and ``objective(x)`` on the block path, read
+    from the winner's block value where ``forms`` holds the objective's
+    own ``block_forms`` (:func:`_oracle_value`).  Each
     block takes one first-minimum reduction: the smallest ordinal wins a
     tie, and ``stop`` ends the scan at the first eligible point at or
     below it, with the counts of the walk up to that point.
@@ -117,7 +119,9 @@ def block_scan(n, rho, forms, decide, objective, tolerance=0, stop=None, step=No
     approximation schemes.
     """
     evaluator = block_evaluator(n, forms, rho, tolerance, stop, step)
-    evaluate, stop = evaluator or point_evaluator(decide, n, stop, step)
+    evaluate, stop, exact = evaluator or (*point_evaluator(decide, n, stop, step), None)
+    if exact is not None and forms[0] is not getattr(objective, "block_forms", None):
+        exact = None  # a mixed solve's inner solver
     admit = None if costs is None else _budget_mask(costs, budget, rho, step)
     if kept is None:
         blocks = point_blocks(n, rho)
@@ -155,9 +159,11 @@ def block_scan(n, rho, forms, decide, objective, tolerance=0, stop=None, step=No
             break
     if best is None:
         return None, calls, walked
-    _, ordinal, pos, val, result = best
+    value, ordinal, pos, val, result = best
     x = next(block_tuples(n, pos[None], val[None], step))
-    return (objective(x) if result is None else result, ordinal, x), calls, walked
+    if result is None:
+        result = objective(x) if exact is None else exact(value, pos)
+    return (result, ordinal, x), calls, walked
 
 
 @_float_errors
@@ -200,12 +206,14 @@ def point_evaluator(decide, n, stop=None, step=None):
 
 
 def block_evaluator(n, forms, rho, tolerance, stop, step):
-    """``(evaluate, stop)`` over ``forms``, the ``(objective, rows)`` of a
-    walk in dimension n, or None where :func:`point_evaluator` must run.
+    """``(evaluate, stop, exact)`` over ``forms``, the ``(objective, rows)``
+    of a walk in dimension n, or None where :func:`point_evaluator` must
+    run.
 
-    ``stop`` is in the units of the values.  The objective's value is the
-    largest of its forms' values.  Each ``return None`` is one of the
-    refusals that the module docstring lists.
+    ``stop`` is in the units of the values, and ``exact`` is that of
+    :func:`_oracle_value` or None.  The objective's value is the largest
+    of its forms' values.  Each ``return None`` is one of the refusals
+    that the module docstring lists.
     """
     objective, rows = forms or (None, None)
     if objective is None or rows is None or not objective.forms or not objective.n == rows.n == n:
@@ -255,7 +263,7 @@ def _float_evaluator(objective, rows, tolerance, stop, step):
         values = _largest(objective.float_values(pos, x))
         return values, feasible(pos, x) & (values == values), None
 
-    return evaluate, threshold
+    return evaluate, threshold, _oracle_value(objective, float, step)
 
 
 def _float_rows(rows, tolerance):
@@ -283,7 +291,14 @@ def _int_evaluator(objective, rows, rho, tolerance, stop):
     ints (``big``), one form at a time, and the rows by :func:`_int_rows`."""
     big = not objective.fits_int64(rho)
     feasible = _int_rows(rows, rho, tolerance)
-    threshold = None if stop is None else _scaled_floor(stop, objective.ints.scales[0], big)
+    scale = objective.ints.scales[0]
+    threshold = None if stop is None else _scaled_floor(stop, scale, big)
+    if Fraction not in objective.types:
+        exact = _oracle_value(objective, int)  # the scale is 1
+    elif int not in objective.types:
+        exact = _oracle_value(objective, lambda v: Fraction(int(v), scale))
+    else:
+        exact = None
 
     def evaluate(pos, val, admitted):
         if big:
@@ -294,7 +309,26 @@ def _int_evaluator(objective, rows, rho, tolerance, stop):
             values = _largest(objective.int_values(pos, val))
         return values, feasible(pos, val), None
 
-    return evaluate, threshold
+    return evaluate, threshold, exact
+
+
+def _oracle_value(objective, convert, step=None):
+    """``exact(v, pos)``: the built-in objective oracle's value, in its
+    type, at a point with support ``pos`` and block value ``v`` of its
+    one form x'Mx + a.x; None for several forms.  The oracle's sum starts
+    from int 0 and adds a_j x_j for each nonzero a_j and x_i (M_i . x)
+    for each nonzero x_i, an int 0 when row i of M is zero and x_i an
+    int.  With no term it is int 0, else ``convert(v)``."""
+    if len(objective.forms) != 1:
+        return None
+    M, a, _ = objective.forms[0]
+    if any(a):
+        return lambda v, pos: convert(v)
+    if M is None:
+        return lambda v, pos: 0
+    # Row n, all False, is the padding of the support.
+    rows = np.array([step is not None or any(row) for row in M] + [False])
+    return lambda v, pos: convert(v) if rows[pos].any() else 0
 
 
 def _int_rows(rows, rho, tolerance):
@@ -469,14 +503,19 @@ def _form_values(L, consts, quads, pos, x):
     """The values of forms ``(L, consts, quads)`` at a block with entries
     ``x``, each summed column by column over the support from zero, in
     the dtype of the arrays and ``x``.  The coefficients are gathered
-    with ``np.take``: a column of ``L`` per support column, and M's entry
+    with ``np.take``: a column of ``L`` per support column, into one
+    reused buffer (``clip`` mode does not buffer ``out``), and M's entry
     (i, j) at ``i * (n + 1) + j`` of its flat array."""
     n1 = L.shape[1]
     cols, xs = pos.T, x.T
     dtype = np.result_type(L, x)
+    L = L.astype(dtype, copy=False)
     values = np.zeros((len(L), len(pos)), dtype=dtype)
+    term = np.empty_like(values)
     for col, xj in zip(cols, xs):
-        values += L.take(col, axis=1) * xj
+        L.take(col, axis=1, out=term, mode="clip")
+        term *= xj
+        values += term
     values += consts[:, None]
     for f, M in quads:
         flat = M.ravel()
@@ -511,7 +550,11 @@ def _scaled_floor(t, scale: int, big: bool):
     value v has v / scale <= t exactly when v <= this; for values in int64
     clamped to int64, and for Python int values (``big``) an infinite or
     NaN ``t`` itself."""
-    if isinstance(t, float) and not math.isfinite(t):
-        return t if big else (_INT64_MAX if t > 0 else _INT64_MIN)
-    floor = math.floor(Fraction(t) * scale)
+    if isinstance(t, float):
+        if not math.isfinite(t):
+            return t if big else (_INT64_MAX if t > 0 else _INT64_MIN)
+        num, den = t.as_integer_ratio()
+    else:
+        num, den = int(t.numerator), int(t.denominator)
+    floor = num * scale // den
     return floor if big else min(max(floor, _INT64_MIN), _INT64_MAX)

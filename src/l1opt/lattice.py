@@ -27,10 +27,10 @@ support-indexed ``(pos, val)`` arrays, and, where its points are read,
 a dense points x (n + 1) int64 array of at most ``DENSE_CELLS`` cells
 (or one row, when n + 1 is larger).
 
-The walk depends on n and rho alone, so the blocks of the last ball of
-at most ``KEPT_CELLS`` cells (1 MB) that a walk drained are kept and
-serve later walks of it; blocks are read-only and column-major, kept
-or not.
+The walk depends on n and rho alone, so the last ball of at most
+``KEPT_CELLS`` cells (1 MB) that a walk drained is kept, as one array
+per field, and serves later walks of it in blocks of ``BLOCK_CELLS``
+points; blocks are read-only and column-major, kept or not.
 """
 
 from __future__ import annotations
@@ -152,9 +152,10 @@ def point_blocks(n: int, rho: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     No entry leaves int64 in a walk that can run: an entry of
     magnitude m first shows up after at least m points.
 
-    A walk that drains a ball of at most ``KEPT_CELLS`` cells keeps its
-    blocks, in place of the ball kept before, for later walks of it; one
-    that stops early keeps nothing.
+    A walk that drains a ball of at most ``KEPT_CELLS`` cells keeps it,
+    in place of the ball kept before, for later walks of it in blocks of
+    ``BLOCK_CELLS`` points (a fresh block's most, at width 1); one that
+    stops early keeps nothing.
     """
     n = operator.index(n)
     if n < 1:
@@ -167,19 +168,26 @@ def point_blocks(n: int, rho: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         kept_key, blocks = _kept
         if kept_key == key:
             return iter(blocks)
-        if count_l1_lattice(n, rho) * width <= KEPT_CELLS:
-            return _keep(key, _walk(n, rho))
+        points = count_l1_lattice(n, rho)
+        if points * width <= KEPT_CELLS:
+            return _keep(key, (points, width), _walk(n, rho))
     return _walk(n, rho)
 
 
-def _keep(key, walk):
-    """The blocks of ``walk``, kept under ``key`` once the walk ends."""
+def _keep(key, shape, walk):
+    """The blocks of ``walk``, a ball of ``shape[0]`` points, kept under
+    ``key`` once the walk ends, copied into one array per field."""
     global _kept
-    blocks = []
+    pos, val = np.empty(shape, np.intp, order="F"), np.empty(shape, np.int64, order="F")
+    start = 0
     for block in walk:
-        blocks.append(block)
+        end = start + len(block[0])
+        pos[start:end], val[start:end] = block
+        start = end
         yield block
-    _kept = (key, blocks)
+    pos.flags.writeable = val.flags.writeable = False
+    size = BLOCK_CELLS
+    _kept = (key, [(pos[s : s + size], val[s : s + size]) for s in range(0, shape[0], size)])
 
 
 def _walk(n: int, rho: int):

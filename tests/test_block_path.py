@@ -49,6 +49,7 @@ from l1opt.solver import (
 from oracles import (
     form_values_reference,
     make_linear_oracle,
+    make_quadratic_oracle,
     reference_l1_points,
     reference_scan,
 )
@@ -726,6 +727,101 @@ def test_rational_forms_of_one_objective_must_share_a_scale():
     assert block_evaluator(1, (forms, Forms(1, ())), 2, 0, None, None) is None
 
 
+@st.composite
+def objective_problems(draw):
+    """A linear or quadratic problem with at most one linear row, which
+    may cut off the origin, whose winner meets every rule of the winner's
+    value: rational data in int64 and past it, float data, and data built
+    as given, of ints or of ints mixed with Fractions; an all-zero c half
+    of the time, and rows of Q that are all zero."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["int64", "object", "float", "int", "int and Fraction"]))
+    value = {
+        "int64": COEFFICIENTS[RATIONAL],
+        "object": st.one_of(COEFFICIENTS[RATIONAL], HUGE[RATIONAL]),
+        "float": COEFFICIENTS[FLOAT],
+        "int": st.integers(-3, 3),
+        "int and Fraction": st.one_of(st.integers(-3, 3), COEFFICIENTS[RATIONAL]),
+    }[kind]
+    zero = 0.0 if kind == "float" else 0
+
+    def vector(size):
+        return draw(st.lists(value, min_size=size, max_size=size))
+
+    c = [zero] * n if draw(st.booleans()) else vector(n)
+    Q = None
+    if draw(st.booleans()):
+        Q = [[zero] * n if draw(st.booleans()) else vector(n) for _ in range(n)]
+    rows = [QuadraticConstraint(None, vector(n), draw(value))] if draw(st.booleans()) else []
+    mode = FLOAT if kind == "float" else RATIONAL
+    if kind in ("int", "int and Fraction"):
+        return kind, ProblemInstance(n, *make_quadratic_oracle(Q, c, rows), mode)
+    return kind, ProblemInstance.quadratic(Q, c, rows, mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=objective_problems(), data=st.data(), rho=st.integers(0, 3))
+def test_the_winners_value_is_the_objective_oracles(drawn, data, rho):
+    # The block path takes the winner's value from its block: it must have
+    # the repr and type of objective(x) and of the reference scan's value,
+    # int 0 where the dense sum adds no term, and never a numpy scalar.
+    # Grid steps (zero among them) put rational data in float64, and
+    # weighted walks embed the kept coordinates.  Only data that mixes
+    # int with Fraction calls the objective, once, at the winner.
+    kind, problem = drawn
+    step = data.draw(st.sampled_from([None, 0.5, 0.1, -0.25, 0.0]))
+    exact = kind != "float" and step is None
+    kept = costs = budget = None
+    if data.draw(st.booleans()):
+        kept = sorted(data.draw(st.sets(st.integers(0, problem.n - 1))))
+        cost = [1, 2, Fraction(1, 2)] if exact else [0.5, 1.0, 2.5]
+        costs = data.draw(st.lists(st.sampled_from(cost), min_size=len(kept), max_size=len(kept)))
+        budget = data.draw(st.sampled_from([0, Fraction(5, 2), 3] if exact else [0.0, 2.5]))
+    args = (rho, 0 if exact else 1e-9, None, step, kept, costs, budget)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return problem.objective(x)
+
+    counted.block_forms = problem.objective.block_forms
+    found = scan_ball(dataclasses.replace(problem, objective=counted), *args)
+    reference = reference_scan(problem, *args)
+    assert repr(found) == repr(reference)
+    assert len(calls) <= (1 if kind == "int and Fraction" and exact else 0)
+    if found[0] is not None:
+        value, x = found[0][0], found[0][2]
+        want = problem.objective(x)
+        assert type(value) is type(want) is type(reference[0][0])
+        assert repr(value) == repr(want)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize(
+    "q, cut, step, x, kind",
+    [
+        (1, False, None, (0, 0), int),
+        (1, True, None, (1, 0), int),
+        (1, True, 0.5, (1.0, 0.0), float),
+        (-1, False, None, (0, 2), "mode"),
+    ],
+)
+def test_a_quadratic_with_zero_c_keeps_the_oracles_type(mode, q, cut, step, x, kind):
+    # x'Qx with Q = diag(0, q) and c = 0.  The origin adds no term, and a
+    # winner on the x_0 axis, where the row x_0 >= 1 cuts the origin off,
+    # adds only x_0 * 0: an int 0 at an integer point and a float at a
+    # grid point.  A winner off that axis has the data's type.
+    rows = [QuadraticConstraint(None, (-1, 0), 1)] if cut else []
+    problem = ProblemInstance.quadratic(((0, 0), (0, q)), (0, 0), rows, mode)
+    tolerance = 0 if mode == RATIONAL and step is None else 1e-9
+    found = scan_ball(problem, 2, tolerance, None, step)
+    assert repr(found) == repr(reference_scan(problem, 2, tolerance, None, step))
+    value, _, point = found[0]
+    assert point == x
+    want = {RATIONAL: Fraction, FLOAT: float}[mode] if kind == "mode" else kind
+    assert type(value) is want and type(problem.objective(point)) is want
+
+
 FLOAT_LP = ProblemInstance.linear((1.0, -0.5), ((1.0, 1.0),), (1.0,), FLOAT)
 
 
@@ -819,6 +915,33 @@ def test_solves_of_a_kept_ball_equal_the_first(kind, evaluators_run):
     hot = solve()
     assert repr(hot) == repr(cold)
     assert evaluators_run == [evaluator, evaluator]
+
+
+# c_k = (k - 6) / (k + 1) and one row sum(x) <= 2, over the (12, 3) ball
+# of 2,625 points: a fresh walk serves it as blocks of 1,365 and 1,260
+# points, and a kept one as one block.  The first value at or below
+# -5/2 is at ordinal 1,457 in rational mode and 1,521 in float mode, in
+# the range of the second fresh block.
+TWO_BLOCK_BALL = ([Fraction(k - 6, k + 1) for k in range(12)], ([1] * 12,), (2,))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("stop_below", [None, Fraction(-5, 2)])
+def test_cold_and_kept_solves_of_a_two_block_ball_agree(mode, stop_below):
+    problem = ProblemInstance.linear(*TWO_BLOCK_BALL, mode)
+    options = SolveOptions(stop_below=stop_below)
+    assert [len(pos) for pos, _ in lattice._walk(12, 3)] == [1365, 1260]
+    lattice._kept = (None, [])
+    cold = solve_l1_ip(problem, 3, options)
+    # A scan that stops early keeps nothing, so a full walk keeps the ball.
+    list(point_blocks(12, 3))
+    assert [len(pos) for pos, _ in lattice._kept[1]] == [2625]
+    kept = solve_l1_ip(problem, 3, options)
+    assert repr(kept) == repr(cold)
+    if stop_below is None:
+        assert kept.points_enumerated == 2625
+    else:
+        assert 1365 < kept.points_enumerated == kept.oracle_calls < 2625
 
 
 def test_a_solve_that_stops_early_keeps_nothing():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, Phase, assume, given, settings
@@ -664,6 +665,55 @@ def test_enumerate_stdout_of_a_kept_ball(capsys):
         assert lattice._kept[0] == (4, 3, lattice.BLOCK_CELLS)
 
 
+# The goldens that walk a ball, with the command that prints each, and
+# the solvers that the command line calls.
+GOLDEN_WALKS = {
+    "iqp_rational": "solve",
+    "iqcqp_float": "solve",
+    "weighted_8x5": "solve",
+    "weighted_float_6x3": "solve",
+    "mixed_6x3": "ptas",
+    "mixed_2x4": "ptas",
+    "weighted_ptas": "ptas",
+}
+CLI_SOLVERS = (
+    "solve_l1_ip",
+    "solve_weighted_l1_ip",
+    "solve_lipschitz_ptas",
+    "solve_weighted_lipschitz_ptas",
+    "solve_mixed_integer",
+)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WALKS))
+def test_kept_solves_of_the_goldens_equal_the_cold_ones(name, monkeypatch, capsys):
+    # The command line walks each ball once per process, so no golden run
+    # reaches a kept ball.  Here each file is solved twice in one
+    # process: first cold, and then from the kept ball, with no fresh
+    # walk.  Both solutions, their counts included, and both outputs
+    # must agree, and the output is the golden one.
+    solutions = []
+    for solver in CLI_SOLVERS:
+
+        def record(*args, solve=getattr(cli, solver), **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(cli, solver, record)
+    data = pathlib.Path(__file__).parent / "data"
+    argv = [GOLDEN_WALKS[name], str(data / f"{name}.json")]
+    lattice._kept = (None, [])
+    assert cli.main(argv) == 0
+    assert lattice._kept[0] is not None
+    refuse = mock.Mock(side_effect=AssertionError("the kept ball is walked afresh"))
+    with mock.patch.object(lattice, "_walk", refuse):
+        assert cli.main(argv) == 0
+    cold, kept = solutions
+    assert repr(kept) == repr(cold)
+    outputs = [out.rsplit(', "version"', 1)[0] for out in capsys.readouterr().out.splitlines()]
+    assert outputs == [(data / f"{name}.stdout").read_text().rstrip("\n")] * 2
+
+
 def test_ptas_mixed_with_an_unbounded_continuous_part_exit_1():
     # min y/2 over free y with no rows: every integer point's LP is
     # unbounded, so the mixed problem is, and the solve ends in one error
@@ -1234,7 +1284,7 @@ def test_every_problem_file_ends_in_a_documented_exit(case):
 @pytest.mark.xfail(
     strict=True,
     raises=TimeLimit,
-    reason="no budget refuses an astronomical walk up front yet (ROADMAP item 2), "
+    reason="no budget refuses an astronomical walk up front yet (ROADMAP item 1), "
     "so a walk of more than 10^6 points runs past the time limit",
 )
 @settings(

@@ -10,10 +10,12 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l1opt.blocks import block_evaluator
+from l1opt.blocks import _scaled_floor, block_evaluator
 from l1opt.solver import (
     FLOAT,
     ProblemInstance,
@@ -126,3 +128,50 @@ def test_oracle_path_keeps_custom_and_wrapped_problems():
     float_problem = ProblemInstance.linear((1.0, -1.0), ((1.0, 1.0),), (1.0,), arithmetic=FLOAT)
     assert on_block_path(float_problem, tolerance=1e-9)
     assert on_block_path(dataclasses.replace(rational, arithmetic=FLOAT), tolerance=1e-9)
+
+
+INT64_MAX = (1 << 63) - 1
+FINITE_THRESHOLDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0]),
+    st.fractions(),
+    st.fractions(max_denominator=10**30).map(lambda t: t * 10**40),
+    st.integers(-(10**30), 10**30),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+)
+SCALES = st.one_of(st.integers(1, 10**6), st.integers(1, 10**40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=FINITE_THRESHOLDS, scale=SCALES, big=st.booleans())
+def test_scaled_floor_is_the_floor_of_the_scaled_threshold(t, scale, big):
+    # Subnormal, huge, negative and signed-zero floats, Fractions, ints,
+    # numpy ints and bools: floor(t * scale), in Python ints, and clamped
+    # to int64 for int64 values.  Fraction(np.int64(t)) keeps a numpy
+    # numerator, whose product with a large scale overflows, so the
+    # reference reads a numpy int as a Python int first.
+    floor = math.floor(Fraction(int(t) if isinstance(t, np.integer) else t) * scale)
+    got = _scaled_floor(t, scale, big)
+    assert type(got) is int
+    assert got == (floor if big else min(max(floor, -INT64_MAX - 1), INT64_MAX))
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_scaled_floor_of_a_non_finite_float(t):
+    # Python int values compare with the float itself; int64 values with
+    # the int64 bound on its side, and NaN, at which no value is, with
+    # the lowest.
+    for scale in (1, 7, 10**40):
+        assert repr(_scaled_floor(t, scale, True)) == repr(t)
+        assert _scaled_floor(t, scale, False) == (INT64_MAX if t > 0 else -INT64_MAX - 1)
+
+
+def test_a_numpy_int_stop_below_a_large_scale_stops_no_scan():
+    # -317 times the scale 29,095,810,841,813,173 is past int64.  Read
+    # through Fraction(np.int64(-317)) it wrapped around to a positive
+    # threshold, at which the origin stopped the scan.
+    problem = ProblemInstance.linear([Fraction(1, 29_095_810_841_813_173)] * 2, [], [])
+    solution = solve_l1_ip(problem, 2, SolveOptions(stop_below=np.int64(-317)))
+    assert solution == solve_l1_ip(problem, 2)
+    assert (solution.x, solution.points_enumerated) == ((0, -2), 13)

@@ -234,12 +234,23 @@ def test_canonical_ordinal_rejects_non_integral_entries(entry):
         canonical_ordinal((0, entry), 2)
 
 
-def blocks_equal(got, want):
-    assert len(got) == len(want)
-    for (got_pos, got_val), (pos, val) in zip(got, want):
-        for a, b in ((got_pos, pos), (got_val, val)):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert np.array_equal(a, b)
+def same_points(got, want):
+    """The blocks ``got`` hold the points of ``want`` in the same order:
+    their concatenations agree in dtype, shape and values."""
+    for field in (0, 1):
+        a = np.concatenate([block[field] for block in got])
+        b = np.concatenate([block[field] for block in want])
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def assert_block_bounds(blocks, n, rho, kept):
+    """A fresh walk's blocks hold ``BLOCK_CELLS // min(n, rho)`` points
+    (at least one), all but the last exactly; a kept ball's hold
+    ``BLOCK_CELLS`` points, all but the last exactly."""
+    cap = lattice.BLOCK_CELLS if kept else max(1, lattice.BLOCK_CELLS // max(min(n, rho), 1))
+    sizes = [len(pos) for pos, _ in blocks]
+    assert all(size == cap for size in sizes[:-1]) and 0 < sizes[-1] <= cap
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,9 +266,13 @@ def test_kept_walks_match_the_reference_walk(n, radius, block_cells):
             assert_same_walk(iter_l1_points(n, radius), reference_l1_points(n, radius))
         lattice._kept = (None, [])
         cold = list(lattice.point_blocks(n, radius))
+        kept = lattice._kept[0] is not None
         hot = list(lattice.point_blocks(n, radius))
-        blocks_equal(hot, cold)
-        blocks_equal(hot, list(lattice._walk(n, radius)))
+        fresh = list(lattice._walk(n, radius))
+        same_points(cold, fresh)
+        same_points(hot, fresh)
+        assert_block_bounds(cold, n, radius, kept=False)
+        assert_block_bounds(hot, n, radius, kept=kept)
 
 
 def test_blocks_are_read_only():
@@ -272,20 +287,48 @@ def test_blocks_are_read_only():
 
 
 @pytest.mark.parametrize(
-    "n, radius, kept", [(3, 0, False), (3, 2, True), (4, 3, True), (40, 3, False)]
+    "n, radius, kept", [(3, 0, False), (3, 2, True), (4, 3, True), (12, 3, True), (40, 3, False)]
 )
 def test_blocks_are_column_major_and_read_only(n, radius, kept):
     # The block kernel reads each support column as a contiguous row of
     # pos.T and val.T.  The second walk of a small ball is served from its
-    # kept blocks; the origin alone (width 0) and the ball at (40, 3) are
-    # not kept and are walked afresh both times.
+    # kept blocks, as one block when the ball holds at most BLOCK_CELLS
+    # points, such as the (12, 3) ball of 2,625 points, two blocks when
+    # walked afresh.  The origin alone (width 0) and the ball at (40, 3)
+    # are not kept and are walked afresh both times.
     lattice._kept = (None, [])
+    counts = []
     for _ in ("fresh", "kept"):
-        for pos, val in lattice.point_blocks(n, radius):
+        walk = list(lattice.point_blocks(n, radius))
+        counts.append(len(walk))
+        for pos, val in walk:
             for array in (pos, val):
                 assert array.flags.f_contiguous and not array.flags.writeable
                 assert array.shape[1] == min(n, radius)
+    fresh = len(list(lattice._walk(n, radius)))
+    assert counts == [fresh, 1 if kept else fresh]
     assert lattice._kept[0] == ((n, radius, lattice.BLOCK_CELLS) if kept else None)
+
+
+def test_a_kept_ball_of_many_blocks_is_cut_from_one_array():
+    # The (2, 100) ball holds 20,201 points of 2 cells: 10 fresh blocks of
+    # 2,048 points, and 5 kept ones of BLOCK_CELLS points, row ranges of
+    # one read-only array per field, so each column is still contiguous.
+    lattice._kept = (None, [])
+    fresh = list(lattice.point_blocks(2, 100))
+    kept = list(lattice.point_blocks(2, 100))
+    assert_block_bounds(fresh, 2, 100, kept=False)
+    assert_block_bounds(kept, 2, 100, kept=True)
+    assert (len(fresh), len(kept)) == (10, 5)
+    same_points(kept, fresh)
+    for field in (0, 1):
+        whole = kept[0][field].base
+        assert whole.shape == (20_201, 2) and whole.flags.f_contiguous
+        assert not whole.flags.writeable
+        for block in kept:
+            array = block[field]
+            assert array.base is whole and not array.flags.writeable
+            assert array.strides[0] == array.itemsize
 
 
 def test_a_walk_that_stops_early_keeps_nothing():
@@ -350,7 +393,7 @@ def test_threads_that_replace_the_kept_ball_walk_balls_whole():
         try:
             for i in range(24):
                 ball = balls[(i + offset) % len(balls)]
-                blocks_equal(list(lattice.point_blocks(*ball)), want[ball])
+                same_points(list(lattice.point_blocks(*ball)), want[ball])
         except Exception as exc:
             errors.append(exc)
 
@@ -369,4 +412,5 @@ def test_threads_that_replace_the_kept_ball_walk_balls_whole():
     assert errors == []
     key, blocks = lattice._kept
     assert kept_cells() <= lattice.KEPT_CELLS
-    blocks_equal(blocks, want[key[:2]])
+    same_points(blocks, want[key[:2]])
+    assert_block_bounds(blocks, *key[:2], kept=True)

@@ -23,7 +23,13 @@ from hypothesis import strategies as st
 from l1opt import lattice, lp
 from l1opt.errors import InnerSolverError, ShapeMismatchError
 from l1opt.lattice import iter_l1_points
-from l1opt.ptas import MixedProblem, MixedSolution, linear_mixed_inner_solver, solve_mixed_integer
+from l1opt.ptas import (
+    MixedProblem,
+    MixedSolution,
+    _dual_forms,
+    linear_mixed_inner_solver,
+    solve_mixed_integer,
+)
 from oracles import linear_mixed_inner_reference, reference_mixed
 
 ENTRIES = {
@@ -152,6 +158,30 @@ def test_inner_calls_are_real_calls_and_match_the_reference(data, cells):
     with mock.patch.object(lattice, "BLOCK_CELLS", cells):
         per_point = run(solve_mixed_integer)
     assert per_point == run(reference_mixed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_data(), CELLS)
+def test_a_block_solve_calls_the_inner_solver_once_at_the_winner(data, cells):
+    # The dual forms decide every point, and the winner's value is still
+    # the inner solver's, which runs once, at the winner, or not at all
+    # when no point is feasible.  A counting solver that carries the
+    # dual forms keeps the block path.
+    n, c_int, c_cont, A_int, A_cont, b, radius = data
+    inner = linear_mixed_inner_solver(c_int, c_cont, A_int, A_cont, b)
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return inner(x)
+
+    counted.dual_forms = inner.dual_forms
+    problem = MixedProblem(n, len(c_cont), counted)
+    assume(_dual_forms(problem, radius) is not None)
+    with mock.patch.object(lattice, "BLOCK_CELLS", cells):
+        solution = solve_mixed_integer(problem, radius)
+    assert seen == ([] if solution.x is None else [solution.x])
+    assert repr(solution) == repr(solve_mixed_integer(MixedProblem(n, len(c_cont), inner), radius))
 
 
 @settings(deadline=None)
