@@ -41,7 +41,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .lattice import LatticePoint, canonical_ordinal, iter_l1_points
-from .lp import LPResult, lp_optimum, lp_solve
 from .ptas import (
     ApproxSolution,
     InnerSolution,

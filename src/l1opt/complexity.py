@@ -64,23 +64,26 @@ class ConvexOptBackend(ABC):
 class LinearRegionBackend(ConvexOptBackend):
     """Built-in backend for linear regions {x : A x <= b}, exact arithmetic.
 
-    Each solve has the result of :func:`l1opt.lp.lp_optimum`: the optimal
-    value is exact and the maximizer is an exact optimal point, which at
-    a tie need not be the vertex ``lp_solve`` would pick.  The first solve
-    over C builds the constraint part of its integer ≤-form, and later
-    ones swap only the cost.  ``maximize_all`` prices one form per
-    direction and runs their float guides as one stack (``lp._optima``);
-    it returns ``[maximize(d) for d in directions]`` and raises the same
-    error after the same ``lp_calls``, but it reads every direction
-    first, so a non-finite one raises before any solve.  The lifted solve
-    runs once per estimate, on the region's form too: its rows, with each
-    free x_j's two columns reordered into the s and t blocks, are the
-    integers of [A | -A], and only the rows of the upper bounds are new
-    (``lp._lifted``).  Errors read as ``lp_optimum``'s, and a ragged A
-    raises the same one on every solve.  ``lp_calls`` counts
-    the solves, ``certified_solves`` those answered by a certified guide
-    basis and ``fallback_pivots`` the exact simplex pivots of the others.
-    Infinite or NaN entries of A or b raise ``ValueError``.
+    Each solve takes :func:`l1opt.lp._optima`'s path: a float-guided basis
+    when an exact certificate accepts it, else the exact simplex.  The
+    optimal value is exact and the maximizer is an exact optimal point,
+    which at a tie need not be the exact simplex's vertex.  The first
+    solve over C builds the constraint part of its integer ≤-form, and
+    later ones swap only the cost.  ``maximize_all`` prices one form per
+    direction and runs their float guides as one stack; it returns
+    ``[maximize(d) for d in directions]`` and raises the same error after
+    the same ``lp_calls``, but it reads every direction first, so a
+    non-finite one raises before any solve.  The lifted solve runs once
+    per estimate, on the region's form too: its rows, with each free
+    x_j's two columns reordered into the s and t blocks, are the integers
+    of [A | -A], and only the rows of the upper bounds are new
+    (``lp._lifted``).  A region with no rows takes the lifted dimension
+    from the direction.  Error messages that name the LP's input carry
+    the prefix ``lp_optimum:``, pinned error text, and a ragged A raises
+    the same error on every solve.  ``lp_calls`` counts the solves,
+    ``certified_solves`` those answered by a certified guide basis and
+    ``fallback_pivots`` the exact simplex pivots of the others.  Infinite
+    or NaN entries of A or b raise ``ValueError``.
     """
 
     def __init__(self, A: Sequence[Sequence], b: Sequence):
@@ -97,10 +100,11 @@ class LinearRegionBackend(ConvexOptBackend):
             return self.maximize_all([direction])[0]
         cost = exact_rationals(direction, "lp_optimum: c")
         upper = [*lifted_bounds[0], *lifted_bounds[1]]
-        return self._answer(next(_optima([_lifted(self._region(self.n), cost, upper)])))
+        n = self.n if self.A else len(cost) // 2
+        return self._answer(next(_optima([_lifted(self._region(n), cost, upper)])))
 
     def maximize_all(self, directions):
-        # Named as lp_optimum names its input, so errors read the same.
+        # "lp_optimum: c" is pinned error text, as in every message here.
         costs = [exact_rationals(direction, "lp_optimum: c") for direction in directions]
         return [self._answer(result) for result in _optima([self._region(len(c)).priced(c, True) for c in costs])]
 
@@ -108,7 +112,7 @@ class LinearRegionBackend(ConvexOptBackend):
         """The constraint part of the region's ≤-form over n variables,
         built on the first call and kept."""
         if self._rows is None or len(self._rows.subs) != n:
-            self._rows = _leq_rows("lp_optimum", self.A, self.b, n, None, None)
+            self._rows = _leq_rows("lp_optimum", self.A, self.b, n)
         return self._rows
 
     def _answer(self, result):

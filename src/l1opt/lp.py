@@ -1,4 +1,5 @@
-"""Two-phase simplex over exact integer arithmetic.
+"""Two-phase simplex over exact integer arithmetic, and the certified
+float-guided path that the package's LPs take.
 
 The tableau is fraction-free: it holds Python ints T and one positive
 common denominator D, and the true tableau is T / D.  Each pivot is the
@@ -24,10 +25,15 @@ Inputs given as floats are converted to the exact rationals they
 represent, so the solver accepts mixed data without losing precision;
 infinite or NaN input raises ``ValueError``.
 
-``lp_optimum`` takes the same LPs, builds the same integer ≤-form, and
-certifies a float-guided basis instead of pivoting exactly (the approach
-of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
-2007):
+The package solves three kinds of LP, and each is an integer ≤-form
+(:class:`_LeqForm`) over nonnegative z: the coordinate LPs of a region
+{x : A x <= b} and the mixed inner LP, whose free x_j is z_2j - z_2j+1
+(:func:`_leq_rows`), and the lifted LP, whose s and t are z itself,
+with a row for each upper bound (:func:`_lifted`).  The region's
+coordinate LPs and its lifted LP go through :func:`_optima`, which
+certifies a float-guided basis in place of pivoting exactly (the
+approach of exact LP codes such as QSopt_ex; Applegate, Cook, Dash &
+Espinoza 2007):
 
 - *Guide.*  A float64 two-phase simplex in numpy (Dantzig's rule,
   equilibrated rows, a pivot cap, floating-point warnings off) proposes
@@ -35,7 +41,7 @@ of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
   the cost share one stacked guide (:mod:`l1opt.lp_guide`).
 - *Certificate.*  The basic columns and the tight rows (those whose
   slack is nonbasic) form a k x k integer system.  A tight row with one
-  nonzero among the basic columns, such as a variable bound, pins its
+  nonzero among the basic columns, such as a bound row, pins its
   column.  The block of the other rows and columns is factored once, by
   fraction-free forward elimination, which leaves its LU factors in
   place (Nakos, Turner & Williams 1997): exact integer back-substitution
@@ -50,11 +56,11 @@ of exact LP codes such as QSopt_ex; Applegate, Cook, Dash & Espinoza
   whether the optimum is unique is not decided.
 - *Fallback.*  Data past the float range, a non-finite value, the cap, a
   singular basis, a failed check or a guide status other than optimal
-  all lead to ``lp_solve``.  Status and value are therefore always
-  ``lp_solve``'s, and exact.  ``x`` is an exact optimal point; it is
-  ``lp_solve``'s vertex whenever the optimum is unique, and may be
-  another optimal vertex at a tie.  ``LPResult.certified`` says which
-  path answered.
+  all lead to the exact simplex (``_LeqForm.solve``).  Status and value
+  are therefore always the exact simplex's.  ``x`` is an exact optimal
+  point; it is the exact simplex's vertex whenever the optimum is
+  unique, and may be another optimal vertex at a tie.
+  ``LPResult.certified`` says which path answered.
 
 On the 2n + 1 LPs of ``complexity.estimate_bound`` at 12 variables and
 48 rows, the guide's basis passes.  The 2n coordinate LPs share their
@@ -71,6 +77,11 @@ elimination, whose integers would otherwise grow to about 1,400 bits.
 The inner LP of a linear mixed solve is priced once, and each integer
 point sets only its rhs and runs the exact simplex, not the guide,
 whose fixed cost made a solve about 1.3 times slower.
+
+The layer is internal.  The general LP with per-variable bounds (x =
+L + z, x = U - z), built on these same forms, is a reference entry
+point of the tests (``tests/oracles.py``), which drive the simplex,
+the guide and the certificate through it.
 
 Intended for small instances (tens of variables): the coordinate-range
 and lifted-radius programs of the runtime-bound estimator, and LP
@@ -92,14 +103,12 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class LPResult:
     """``pivots`` counts the exact simplex's pivots: those of phase 1, of
     artificial eviction and of phase 2.  ``certified`` is True when
-    ``lp_optimum`` answered from a certified guide basis, with no exact
+    :func:`_optima` answered from a certified guide basis, with no exact
     pivot."""
 
     status: str
@@ -124,59 +133,18 @@ def _exact(value, where: str, index: int) -> Fraction:
         raise ValueError(f"{where}[{index}] = {value!r} is not a finite number") from None
 
 
-def lp_solve(
-    c: Sequence,
-    A: Sequence[Sequence],
-    b: Sequence,
-    sense: str = "min",
-    lower: Optional[Sequence] = None,
-    upper: Optional[Sequence] = None,
-) -> LPResult:
-    """Optimize c.x subject to A x <= b plus optional per-variable bounds.
-
-    Variables are free unless a lower/upper entry is given (None keeps a
-    side unbounded).  Returns an exact vertex optimum, or a result with
-    status "infeasible" / "unbounded".  Infinite or NaN input raises
-    ``ValueError``.
-    """
-    form = _leq_form("lp_solve", c, A, b, sense, lower, upper)
-    return LPResult(INFEASIBLE, None, None) if form is None else form.solve()
-
-
-def lp_optimum(
-    c: Sequence,
-    A: Sequence[Sequence],
-    b: Sequence,
-    sense: str = "min",
-    lower: Optional[Sequence] = None,
-    upper: Optional[Sequence] = None,
-) -> LPResult:
-    """``lp_solve``'s status and value, from a float-guided basis when it
-    can be certified exactly.
-
-    A float64 simplex proposes a basis and :func:`_certify` checks it in
-    integer arithmetic; if the guide fails or the check does, this is
-    ``lp_solve``.  ``x`` is an exact optimal point, ``lp_solve``'s own
-    whenever the optimum is unique, but at a tie it may be another
-    optimal vertex.  ``certified`` tells which path answered.
-    """
-    form = _leq_form("lp_optimum", c, A, b, sense, lower, upper)
-    return LPResult(INFEASIBLE, None, None) if form is None else next(_optima([form]))
-
-
 class _LeqForm(NamedTuple):
-    """min cost.z subject to rows.z <= rhs, z >= 0: an LP after the bound
-    substitution and the per-row integer scaling.
+    """min cost.z subject to rows.z <= rhs, z >= 0: an LP over nonnegative
+    z after the per-row integer scaling.
 
-    Row i is the original row times ``scales[i]``.  ``subs[j]`` is the
-    pair ``(offset, terms)`` with x_j = offset + the sum of sign * z_k over
-    the ``(k, sign)`` pairs of ``terms``: L + z_k, U - z_k or z_p - z_q.
-    The z columns are numbered in order of j, and each x_j's columns in
-    order of its terms.  The constraint part, from :func:`_leq_rows`, has
-    no cost yet; :meth:`priced` adds one, so LPs over one region share its
+    Row i is the original row times ``scales[i]``.  ``subs[j]`` holds the
+    ``(k, sign)`` pairs with x_j the sum of sign * z_k over them: z_2j -
+    z_2j+1 for a free x_j, z_j for a variable of the lifted LP.  The z
+    columns are numbered in order of j, and each x_j's columns in order
+    of its pairs.  The constraint part, from :func:`_leq_rows`, has no
+    cost yet; :meth:`priced` adds one, so LPs over one region share its
     rows.  ``cost`` is then the cost (negated for "max") in z times
-    ``cost_scale``, and ``cost_shift`` is the constant that the bound
-    shifts add to it.
+    ``cost_scale``.
     """
 
     rows: list[list[int]]
@@ -185,17 +153,14 @@ class _LeqForm(NamedTuple):
     subs: list[tuple]
     cost: Optional[list[int]] = None
     cost_scale: int = 1
-    cost_shift: Fraction = _ZERO
     maximize: bool = False
 
     def priced(self, c: list[Fraction], maximize: bool) -> _LeqForm:
         """This form's constraints under the objective ``c``, maximized or minimized."""
-        signed = [-v for v in c] if maximize else c
-        ints, scale = _scaled(signed)
-        cost, shift = _expand(ints, self.subs), _constant_part(signed, self.subs)
-        # Not _replace: each call of it leaves one more spare 8-tuple in
+        ints, scale = _scaled([-v for v in c] if maximize else c)
+        # Not _replace: each call of it leaves one more spare 7-tuple in
         # CPython's tuple free list, up to 2,000 of them (about 0.2 MB).
-        return _LeqForm(self.rows, self.rhs, self.scales, self.subs, cost, scale, shift, maximize)
+        return _LeqForm(self.rows, self.rhs, self.scales, self.subs, _expand(ints, self.subs), scale, maximize)
 
     def solve(self, rhs: Optional[list[int]] = None) -> LPResult:
         """The exact Bland simplex on this form, or on its rows under ``rhs``."""
@@ -209,13 +174,9 @@ class _LeqForm(NamedTuple):
 
         Each x_j and the objective is built from integers as one Fraction,
         so each costs one gcd."""
-        x = tuple(
-            Fraction(off.numerator * d + off.denominator * sum(nums[k] * sign for k, sign in terms), off.denominator * d)
-            for off, terms in self.subs
-        )
-        shift, scale = self.cost_shift, d * self.cost_scale
-        value = sum(map(mul, self.cost, nums)) * shift.denominator + shift.numerator * scale
-        value = Fraction(-value if self.maximize else value, scale * shift.denominator)
+        x = tuple(Fraction(sum(nums[k] * sign for k, sign in terms), d) for terms in self.subs)
+        value = sum(map(mul, self.cost, nums))
+        value = Fraction(-value if self.maximize else value, d * self.cost_scale)
         return LPResult(OPTIMAL, value, x, pivots, certified)
 
 
@@ -233,18 +194,10 @@ def _optima(forms: Sequence[_LeqForm]) -> Iterator[LPResult]:
         yield form.solve() if certificate is None else form.result(*certificate, 0, certified=True)
 
 
-def _leq_form(where, c, A, b, sense, lower, upper) -> Optional[_LeqForm]:
-    """The ≤-form of an LP given to the entry point ``where``, or None when
-    a lower bound exceeds its upper bound (the LP is infeasible)."""
-    if sense not in ("min", "max"):
-        raise ValueError("sense must be 'min' or 'max'")
-    cost = exact_rationals(c, f"{where}: c")
-    form = _leq_rows(where, A, b, len(cost), lower, upper)
-    return None if form is None else form.priced(cost, sense == "max")
-
-
-def _leq_rows(where, A, b, n, lower, upper) -> Optional[_LeqForm]:
-    """The constraint part of :func:`_leq_form` over n variables."""
+def _leq_rows(where, A, b, n) -> _LeqForm:
+    """The constraint part of the ≤-form of A x <= b over n free
+    variables, each x_j = z_2j - z_2j+1.  Each row is cleared of
+    denominators on its own, rhs included."""
     rows = [exact_rationals(row, f"{where}: A[{i}]") for i, row in enumerate(A)]
     rhs = exact_rationals(b, f"{where}: b")
     for row in rows:
@@ -252,67 +205,41 @@ def _leq_rows(where, A, b, n, lower, upper) -> Optional[_LeqForm]:
             raise ShapeMismatchError(f"constraint row has {len(row)} entries, expected {n}")
     if len(rows) != len(rhs):
         raise ShapeMismatchError("A and b disagree on the number of constraints")
-    lo = _bound_list(lower, n, where, "lower")
-    hi = _bound_list(upper, n, where, "upper")
-    for j in range(n):
-        if lo[j] is not None and hi[j] is not None and lo[j] > hi[j]:
-            return None
-
-    # Substitute every variable by nonnegative ones: x = L + z with a
-    # lower bound L, x = U - z with only an upper bound U, and x = z_pos -
-    # z_neg when free.  Upper bounds of shifted variables become extra <= rows.
-    subs: list[tuple] = []
-    num_z = 0
-    extra_rows: list[tuple[int, Fraction]] = []  # (z column, bound)
-    for j in range(n):
-        if lo[j] is not None:
-            subs.append((lo[j], ((num_z, 1),)))
-            if hi[j] is not None:
-                extra_rows.append((num_z, hi[j] - lo[j]))
-        elif hi[j] is not None:
-            subs.append((hi[j], ((num_z, -1),)))
-        else:
-            subs.append((_ZERO, ((num_z, 1), (num_z + 1, -1))))
-        num_z += len(subs[-1][1])
-
-    # Each row is cleared of denominators on its own, rhs included.
-    std_rows = []
-    std_rhs = []
-    scales = []
+    form = _LeqForm([], [], [], [((2 * j, 1), (2 * j + 1, -1)) for j in range(n)])
     for row, beta in zip(rows, rhs):
-        shift = _constant_part(row, subs)
-        ints, scale = _scaled(row + [beta - shift if shift else beta])
-        std_rhs.append(ints.pop())
-        std_rows.append(_expand(ints, subs))
-        scales.append(scale)
-    return _bounded(std_rows, std_rhs, scales, subs, extra_rows)
+        ints, scale = _scaled(row + [beta])
+        form.rhs.append(ints.pop())
+        form.rows.append(_expand(ints, form.subs))
+        form.scales.append(scale)
+    return form
 
 
 def _bounded(rows, rhs, scales, subs, bounds) -> _LeqForm:
     """The ≤-form of ``rows`` plus the row z_col <= bound for each
     ``(col, bound)`` of ``bounds``, scaled by the bound's denominator."""
-    width = sum(len(terms) for _, terms in subs)
+    width = sum(len(terms) for terms in subs)
     rows = rows + [[0] * col + [bound.denominator] + [0] * (width - 1 - col) for col, bound in bounds]
     rhs = rhs + [bound.numerator for _, bound in bounds]
     return _LeqForm(rows, rhs, scales + [bound.denominator for _, bound in bounds], subs)
 
 
 def _lifted(region: _LeqForm, cost: list[Fraction], upper: Sequence) -> _LeqForm:
-    """``_leq_form(where, cost, [A | -A], b, "max", [0] * 2n, upper)`` from
-    ``region``, ``_leq_rows(where, A, b, n, None, None)``.
+    """max cost.(s, t) subject to A (s - t) <= b and 0 <= (s, t) <= upper,
+    from ``region``, ``_leq_rows(where, A, b, n)``.
 
     Each free x_j of the region is z_2j - z_2j+1, so the region's rows,
     with their z columns reordered as every z_2j and then every z_2j+1,
     are the integers that the rows of [A | -A] scale to, under the same
-    rhs and scales.  Each upper bound that is not None adds its row, as
-    in :func:`_leq_rows`; a negative one leaves the LP infeasible.
+    rhs and scales.  Each upper bound that is not None adds its row (a
+    negative one leaves the LP infeasible); the form is the one that the
+    general LP with lower bounds 0 builds (``tests/oracles.py``).
     """
     width = 2 * len(region.subs)
     if len(cost) != width:
         raise ShapeMismatchError(f"constraint row has {width} entries, expected {len(cost)}")
     bounds = [(j, u) for j, u in enumerate(_bound_list(upper, width, "lp_optimum", "upper")) if u is not None]
     rows = [row[0::2] + row[1::2] for row in region.rows]
-    subs = [(_ZERO, ((j, 1),)) for j in range(width)]
+    subs = [((j, 1),) for j in range(width)]
     return _bounded(rows, region.rhs, region.scales, subs, bounds).priced(cost, True)
 
 
@@ -320,12 +247,7 @@ def _expand(row: Sequence[int], subs: list[tuple]) -> list[int]:
     """``row``, one entry per x_j, as one entry per z column.  Each z column
     comes from one variable, in order, so this only places and negates
     entries: the row keeps its denominators and its scale."""
-    return [coef if sign > 0 else -coef for coef, (_, terms) in zip(row, subs) for _, sign in terms]
-
-
-def _constant_part(row: Sequence[Fraction], subs: list[tuple]) -> Fraction:
-    """The part of ``row``.x that the bound shifts make constant."""
-    return sum((coef * offset for coef, (offset, _) in zip(row, subs) if coef and offset), _ZERO)
+    return [coef if sign > 0 else -coef for coef, terms in zip(row, subs) for _, sign in terms]
 
 
 def _bound_list(bounds: Optional[Sequence], n: int, where: str, name: str) -> list[Optional[Fraction]]:

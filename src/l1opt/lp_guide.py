@@ -1,4 +1,4 @@
-"""The float64 guide of :func:`l1opt.lp.lp_optimum`.
+"""The float64 guide of the package's certified LPs (:func:`l1opt.lp._optima`).
 
 A two-phase simplex in numpy (Dantzig's rule, equilibrated rows, a
 pivot cap, floating-point warnings off) proposes the basis that

@@ -406,10 +406,11 @@ def linear_mixed_inner_solver(
     # Each row of [A_int | A_cont | b], and c_int, over its own common
     # denominator, so that b - A_int x and c_int.x cost integer sums; the
     # dual forms and the LP over the free y read the same rows.  Its rows
-    # keep their scales, so phase 1 weighs each artificial as lp_solve would.
+    # keep their scales, so phase 1 weighs each artificial as it would in
+    # the LP over the rows as given.
     scaled = [_scaled(a + c + [beta]) for a, c, beta in zip(A_int, A_cont, b)]
     c_ints, c_scale = _scaled(c_int)
-    rows = _leq_rows(where, [row[n:-1] for row, _ in scaled], [0] * len(b), len(c_cont), None, None)
+    rows = _leq_rows(where, [row[n:-1] for row, _ in scaled], [0] * len(b), len(c_cont))
     form = _LeqForm(rows.rows, rows.rhs, [scale for _, scale in scaled], rows.subs).priced(c_cont, False)
 
     def inner(x: tuple[int, ...]) -> InnerSolution:

@@ -34,8 +34,10 @@ same results, ties and counts:
   data at grid points, in float64, summed as the oracles sum it;
   rational data at integer points over ints after clearing
   denominators, in int64 where max|Q| lambda^2 + max|a| lambda + |const|
-  fits in int64 and over Python ints past it.  The winner's value is
-  recomputed by the scalar objective.
+  fits in int64 and over Python ints past it.  The winner's value comes
+  from its block value (``blocks._oracle_value``), in the type the
+  scalar objective returns; the scalar objective runs at the winner only
+  for data built as given that mixes int with ``Fraction``.
 - The per-point evaluator calls :meth:`ProblemInstance.evaluate` once
   per point wherever :func:`l1opt.blocks.block_evaluator` refuses the
   walk; :mod:`l1opt.blocks` lists every refusal.  Generic callables, oracles

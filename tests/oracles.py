@@ -4,16 +4,22 @@ Everything here is deliberately naive: box scans, vertex enumeration,
 exact rational arithmetic.  None of it shares code paths with the
 implementations under test beyond the canonical-ordinal helper, which
 has its own replay-based validation, the ``LPResult`` record the
-Fraction simplex returns, and the raw-typed builders of the built-in
+Fraction simplex returns, the LP entry points below, which wrap the
+package's LP layer, and the raw-typed builders of the built-in
 oracles (:func:`make_linear_oracle`, :func:`make_quadratic_oracle`),
 which call the package's own ``l1opt.solver._oracles`` on data that
 ``ProblemInstance.linear`` and ``.quadratic`` would first convert.
 
 The references that only tests call live here too, not in the package:
+the general LP with per-variable bounds (:func:`lp_solve`,
+:func:`lp_optimum`), which substitutes the bounds itself
+(:func:`leq_rows`) and hands the integer ≤-form to the exact simplex,
+guide and certificate of ``l1opt.lp``, whose own LPs have free
+variables only, plus the lifted LP's bound rows;
 the per-point scan over ``iter_l1_points`` that the solvers ran before
 every walk went through ``l1opt.blocks.block_scan``
 (:func:`reference_scan`, :func:`reference_mixed`), the inner solver
-of linear mixed problems that ran ``lp_solve`` afresh at every point
+of linear mixed problems that ran :func:`lp_solve` afresh at every point
 (:func:`linear_mixed_inner_reference`), the fine-grid
 reference for the approximation schemes (:func:`fine_grid_reference`),
 the sampled Lipschitz check (:func:`check_lipschitz`), the single-cost
@@ -51,10 +57,24 @@ from l1opt.counting import (
 from l1opt.errors import InnerSolverError, InvalidDimensionError, ShapeMismatchError
 from l1opt.files import ParsedProblem, _read_document, parse_problem
 from l1opt.lattice import LatticePoint, canonical_ordinal, iter_l1_points
-from l1opt.lp import _ZERO, INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _LeqForm, lp_solve
+from l1opt.lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LPResult,
+    _bound_list,
+    _bounded,
+    _expand,
+    _LeqForm,
+    _optima,
+    _scaled,
+    exact_rationals,
+)
 from l1opt.lp_guide import _GUIDE_TOL
 from l1opt.ptas import ApproxSolution, InnerSolution, LipschitzProblem, MixedSolution
 from l1opt.solver import QuadraticConstraint, _oracles
+
+_ZERO = Fraction(0)
 
 
 def load_problem(path: str) -> ParsedProblem:
@@ -317,9 +337,113 @@ def vertex_lp_brute(c, rows, rhs, sense="min"):
     return best
 
 
+class BoundedLP(NamedTuple):
+    """An LP with per-variable bounds as the package's integer ≤-form:
+    x_j is ``offsets[j]`` plus the sum of sign * z_k over the ``(k, sign)``
+    pairs of ``form.subs[j]``, and c.x is the form's value plus
+    ``constant``."""
+
+    form: _LeqForm
+    offsets: list[Fraction]
+    constant: Fraction = _ZERO
+
+
+def lp_solve(c, A, b, sense="min", lower=None, upper=None) -> LPResult:
+    """Optimize c.x subject to A x <= b plus optional per-variable bounds,
+    by the package's exact simplex (``_LeqForm.solve``).
+
+    Variables are free unless a lower/upper entry is given (None keeps a
+    side unbounded).  Returns an exact vertex optimum, or a result with
+    status "infeasible" / "unbounded".  Infinite or NaN input raises
+    ``ValueError``.  The reference entry point through which the tests
+    drive ``l1opt.lp``, whose own LPs have free variables only.
+    """
+    return _shifted(leq_form("lp_solve", c, A, b, sense, lower, upper), _LeqForm.solve)
+
+
+def lp_optimum(c, A, b, sense="min", lower=None, upper=None) -> LPResult:
+    """``lp_solve``'s status and value, from the package's certified path
+    (``l1opt.lp._optima``): a float-guided basis when an exact certificate
+    accepts it, else ``lp_solve``.  ``x`` is an exact optimal point,
+    ``lp_solve``'s own whenever the optimum is unique, but at a tie it
+    may be another optimal vertex.  ``certified`` tells which path
+    answered.
+    """
+    return _shifted(leq_form("lp_optimum", c, A, b, sense, lower, upper), lambda form: next(_optima([form])))
+
+
+def _shifted(bounded: Optional[BoundedLP], solve) -> LPResult:
+    """``solve(bounded.form)`` in terms of x: each offset added back to its
+    x_j and the constant to the value; infeasible when ``bounded`` is None."""
+    if bounded is None:
+        return LPResult(INFEASIBLE, None, None)
+    result = solve(bounded.form)
+    if result.status != OPTIMAL:
+        return result
+    x = tuple(v + offset for v, offset in zip(result.x, bounded.offsets))
+    return LPResult(OPTIMAL, result.value + bounded.constant, x, result.pivots, result.certified)
+
+
+def leq_form(where, c, A, b, sense, lower, upper) -> Optional[BoundedLP]:
+    """The ≤-form of an LP given to the entry point ``where``, or None when
+    a lower bound exceeds its upper bound (the LP is infeasible)."""
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
+    cost = exact_rationals(c, f"{where}: c")
+    bounded = leq_rows(where, A, b, len(cost), lower, upper)
+    if bounded is None:
+        return None
+    form, offsets, _ = bounded
+    constant = sum((a * offset for a, offset in zip(cost, offsets) if a and offset), _ZERO)
+    return BoundedLP(form.priced(cost, sense == "max"), offsets, constant)
+
+
+def leq_rows(where, A, b, n, lower, upper) -> Optional[BoundedLP]:
+    """The constraint part of :func:`leq_form` over n variables.
+
+    Every variable is substituted by nonnegative ones: x = L + z with a
+    lower bound L, x = U - z with only an upper bound U, and x = z_p - z_q
+    when free.  Upper bounds of shifted variables become bound rows
+    (``l1opt.lp._bounded``).  Each row is cleared of denominators on its
+    own, rhs less the offsets' part included."""
+    rows = [exact_rationals(row, f"{where}: A[{i}]") for i, row in enumerate(A)]
+    rhs = exact_rationals(b, f"{where}: b")
+    for row in rows:
+        if len(row) != n:
+            raise ShapeMismatchError(f"constraint row has {len(row)} entries, expected {n}")
+    if len(rows) != len(rhs):
+        raise ShapeMismatchError("A and b disagree on the number of constraints")
+    lo = _bound_list(lower, n, where, "lower")
+    hi = _bound_list(upper, n, where, "upper")
+    if any(l is not None and h is not None and l > h for l, h in zip(lo, hi)):
+        return None
+    subs, offsets, bounds = [], [], []  # bounds: (z column, bound)
+    for l, h in zip(lo, hi):
+        k = sum(map(len, subs))
+        if l is not None:
+            subs.append(((k, 1),))
+            offsets.append(l)
+            if h is not None:
+                bounds.append((k, h - l))
+        elif h is not None:
+            subs.append(((k, -1),))
+            offsets.append(h)
+        else:
+            subs.append(((k, 1), (k + 1, -1)))
+            offsets.append(_ZERO)
+    std_rows, std_rhs, scales = [], [], []
+    for row, beta in zip(rows, rhs):
+        shift = sum((a * offset for a, offset in zip(row, offsets) if a and offset), _ZERO)
+        ints, scale = _scaled(row + [beta - shift])
+        std_rhs.append(ints.pop())
+        std_rows.append(_expand(ints, subs))
+        scales.append(scale)
+    return BoundedLP(_bounded(std_rows, std_rhs, scales, subs, bounds), offsets)
+
+
 def fraction_lp_solve(c, A, b, sense="min", lower=None, upper=None) -> LPResult:
-    """Reference for ``l1opt.lp.lp_solve``: the two-phase Bland simplex with
-    every tableau entry a Fraction.
+    """Reference for :func:`lp_solve`: the two-phase Bland simplex with
+    every tableau entry a Fraction, and its own bound substitution.
 
     The bound substitution, the slack and artificial columns and every
     pivot choice are those ``lp_solve`` makes on its integer tableau, so
@@ -528,7 +652,7 @@ def certify_reference(form: _LeqForm, basis: Sequence[int]) -> Optional[Referenc
     # A free x_j is z_p - z_q; when one of the two is basic the other's
     # reduced cost is zero without making the optimum ambiguous.
     twins = {}
-    for _, terms in form.subs:
+    for terms in form.subs:
         if len(terms) == 2:
             (p, _), (q, _) = terms
             twins[p], twins[q] = q, p

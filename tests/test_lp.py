@@ -15,13 +15,16 @@ from l1opt import complexity
 from l1opt.complexity import LinearRegionBackend
 from l1opt.errors import RegionInfeasibleError, RegionUnboundedError, ShapeMismatchError
 from l1opt import lp, lp_guide
-from l1opt.lp import lp_optimum, lp_solve
 from l1opt.ptas import linear_mixed_inner_solver
 from oracles import (
     certify_reference,
     fraction_lp_solve,
     guide_basis_reference,
+    leq_form,
+    leq_rows,
     load_problem,
+    lp_optimum,
+    lp_solve,
     reference_float_pivots,
     solve_square_reference,
     vertex_lp_brute,
@@ -282,7 +285,7 @@ def check_optimum(instance):
     assert all(sum(a * v for a, v in zip(row, x)) <= beta for row, beta in zip(A, b))
     for v, lo, hi in zip(x, lower, upper):
         assert (lo is None or lo <= v) and (hi is None or v <= hi)
-    form = lp._leq_form("lp_optimum", *instance)
+    form = leq_form("lp_optimum", *instance).form
     basis = lp_guide._guide_bases(form, [form.cost])[0]
     certificate = None if basis is None else lp._certify(form, basis)
     assert result.certified == (certificate is not None)
@@ -314,7 +317,7 @@ def test_lp_optimum_takes_every_path_on_seeded_lps():
 def test_certificate_rejects_a_wrong_basis():
     # min -x - y with x + 2y <= 4, 3x + y <= 6 and x, y >= 0: the optimum
     # is the vertex (8/5, 6/5).  z_0 = x, z_1 = y; the slacks are 2 and 3.
-    form = lp._leq_form("lp_optimum", [-1, -1], [[1, 2], [3, 1]], [4, 6], "min", [0, 0], None)
+    form = leq_form("lp_optimum", [-1, -1], [[1, 2], [3, 1]], [4, 6], "min", [0, 0], None).form
     assert lp._certify(form, [2, 3]) is None  # feasible, but y prices out
     assert lp._certify(form, [0, 2]) is None  # x = 2 leaves y pricing out
     assert lp._certify(form, [0, 3]) is None  # x = 4 breaks 3x + y <= 6
@@ -324,15 +327,15 @@ def test_certificate_rejects_a_wrong_basis():
     assert certify_reference(form, [1, 0]).unique
     assert lp_guide._guide_bases(form, [form.cost])[0] in ([0, 1], [1, 0])
     # Parallel rows make the basic columns singular.
-    form = lp._leq_form("lp_optimum", [-1, -1], [[1, 1], [2, 2]], [1, 3], "min", [0, 0], None)
+    form = leq_form("lp_optimum", [-1, -1], [[1, 1], [2, 2]], [1, 3], "min", [0, 0], None).form
     assert lp._certify(form, [0, 1]) is None
     # min x over x >= 0 and -x <= 1: the tight row puts x at -1, below
     # its bound, although the dual of that basis is >= 0.
-    form = lp._leq_form("lp_optimum", [1], [[-1]], [1], "min", [0], None)
+    form = leq_form("lp_optimum", [1], [[-1]], [1], "min", [0], None).form
     assert lp._certify(form, [0]) is None
     # min x over x >= 0 and x <= 1: x = 1 at the tight row is feasible,
     # but the row's dual is negative.
-    form = lp._leq_form("lp_optimum", [1], [[1]], [1], "min", [0], None)
+    form = leq_form("lp_optimum", [1], [[1]], [1], "min", [0], None).form
     assert lp._certify(form, [0]) is None
     assert certified(form, [1]) == ([Fraction(0)], Fraction(0))
     assert certify_reference(form, [1]).unique
@@ -405,7 +408,7 @@ def pinning_lps(draw):
         b.append(upper[j] if sign > 0 else -lower[j])
     c = draw(st.lists(SMALL, min_size=n, max_size=n))
     instance = (c, A, b, draw(st.sampled_from(["min", "max"])), lower, upper)
-    form = lp._leq_form("lp_optimum", *instance)
+    form = leq_form("lp_optimum", *instance).form
     rows, width = len(form.rows), len(form.rows) + len(form.cost)
     guide = lp_guide._guide_bases(form, [form.cost])[0]
     bases = [] if guide is None else [guide]
@@ -432,7 +435,7 @@ def test_two_rows_pinning_one_column_are_singular():
     # 0 <= x <= 1/3 and 0 <= y <= 1 with the row x <= 1/3 again: when both
     # x rows are tight, each pins x, and the basis is singular.
     instance = ([-1, -1], [[1, 0]], [Fraction(1, 3)], "min", [0, 0], [Fraction(1, 3), 1])
-    form = lp._leq_form("lp_optimum", *instance)
+    form = leq_form("lp_optimum", *instance).form
     assert form.rows == [[3, 0], [3, 0], [0, 1]]
     # z_0, z_1 and the y row's slack basic: both x rows are tight.
     assert lp._certify(form, [0, 1, 4]) is None
@@ -488,7 +491,7 @@ def priced_regions(draw):
     b = draw(st.lists(rhs_entry, min_size=m, max_size=m))
     lower = draw(st.lists(st.one_of(st.none(), bound), min_size=n, max_size=n))
     upper = [None if lo is None else lo + abs(draw(bound)) for lo in lower]
-    rows = lp._leq_rows("lp_optimum", A, b, n, lower, upper)
+    rows = leq_rows("lp_optimum", A, b, n, lower, upper).form
     costs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
     if costs and draw(st.booleans()):
         costs[draw(st.integers(0, len(costs) - 1))][draw(st.integers(0, n - 1))] = draw(PAST_FLOAT_COST)
@@ -508,20 +511,20 @@ def test_stacked_guide_matches_one_guide_per_cost(case):
 def test_stacked_guide_keeps_each_failure_to_its_lp():
     # -3 <= x, y <= -1 leaves the origin out (phase 1), and x + y <= -5
     # cuts the box to a triangle.
-    rows = lp._leq_rows("t", [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [-1, 3, -1, 3, -5], 2, None, None)
+    rows = lp._leq_rows("t", [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [-1, 3, -1, 3, -5], 2)
     costs = [[1, 0], [PAST_FLOAT, 0], [0, -1], [0, 0]]
     forms = [rows.priced([Fraction(v) for v in c], True) for c in costs]
     bases = lp_guide._guide_bases(rows, [form.cost for form in forms])
     assert bases == [guide_basis_reference(form) for form in forms]
     assert [basis is None for basis in bases] == [False, True, False, False]
     # x >= 0 alone: max x is unbounded, max -x is not.
-    rows = lp._leq_rows("t", [[-1]], [0], 1, None, None)
+    rows = lp._leq_rows("t", [[-1]], [0], 1)
     forms = [rows.priced([Fraction(s)], True) for s in (1, -1, 1)]
     bases = lp_guide._guide_bases(rows, [form.cost for form in forms])
     assert bases == [guide_basis_reference(form) for form in forms]
     assert [basis is None for basis in bases] == [True, False, True]
     # x <= -1 and -x <= -1 leave nothing: phase 1 fails for every cost.
-    rows = lp._leq_rows("t", [[1], [-1]], [-1, -1], 1, None, None)
+    rows = lp._leq_rows("t", [[1], [-1]], [-1, -1], 1)
     forms = [rows.priced([Fraction(s)], True) for s in (1, -1)]
     assert lp_guide._guide_bases(rows, [form.cost for form in forms]) == [None, None]
     assert [guide_basis_reference(form) for form in forms] == [None, None]
@@ -534,7 +537,7 @@ def test_an_artificial_left_basic_on_a_redundant_row_is_pivoted_out(c):
     # such row keeps its own slack's -1, so the artificial always pivots
     # out, and the guide's basis certifies the optimum.
     A, b = [[-1], [-2], [-1]], [-3, -6, -3]
-    form = lp._leq_form("lp_optimum", c, A, b, "min", [0], [10])
+    form = leq_form("lp_optimum", c, A, b, "min", [0], [10]).form
     basis = lp_guide._guide_bases(form, [form.cost])[0]
     assert basis is not None and basis == guide_basis_reference(form)
     result, reference = lp_optimum(c, A, b, lower=[0], upper=[10]), lp_solve(c, A, b, lower=[0], upper=[10])
@@ -643,7 +646,7 @@ def test_guide_stack_stays_within_its_cell_budget():
     # 24 coordinate LPs over 48 rows stack 24 tableaux of 49 x 73 cells
     # (0.7 MB); a budget of four tableaux cuts them into six chunks.
     problem = load_problem(str(DATA / "bound_12x48.json"))
-    rows = lp._leq_rows("t", problem.A, problem.b, problem.n, None, None)
+    rows = lp._leq_rows("t", problem.A, problem.b, problem.n)
     costs = []
     for i in range(problem.n):
         for sign in (1, -1):
@@ -747,7 +750,7 @@ def test_lifted_form_from_the_region_rows_is_the_form_lp_optimum_builds(case):
                 backend.maximize(direction, lifted_bounds=(s_upper, t_upper))
         else:
             assert backend.maximize(direction, lifted_bounds=(s_upper, t_upper)) == (expected.value, expected.x)
-    assert forms == [lp._leq_form("lp_optimum", *lifted_args(*case))]
+    assert forms == [leq_form("lp_optimum", *lifted_args(*case)).form]
     assert (backend.certified_solves, backend.fallback_pivots) == (expected.certified, expected.pivots)
 
 
@@ -771,3 +774,12 @@ def test_lifted_bounds_that_are_negative_none_or_malformed():
         ragged.maximize([1, 1])
     with pytest.raises(ShapeMismatchError, match="^constraint row has 1 entries, expected 2$"):
         ragged.maximize([1] * 4, lifted_bounds=([1, 1], [1, 1]))
+
+
+def test_a_region_with_no_rows_takes_the_lifted_dimension_from_the_direction():
+    # max s_0 + s_1 + t_0 + t_1 over the box alone: every variable at its bound.
+    expected = lp_optimum([1] * 4, [], [], "max", [0] * 4, [1, 2, 3, 4])
+    assert (expected.value, expected.x) == (10, (1, 2, 3, 4))
+    backend = LinearRegionBackend([], [])
+    assert backend.maximize([1, 1, 1, 1], lifted_bounds=([1, 2], [3, 4])) == (10, (1, 2, 3, 4))
+    assert (backend.lp_calls, backend.certified_solves) == (1, expected.certified)

@@ -272,11 +272,12 @@ def inner_outcome(inner, x):
 @given(inner_data())
 # Every point of the feasible set is optimal, and y is where phase 1
 # ends: on the two negative rows, of scales 1 and 2, that needs each
-# artificial weighed as lp_solve weighs it.
+# artificial weighed as the reference lp_solve weighs it.
 @example((1, [0], [0, 0], [[0], [0], [0]], [[-2, 2], [1, 0], [2, -1]], [-1, Fraction(-1, 2), 1], 1))
 def test_inner_solutions_match_a_fresh_lp_per_point(data):
     # The inner LP priced once, with each point setting only its rhs,
-    # against lp_solve on the whole LP at each point: the same solution,
+    # against the reference lp_solve on the whole LP at each point (through
+    # linear_mixed_inner_reference): the same solution,
     # y included, at every point of the ball, or the same error.
     n, c_int, c_cont, A_int, A_cont, b, radius = data
     inner = linear_mixed_inner_solver(c_int, c_cont, A_int, A_cont, b)

@@ -4,7 +4,8 @@ import l1opt
 
 # Every name a user can import from l1opt.  Reference paths that only the
 # tests call (brute-force solvers, l2 counts, covering formulas, the
-# fine-grid reference, the Lipschitz sampler) live in tests/oracles.py.
+# fine-grid reference, the Lipschitz sampler, and the general LP with
+# per-variable bounds, lp_solve and lp_optimum) live in tests/oracles.py.
 PUBLIC_NAMES = [
     "ApproxSolution",
     "BigBound",
@@ -15,7 +16,6 @@ PUBLIC_NAMES = [
     "InnerSolverError",
     "InvalidDimensionError",
     "InvalidWeightsError",
-    "LPResult",
     "LatticePoint",
     "LinearRegionBackend",
     "LipschitzProblem",
@@ -43,8 +43,6 @@ PUBLIC_NAMES = [
     "l1_count_upper_bound",
     "linear_lipschitz_constant",
     "linear_mixed_inner_solver",
-    "lp_optimum",
-    "lp_solve",
     "oracle_complexity_bound",
     "quadratic_lipschitz_constant",
     "solve_l1_ip",
