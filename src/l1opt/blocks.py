@@ -45,7 +45,9 @@ numpy 2.4).
 The constraint rows are decided by one row test per arithmetic,
 :func:`_float_rows` and :func:`_int_rows`.  A weighted budget
 ``sum(costs[j] * |x_j|) <= budget`` is one more linear row, over the
-kept coordinates, which the same row test decides at |x|.
+kept coordinates, which the same row test decides at |x|; where that
+test sums exactly, the walk of a ball too large to keep visits only the
+points that it admits.
 
 A block is support-indexed: points x min(n, rho) arrays of indices and
 values, not dense points x n rows.  At n = 40 and rho = 3 a dense block
@@ -84,7 +86,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import block_tuples, point_blocks
+from .counting import count_l1_lattice
+from .lattice import block_tuples, canonical_ordinal, point_blocks
 
 _INT64_MAX = (1 << 63) - 1
 _INT64_MIN = -(1 << 63)
@@ -115,24 +118,31 @@ def block_scan(n, rho, forms, decide, objective, tolerance=0, stop=None, step=No
     With ``kept`` the ball spans only those coordinates of the n, and a
     point must pass the weighted budget ``sum(costs[j] * |x_j|) <= budget``
     (``admitted``) before it counts as a call; an empty ``kept`` walks the
-    origin alone.  With a ``step`` the point is ``step * y``, as in the
-    approximation schemes.
+    origin alone.  Where :func:`_budget_mask` gives the walk its budget,
+    the walk of a ball too large to keep holds the admitted points
+    alone, and the counts are still those of the ball: its count when the scan drains it, and the
+    winner's ordinal plus one when ``stop`` ends it.  The winner's
+    ordinal is its position in the ball, in closed form.  With a
+    ``step`` the point is ``step * y``, as in the approximation schemes.
     """
     evaluator = block_evaluator(n, forms, rho, tolerance, stop, step)
     evaluate, stop, exact = evaluator or (*point_evaluator(decide, n, stop, step), None)
     if exact is not None and forms[0] is not getattr(objective, "block_forms", None):
         exact = None  # a mixed solve's inner solver
-    admit = None if costs is None else _budget_mask(costs, budget, rho, step)
+    admit, within = (None, None) if costs is None else _budget_mask(costs, budget, rho, step)
+    within = within if kept else None
     if kept is None:
         blocks = point_blocks(n, rho)
     else:
         index = np.array([*kept, n], dtype=np.intp)
         origin = (np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=np.int64))
-        blocks = point_blocks(len(kept), rho) if kept else [origin]
+        blocks = point_blocks(len(kept), rho, within) if kept else [origin]
     best = None
     calls = walked = 0
+    stopped = False
     for pos, val in blocks:
         admitted = None if admit is None else admit(pos, val)
+        reduced = pos
         if kept is not None:
             pos = index[pos]
         values, eligible, results = evaluate(pos, val, admitted)
@@ -152,14 +162,23 @@ def block_scan(n, rho, forms, decide, objective, tolerance=0, stop=None, step=No
             i = candidates[np.argmin(values[candidates])]
             if best is None or values[i] < best[0]:
                 result = None if results is None else results[i]
-                best = (values[i], walked + int(i), pos[i], val[i], result)
+                best = (values[i], walked + int(i), pos[i], val[i], result, reduced[i])
         walked += end
         calls += end if admitted is None else int(np.count_nonzero(admitted[:end]))
         if hits.size:
+            stopped = True
             break
+    if within:
+        # The walk may have held the admitted points alone: the counts
+        # and the ordinal are those of the ball over the kept coordinates.
+        walked = count_l1_lattice(len(kept), rho)
     if best is None:
         return None, calls, walked
-    value, ordinal, pos, val, result = best
+    value, ordinal, pos, val, result, reduced = best
+    if within:
+        ordinal = canonical_ordinal(next(block_tuples(len(kept), reduced[None], val[None])), rho)
+        if stopped:
+            walked = ordinal + 1
     x = next(block_tuples(n, pos[None], val[None], step))
     if result is None:
         result = objective(x) if exact is None else exact(value, pos)
@@ -360,31 +379,41 @@ def _largest(values):
 
 
 def _budget_mask(costs, budget, rho, step):
-    """``admit(pos, val)``: the mask of a block's points within the
-    weighted budget ``sum(costs[j] * |x_j|) <= budget``.
+    """``(admit, within)``: ``admit(pos, val)``, the mask of a block's
+    points within the weighted budget ``sum(costs[j] * |x_j|) <= budget``,
+    and ``within``, the same test as the budget of
+    :func:`l1opt.lattice.point_blocks`, or None.
 
     The budget is one linear row over the kept coordinates, tested at
     |x| by the row test of the evaluators, :func:`_int_rows` or
     :func:`_float_rows`, so its sums run over the support in ascending
-    order, as the per-point sum runs them.  Where no block sum is exact
-    (a Fraction step, or float costs at a rho past 2^53) the sum runs
-    point by point, over the points of :func:`l1opt.lattice.block_tuples`.
+    order, as the per-point sum runs them.  ``within`` runs the row's own
+    sums, the scaled ints or the float64 products ``c_j * (step * m_j)``
+    from zero, against the row's own limit, so the walk skips no point
+    that the mask admits.  Where no block sum is exact (a Fraction step,
+    or float costs at a rho past 2^53) the sum runs point by point, over
+    the points of :func:`l1opt.lattice.block_tuples`, and the walk skips
+    nothing.
     """
     row = Forms(len(costs), ((None, tuple(costs), 0),))
     arithmetic = _arithmetic(row.types, rho, step)
     if arithmetic is int:
         feasible = _int_rows(row, rho, budget)
-        return lambda pos, val: feasible(pos, np.abs(val))
+        limit = _scaled_floor(budget, row.ints.scales[0], not row.fits_int64(rho))
+        within = (tuple(row.ints.L[0, :-1].tolist()), 1, limit)
+        return (lambda pos, val: feasible(pos, np.abs(val))), within
     if arithmetic is float:
         feasible = _float_rows(row, budget)
-        return lambda pos, val: feasible(pos, np.abs(_floats(val, step)))
+        grid = 1 if step is None else abs(step)
+        within = (tuple(row.floats[0][0, :-1].tolist()), grid, _float_floor(budget))
+        return (lambda pos, val: feasible(pos, np.abs(_floats(val, step)))), within
 
     def admit(pos, val):
         points = block_tuples(len(costs), pos, val, step)
         norms = (sum(c * abs(v) for c, v in zip(costs, x) if v) for x in points)
         return np.fromiter((not norm > budget for norm in norms), dtype=bool, count=len(pos))
 
-    return admit
+    return admit, None
 
 
 class _IntForms(NamedTuple):

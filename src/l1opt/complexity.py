@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .counting import BigBound, DEFAULT_SLACK, Real, _require_slack, oracle_complexity_bound
-from .errors import InvalidDimensionError, RegionInfeasibleError, RegionUnboundedError
+from .errors import InvalidDimensionError, RegionInfeasibleError, RegionUnboundedError, ShapeMismatchError
 from .lp import INFEASIBLE, UNBOUNDED, _leq_rows, _lifted, _optima, exact_rationals
 
 # Guards against a float backend reporting 1.9999999996 for an exactly
@@ -78,9 +78,11 @@ class LinearRegionBackend(ConvexOptBackend):
     x_j's two columns reordered into the s and t blocks, are the integers
     of [A | -A], and only the rows of the upper bounds are new
     (``lp._lifted``).  A region with no rows takes the lifted dimension
-    from the direction.  Error messages that name the LP's input carry
-    the prefix ``lp_optimum:``, pinned error text, and a ragged A raises
-    the same error on every solve.  ``lp_calls`` counts the solves,
+    from the direction.  A lifted direction of other than 2n entries, or
+    a bound vector of other than n, raises ``ShapeMismatchError``.
+    Error messages that name the LP's input carry the prefix
+    ``lp_optimum:``, pinned error text, and a ragged A raises the same
+    error on every solve.  ``lp_calls`` counts the solves,
     ``certified_solves`` those answered by a certified guide basis and
     ``fallback_pivots`` the exact simplex pivots of the others.  Infinite
     or NaN entries of A or b raise ``ValueError``.
@@ -99,8 +101,13 @@ class LinearRegionBackend(ConvexOptBackend):
         if lifted_bounds is None:
             return self.maximize_all([direction])[0]
         cost = exact_rationals(direction, "lp_optimum: c")
-        upper = [*lifted_bounds[0], *lifted_bounds[1]]
         n = self.n if self.A else len(cost) // 2
+        if len(cost) != 2 * n:
+            raise ShapeMismatchError(f"lifted direction has {len(cost)} entries, expected {2 * n}")
+        for name, bound in zip(("s_upper", "t_upper"), lifted_bounds):
+            if len(bound) != n:
+                raise ShapeMismatchError(f"lifted bound {name} has {len(bound)} entries, expected {n}")
+        upper = [*lifted_bounds[0], *lifted_bounds[1]]
         return self._answer(next(_optima([_lifted(self._region(n), cost, upper)])))
 
     def maximize_all(self, directions):

@@ -19,25 +19,36 @@ expansion is done in numpy.  The solvers' numpy evaluator reads its
 blocks directly.  There is one way from a block to points,
 :func:`block_tuples`, built in C (``struct`` unpacks the rows of a
 dense slice of the block into tuples of Python ints):
-:func:`iter_l1_points` turns its tuples into one record per point, and
-the solvers' per-point work, the winner of a scan included, reads its
-points through it.  The point set is never materialized: a walk holds
-one block, at most ``BLOCK_CELLS // min(n, rho)`` points as
-support-indexed ``(pos, val)`` arrays, and, where its points are read,
-a dense points x (n + 1) int64 array of at most ``DENSE_CELLS`` cells
-(or one row, when n + 1 is larger).
+:func:`iter_l1_points` turns its tuples into one :class:`LatticePoint`
+per point, each built by one C call (``map`` of ``tuple.__new__`` over
+the record class and the zipped fields), and the solvers' per-point
+work, the winner of a scan included, reads its points through it.  The
+point set is never materialized: a walk holds one block, at most
+``BLOCK_CELLS // min(n, rho)`` points as support-indexed ``(pos, val)``
+arrays, and, where its points are read, a dense points x (n + 1) int64
+array of at most ``DENSE_CELLS`` cells (or one row, when n + 1 is
+larger).
 
-The walk depends on n and rho alone, so the last ball of at most
+A fresh walk may take a budget on the magnitude vectors, a
+nonnegative cost per coordinate and a limit, and then visits only the
+vectors within it.  A vector over it is skipped together with the run
+of vectors after it that keep its entries before its last nonzero one
+and that one at least as large, since none of them costs less.  The
+points of such a walk are those of the ball that pass the budget, in
+canonical order.
+
+The plain walk depends on n and rho alone, so the last ball of at most
 ``KEPT_CELLS`` cells (1 MB) that a walk drained is kept, as one array
 per field, and serves later walks of it in blocks of ``BLOCK_CELLS``
-points; blocks are read-only and column-major, kept or not.
+points; blocks are read-only and column-major, kept or not.  A ball
+that small is walked whole, budget or not, and a budgeted walk is
+never kept.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-from functools import partial
 from itertools import chain, count, repeat
 from typing import Iterator, NamedTuple, Sequence
 
@@ -71,12 +82,15 @@ def iter_l1_points(n: int, radius: Real) -> Iterator[LatticePoint]:
     n = operator.index(n)
     if n < 1:
         raise InvalidDimensionError("dimension must be >= 1")
-    record = partial(tuple.__new__, LatticePoint)
     # zip stops at a block's last point before it draws an ordinal, so
     # one count runs on from block to block.
     ordinals = count()
     return chain.from_iterable(
-        map(record, zip(block_tuples(n, pos, val), np.abs(val).sum(axis=1).tolist(), ordinals))
+        map(
+            tuple.__new__,
+            repeat(LatticePoint),
+            zip(block_tuples(n, pos, val), np.abs(val).sum(axis=1).tolist(), ordinals),
+        )
         for pos, val in point_blocks(n, floor_radius(radius))
     )
 
@@ -136,7 +150,7 @@ KEPT_CELLS = 1 << 16
 _kept: tuple = (None, [])
 
 
-def point_blocks(n: int, rho: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def point_blocks(n: int, rho: int, budget=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The points of the rho-ball in canonical order, one block at a time.
 
     Each block is a pair ``(pos, val)`` of read-only, column-major
@@ -156,6 +170,13 @@ def point_blocks(n: int, rho: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     in place of the ball kept before, for later walks of it in blocks of
     ``BLOCK_CELLS`` points (a fresh block's most, at width 1); one that
     stops early keeps nothing.
+
+    A ``budget``, the ``(costs, step, limit)`` of :func:`_magnitudes`,
+    prunes a larger ball: its walk holds only the points whose magnitude
+    vectors are within it, in canonical order, so a row is no longer its
+    ordinal, and it is never kept.  A ball small enough to keep is
+    walked whole, so the caller still tests each point against the
+    budget.
     """
     n = operator.index(n)
     if n < 1:
@@ -171,7 +192,7 @@ def point_blocks(n: int, rho: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         points = count_l1_lattice(n, rho)
         if points * width <= KEPT_CELLS:
             return _keep(key, (points, width), _walk(n, rho))
-    return _walk(n, rho)
+    return _walk(n, rho, budget)
 
 
 def _keep(key, shape, walk):
@@ -190,7 +211,7 @@ def _keep(key, shape, walk):
     _kept = (key, [(pos[s : s + size], val[s : s + size]) for s in range(0, shape[0], size)])
 
 
-def _walk(n: int, rho: int):
+def _walk(n: int, rho: int, budget=None):
     """The blocks of :func:`point_blocks`, built afresh."""
     width = min(n, rho)
     cap = max(1, BLOCK_CELLS // max(width, 1))
@@ -200,7 +221,7 @@ def _walk(n: int, rho: int):
     # code 0, and the first starts at ``first``.
     flat_pos, flat_val, counts = [], [], []
     total = first = 0
-    for support, mags in _magnitudes(n, rho):
+    for support, mags in _magnitudes(n, rho, budget):
         k = len(support)
         flat_pos += support
         flat_pos += pad_pos[k]
@@ -224,7 +245,7 @@ def _walk(n: int, rho: int):
         yield _expand_signs(flat_pos, flat_val, first, counts, width)
 
 
-def _magnitudes(n: int, rho: int):
+def _magnitudes(n: int, rho: int, budget=None):
     """``(support, mags)`` of every magnitude vector of the rho-ball, in order.
 
     The order is the lexicographic order of the multisets, which is that
@@ -232,14 +253,28 @@ def _magnitudes(n: int, rho: int):
     below rho adds one to its last entry; otherwise its last nonzero
     entry, at index p, drops to zero and the entry at p - 1 grows by one.
     Each step costs O(1).  The two lists are updated in place.
+
+    A ``budget`` ``(costs, step, limit)`` admits only the vectors m whose
+    cost, the sum of ``costs[j] * (step * m_j)`` from zero over the
+    support in ascending order, is at most ``limit``.  A vector over it
+    is not yielded, and the walk goes on as from a vector of norm rho:
+    its last nonzero entry, at p, drops to zero and the entry at p - 1
+    grows.  Every vector skipped that way keeps the entries before p and
+    an m_p at least as large, so with costs of at least zero none costs
+    less, in exact sums and in float sums in a fixed order alike.  The
+    costs are kept as prefix sums, so each step still costs O(1).
     """
     support: list[int] = []
     mags: list[int] = []
     norm = 0
     last = n - 1
+    costs, step, limit = budget or ((), 1, 0)
+    sums = [0]  # the cost of the first k entries of the support, at k
+    over = budget is not None and 0 > limit
     while True:
-        yield support, mags
-        if norm < rho:
+        if not over:
+            yield support, mags
+        if norm < rho and not over:
             norm += 1
             j = last
         elif support and support[-1] > 0:
@@ -252,6 +287,10 @@ def _magnitudes(n: int, rho: int):
         else:
             support.append(j)
             mags.append(1)
+        if budget:
+            del sums[len(support) :]
+            sums.append(sums[-1] + costs[j] * (step * mags[-1]))
+            over = sums[-1] > limit
 
 
 def _expand_signs(flat_pos, flat_val, first, counts, width):

@@ -232,11 +232,10 @@ def _lifted(region: _LeqForm, cost: list[Fraction], upper: Sequence) -> _LeqForm
     are the integers that the rows of [A | -A] scale to, under the same
     rhs and scales.  Each upper bound that is not None adds its row (a
     negative one leaves the LP infeasible); the form is the one that the
-    general LP with lower bounds 0 builds (``tests/oracles.py``).
+    general LP with lower bounds 0 builds (``tests/oracles.py``).  The
+    caller checks that ``cost`` and ``upper`` have 2n entries.
     """
     width = 2 * len(region.subs)
-    if len(cost) != width:
-        raise ShapeMismatchError(f"constraint row has {width} entries, expected {len(cost)}")
     bounds = [(j, u) for j, u in enumerate(_bound_list(upper, width, "lp_optimum", "upper")) if u is not None]
     rows = [row[0::2] + row[1::2] for row in region.rows]
     subs = [((j, 1),) for j in range(width)]

@@ -175,9 +175,12 @@ def solve_weighted_lipschitz_ptas(
     The scaled grid turns the weighted constraint into its integer
     counterpart with radius radius * kappa / epsilon, so the weighted
     reduction applies verbatim: coordinates too expensive to ever leave
-    zero are pinned, the rest are enumerated at the effective radius,
-    and each candidate is re-checked against the exact weighted budget.
-    ``parallel`` is accepted for interface stability; the walk is serial.
+    zero are pinned, the rest span the ball of the effective radius,
+    and the walk of a ball too large to keep visits only the grid points
+    within the weighted budget; each point is still checked against it
+    before the oracles run.
+    ``points_enumerated`` counts the points of that ball.  ``parallel``
+    is accepted for interface stability; the walk is serial.
     """
     _check_parallel(parallel)
     if len(weights) != problem.n:

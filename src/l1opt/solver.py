@@ -266,17 +266,20 @@ def solve_weighted_l1_ip(
     """Optimum under a weighted l1 constraint, by reduction to the plain ball.
 
     Coordinates whose weight exceeds the radius are pinned to zero; the
-    rest are enumerated inside a ball of effective radius
-    radius / min(weights) and re-checked against the exact weighted
-    constraint before the oracle is consulted.  That constraint, with
-    the tolerance added to the radius in float mode, is one linear row
-    over the kept coordinates, with the weights as they are (Fractions
-    in rational mode), which the evaluators' row test decides (see
-    :mod:`l1opt.blocks`).  The minimum is taken
-    over all weights, not just the surviving ones, trading a slightly
-    larger enumeration for a direct match with the reduction as stated.
-    ``points_enumerated`` counts enumerated candidates; ``oracle_calls``
-    counts the candidates that passed the weighted re-check.
+    rest span a ball of effective radius radius / min(weights); the walk
+    of such a ball too large to keep visits only the points within the
+    weighted constraint.  That
+    constraint, with the tolerance added to the radius in float mode, is
+    one linear row over the kept coordinates, with the weights as they
+    are (Fractions in rational mode).  The walk skips each run of points
+    that the row rejects, testing it in the row's own arithmetic, and
+    the evaluators' row test still decides every point it visits before
+    the oracle is consulted (see :mod:`l1opt.blocks`).  The minimum is
+    taken over all weights, not just the surviving ones, for a direct
+    match with the reduction as stated.  ``points_enumerated`` counts
+    the points of that ball, up to the first point at or below
+    ``stop_below`` when one stops the walk; ``oracle_calls`` counts those
+    within the weighted constraint.
     """
     if len(weighted.weights) != problem.n:
         raise ShapeMismatchError(

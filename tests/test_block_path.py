@@ -76,16 +76,20 @@ THRESHOLDS = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, Fraction(1, 3), 0.1]),
 )
 CELLS = st.sampled_from([3, 7, 40, lattice.BLOCK_CELLS])
+# KEPT_CELLS of 0 keeps no ball, so every budgeted walk is pruned; at
+# its own value a small ball is walked whole, or served kept.
+KEPT = st.sampled_from([0, lattice.KEPT_CELLS])
 
 
 @contextlib.contextmanager
-def block_cells(cells):
-    saved = lattice.BLOCK_CELLS
+def block_cells(cells, kept=None):
+    saved = lattice.BLOCK_CELLS, lattice.KEPT_CELLS
     lattice.BLOCK_CELLS = cells
+    lattice.KEPT_CELLS = saved[1] if kept is None else kept
     try:
         yield
     finally:
-        lattice.BLOCK_CELLS = saved
+        lattice.BLOCK_CELLS, lattice.KEPT_CELLS = saved
 
 
 @st.composite
@@ -181,8 +185,9 @@ def test_block_path_matches_scalar_path(problem, radius, stop_below, tolerance, 
     radius=st.fractions(min_value=0, max_value=3, max_denominator=4),
     stop_below=THRESHOLDS,
     cells=CELLS,
+    kept=KEPT,
 )
-def test_weighted_block_path_matches_scalar_path(problem, data, radius, stop_below, cells):
+def test_weighted_block_path_matches_scalar_path(problem, data, radius, stop_below, cells, kept):
     conv = Fraction if problem.arithmetic == RATIONAL else float
     weights = data.draw(
         st.lists(
@@ -193,7 +198,7 @@ def test_weighted_block_path_matches_scalar_path(problem, data, radius, stop_bel
     )
     spec = WeightedL1Spec(tuple(map(conv, weights)), conv(radius))
     options = SolveOptions(stop_below=stop_below)
-    with block_cells(cells):
+    with block_cells(cells, kept):
         fast = solve_weighted_l1_ip(problem, spec, options)
     assert repr(fast) == repr(solve_weighted_l1_ip(wrapped(problem), spec, options))
 
@@ -204,14 +209,15 @@ def test_weighted_block_path_matches_scalar_path(problem, data, radius, stop_bel
     epsilon=st.sampled_from([0.5, 0.75, 1.0]),
     data=st.data(),
     cells=CELLS,
+    kept=KEPT,
 )
-def test_ptas_block_path_matches_scalar_path(problem, epsilon, data, cells):
+def test_ptas_block_path_matches_scalar_path(problem, epsilon, data, cells, kept):
     weights = data.draw(
         st.lists(st.sampled_from([1.0, 1.5, 2.5]), min_size=problem.n, max_size=problem.n)
     )
     fast, slow = lipschitz(problem), lipschitz(wrapped(problem))
     assert problem_evaluator(fast, 2, epsilon, None, 0.5) is not None
-    with block_cells(cells):
+    with block_cells(cells, kept):
         plain = solve_lipschitz_ptas(fast, epsilon)
         weighted = solve_weighted_lipschitz_ptas(fast, weights, epsilon)
     assert repr(plain) == repr(solve_lipschitz_ptas(slow, epsilon))
@@ -236,9 +242,10 @@ EXACT_BUDGETS = st.one_of(
     nan=st.booleans(),
     cells=st.sampled_from([1, 2, 3, 7, 40]),
     dense=st.sampled_from([1, 5]),
+    kept_cells=KEPT,
 )
 def test_both_evaluators_match_the_reference_scan_and_count_real_calls(
-    problem, data, rho, stop, nan, cells, dense
+    problem, data, rho, stop, nan, cells, dense, kept_cells
 ):
     # Float and Fraction grid steps, weighted budgets over kept
     # coordinates (int and Fraction costs and budgets, with costs past
@@ -266,7 +273,7 @@ def test_both_evaluators_match_the_reference_scan_and_count_real_calls(
     args = (rho, tolerance, stop, step, kept, costs, budget)
     reference = repr(reference_scan(problem, *args))
     counted, seen = counting(problem)
-    with block_cells(cells), mock.patch.object(lattice, "DENSE_CELLS", dense):
+    with block_cells(cells, kept_cells), mock.patch.object(lattice, "DENSE_CELLS", dense):
         per_point = scan_ball(counted, *args)
         fast = scan_ball(problem, *args)
     assert repr(per_point) == repr(fast) == reference
@@ -284,8 +291,9 @@ def test_both_evaluators_match_the_reference_scan_and_count_real_calls(
     rho=st.integers(0, 3),
     stop=THRESHOLDS,
     cells=st.sampled_from([1, 3, 7, 40]),
+    kept_cells=KEPT,
 )
-def test_exact_weighted_scans_match_the_reference_scan(problem, data, rho, stop, cells):
+def test_exact_weighted_scans_match_the_reference_scan(problem, data, rho, stop, cells, kept_cells):
     # Every example is an exact weighted scan: the budget is a row over
     # the scaled ints of a nonempty kept set, decided at |x|, and a
     # fractional budget falls between two scaled norms.
@@ -293,9 +301,141 @@ def test_exact_weighted_scans_match_the_reference_scan(problem, data, rho, stop,
     size = len(kept)
     costs = data.draw(st.lists(st.sampled_from(EXACT_COSTS), min_size=size, max_size=size))
     args = (rho, 0, stop, None, kept, costs, data.draw(EXACT_BUDGETS))
-    with block_cells(cells):
+    with block_cells(cells, kept_cells):
         found = scan_ball(problem, *args)
     assert repr(found) == repr(reference_scan(problem, *args))
+
+
+# Float costs whose float sums round away from their exact sums, both
+# up and down: 0.1 + 0.7 sums to a float below the exact 0.8 of the two.
+FLOAT_COSTS = [0.1, 0.2, 0.3, 0.7, 1.0, 2.5, 1 / 3]
+
+
+def float_norm(costs, y, step):
+    """The weighted norm of a point y of the kept coordinates as the
+    budget's float row sums it: the float64 products c_j * |step * y_j|
+    from zero, over the support in ascending order."""
+    norm = 0.0
+    for c, v in zip(costs, y):
+        if v:
+            norm += c * abs(v if step is None else step * v)
+    return norm
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    problem=problems(),
+    data=st.data(),
+    rho=st.integers(0, 4),
+    stop=THRESHOLDS,
+    cells=st.sampled_from([1, 3, 7, 40, lattice.BLOCK_CELLS]),
+    kept_cells=KEPT,
+)
+def test_float_weighted_scans_match_the_reference_scan(problem, data, rho, stop, cells, kept_cells):
+    # Float costs at the integer points of float data, and at the grid
+    # points step * y of either arithmetic, as the weighted PTAS walks
+    # them, over a kept set that often pins coordinates.  The budget is
+    # often the float norm of a point of the ball, or a float next to
+    # it, so the walk must skip exactly what the float row rejects.  A
+    # plain scan of the same ball follows, and where the ball is kept it
+    # must be served the whole ball, not a budgeted walk's blocks.
+    steps = [0.5, 0.3, 0.1] if problem.arithmetic == RATIONAL else [None, 0.5, 0.3, 0.1]
+    step = data.draw(st.sampled_from(steps))
+    every = list(range(problem.n))
+    kept = data.draw(st.one_of(st.just(every), st.sets(st.sampled_from(every), min_size=1).map(sorted)))
+    costs = data.draw(st.lists(st.sampled_from(FLOAT_COSTS), min_size=len(kept), max_size=len(kept)))
+    point = data.draw(st.sampled_from(list(iter_l1_points(len(kept), rho)))).x
+    norm = float_norm(costs, point, step)
+    near = [norm, math.nextafter(norm, math.inf), math.nextafter(norm, -math.inf)]
+    budget = data.draw(st.sampled_from([*near, 0.0, 1.0, 2.5]))
+    tolerance = data.draw(st.sampled_from([1e-9, 0.5]))
+    args = (rho, tolerance, stop, step, kept, costs, budget)
+    lattice._kept = (None, [])
+    with block_cells(cells, kept_cells):
+        found = scan_ball(problem, *args)
+        plain = scan_ball(problem, rho, tolerance, stop, step)
+    assert repr(found) == repr(reference_scan(problem, *args))
+    assert repr(plain) == repr(reference_scan(problem, rho, tolerance, stop, step))
+
+
+def visited_magnitudes(monkeypatch):
+    """The magnitude vectors that the walks of the test visit, each as a
+    dense tuple of the kept coordinates, in the order visited."""
+    visited = []
+    magnitudes = lattice._magnitudes
+
+    def spy(n, *args):
+        for support, mags in magnitudes(n, *args):
+            x = [0] * n
+            for j, m in zip(support, mags):
+                x[j] = m
+            visited.append(tuple(x))
+            yield support, mags
+
+    monkeypatch.setattr(lattice, "_magnitudes", spy)
+    monkeypatch.setattr(lattice, "KEPT_CELLS", 0)  # no ball is walked whole
+    return visited
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), rho=st.integers(0, 4), data=st.data())
+def test_the_budgeted_walk_visits_only_the_vectors_within_budget(n, rho, data):
+    # Every magnitude vector that the walk visits is within the budget,
+    # and every one within it is visited, in canonical order: the
+    # nonnegative points of the ball come in the order of their vectors.
+    exact = data.draw(st.booleans())
+    step = None if exact else data.draw(st.sampled_from([None, 0.3]))
+    costs = data.draw(st.lists(st.sampled_from(EXACT_COSTS if exact else FLOAT_COSTS), min_size=n, max_size=n))
+    ball = [p.x for p in iter_l1_points(n, rho) if min(p.x) >= 0]
+    if exact:
+        budget = data.draw(EXACT_BUDGETS)
+    else:
+        # Often the float norm of a vector of the ball, or a float next to it.
+        norm = float_norm(costs, data.draw(st.sampled_from(ball)), step)
+        near = [norm, math.nextafter(norm, math.inf), math.nextafter(norm, -math.inf)]
+        budget = data.draw(st.one_of(st.sampled_from(near), st.floats(0, 4)))
+    problem = ProblemInstance.linear((0,) * n, (), (), RATIONAL if exact else FLOAT)
+
+    def within(y):
+        norm = sum(c * v for c, v in zip(costs, y)) if exact else float_norm(costs, y, step)
+        return norm <= budget
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        visited = visited_magnitudes(monkeypatch)
+        found = scan_ball(problem, rho, 0, None, step, list(range(n)), costs, budget)
+    assert visited == [y for y in ball if within(y)]
+    assert repr(found) == repr(reference_scan(problem, rho, 0, None, step, list(range(n)), costs, budget))
+
+
+def test_a_wide_weighted_job_walks_its_admitted_points_alone(monkeypatch):
+    # Weights 1 and 2.5 in turn over n = 40 at radius 3, as the
+    # benchmark's weighted jobs: 1,791 of the 12,341 magnitude vectors of
+    # the radius-3 ball are within the budget, and they hold the 11,561
+    # admitted points of its 88,641.  The cost -6 is at x_6, x_20, x_27
+    # and x_34, all of weight 1, and x_34 = 3 has the lowest ordinal.
+    problem = ProblemInstance.linear([float(-(k % 7)) for k in range(40)], (), (), FLOAT)
+    visited = visited_magnitudes(monkeypatch)
+    solution = solve_weighted_l1_ip(problem, WeightedL1Spec((1.0, 2.5) * 20, 3.0))
+    assert len(visited) == 1791
+    assert (solution.oracle_calls, solution.points_enumerated) == (11561, 88641)
+    assert solution.x == (0,) * 34 + (3,) + (0,) * 5
+
+
+def test_a_float_budget_after_an_exact_one_of_equal_value():
+    # Weights 2^52 and 2^52 + 1 at radius 2^53: the exact norm of (1, 1)
+    # is 2^53 + 1, over the budget, but its float norm rounds to 2^53,
+    # within it.  The two budgets are equal as numbers, so a walk kept
+    # under its budget would serve the float solve the exact walk.
+    weights, radius = (2**52, 2**52 + 1), 2**53
+    exact = solve_weighted_l1_ip(
+        ProblemInstance.linear((-1, Fraction(-3, 2)), (), ()), WeightedL1Spec(weights, radius)
+    )
+    floating = solve_weighted_l1_ip(
+        ProblemInstance.linear((-1.0, -1.5), (), (), FLOAT),
+        WeightedL1Spec(tuple(map(float, weights)), float(radius)),
+    )
+    assert (exact.x, exact.objective) == ((2, 0), -2)
+    assert (floating.x, floating.objective) == ((1, 1), -2.5)
 
 
 # Rational values whose scaled forms leave int64 at small radii: huge
@@ -338,14 +478,15 @@ def test_rational_blocks_past_int64_match_scalar_path(problem, radius, stop_belo
     radius=st.fractions(min_value=0, max_value=2, max_denominator=3),
     stop_below=THRESHOLDS,
     cells=CELLS,
+    kept=KEPT,
 )
 def test_rational_weighted_blocks_past_int64_match_scalar_path(
-    problem, data, radius, stop_below, cells
+    problem, data, radius, stop_below, cells, kept
 ):
     weights = data.draw(st.lists(WIDE_WEIGHTS, min_size=problem.n, max_size=problem.n))
     spec = WeightedL1Spec(tuple(weights), radius)
     options = SolveOptions(stop_below=stop_below)
-    with block_cells(cells):
+    with block_cells(cells, kept):
         fast = solve_weighted_l1_ip(problem, spec, options)
     assert repr(fast) == repr(solve_weighted_l1_ip(wrapped(problem), spec, options))
 

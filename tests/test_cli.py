@@ -603,6 +603,17 @@ def test_weighted_float_solve_stdout_of_a_6_by_3_problem(path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("path", ["block", "per-point"])
+def test_weighted_float_solve_stdout_of_a_10_by_3_problem(path, monkeypatch, capsys, evaluators_run):
+    # A float weighted ILP whose budget admits a small share of its ball:
+    # the weights 1 and 2.5 in turn at radius 4 admit 791 of the 8,361
+    # points of the radius-4 ball, and the walk visits only those.  The
+    # optimum (0, 0, 0, 0, 2, 0, 0, 0, -2, 0) has the weighted norm 4.0,
+    # on the budget.
+    block = "_float_evaluator"
+    assert_solve_golden("weighted_float_10x3", block, path, monkeypatch, capsys, evaluators_run)
+
+
+@pytest.mark.parametrize("path", ["block", "per-point"])
 def test_rational_quadratic_solve_stdout_of_an_8_variable_problem(
     path, monkeypatch, capsys, evaluators_run
 ):
@@ -672,6 +683,7 @@ GOLDEN_WALKS = {
     "iqcqp_float": "solve",
     "weighted_8x5": "solve",
     "weighted_float_6x3": "solve",
+    "weighted_float_10x3": "solve",
     "mixed_6x3": "ptas",
     "mixed_2x4": "ptas",
     "weighted_ptas": "ptas",

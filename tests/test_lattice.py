@@ -179,9 +179,9 @@ def test_walk_is_lazy():
     drawn = 0
     magnitudes = lattice._magnitudes
 
-    def counted(n, rho):
+    def counted(*args):
         nonlocal drawn
-        for vector in magnitudes(n, rho):
+        for vector in magnitudes(*args):
             drawn += 1
             yield vector
 

@@ -759,9 +759,9 @@ def test_lifted_bounds_that_are_negative_none_or_malformed():
     backend = LinearRegionBackend(A, b)
     with pytest.raises(RegionInfeasibleError, match="is empty"):
         backend.maximize([1] * 4, lifted_bounds=([1, Fraction(-1, 10**30)], [1, 1]))
-    with pytest.raises(ShapeMismatchError, match="^bound vector has 3 entries, expected 4$"):
+    with pytest.raises(ShapeMismatchError, match="^lifted bound t_upper has 1 entries, expected 2$"):
         backend.maximize([1] * 4, lifted_bounds=([1, 1], [1]))
-    with pytest.raises(ShapeMismatchError, match="^constraint row has 4 entries, expected 3$"):
+    with pytest.raises(ShapeMismatchError, match="^lifted direction has 3 entries, expected 4$"):
         backend.maximize([1] * 3, lifted_bounds=([1, 1], [1]))
     with pytest.raises(ValueError, match=re.escape("lp_optimum: upper[3] = nan is not a finite number")):
         backend.maximize([1] * 4, lifted_bounds=([1, 1], [1, float("nan")]))
@@ -774,6 +774,26 @@ def test_lifted_bounds_that_are_negative_none_or_malformed():
         ragged.maximize([1, 1])
     with pytest.raises(ShapeMismatchError, match="^constraint row has 1 entries, expected 2$"):
         ragged.maximize([1] * 4, lifted_bounds=([1, 1], [1, 1]))
+
+
+@pytest.mark.parametrize(
+    "A, b, direction, bounds, message",
+    [
+        # A region with no rows reads n from the direction, so an odd
+        # direction is malformed whatever its bounds.
+        ([], [], [1, 1, 1], ([1, 2], [3]), "lifted direction has 3 entries, expected 2"),
+        ([], [], [1, 1, 1, 1], ([1, 2], [3]), "lifted bound t_upper has 1 entries, expected 2"),
+        ([[1, 0]], [1], [1, 1, 1], ([1, 2], [3]), "lifted direction has 3 entries, expected 4"),
+        ([[1, 0]], [1], [1] * 4, ([1, 2, 3], [4]), "lifted bound s_upper has 3 entries, expected 2"),
+    ],
+)
+def test_lifted_solves_name_the_malformed_direction_or_bound(A, b, direction, bounds, message):
+    # Each bound vector has its own n entries: a long s_upper and a short
+    # t_upper of 2n entries in all are still malformed.
+    backend = LinearRegionBackend(A, b)
+    with pytest.raises(ShapeMismatchError, match="^" + re.escape(message) + "$"):
+        backend.maximize(direction, lifted_bounds=bounds)
+    assert backend.lp_calls == 0
 
 
 def test_a_region_with_no_rows_takes_the_lifted_dimension_from_the_direction():
