@@ -9,7 +9,7 @@ place that does: :func:`block_evaluator` sums the forms (those of the
 built-in oracles of :meth:`l1opt.solver.ProblemInstance.linear` and
 ``.quadratic``, or the dual forms of a mixed problem's LPs) over a
 whole block in numpy, and where it refuses them :func:`point_evaluator`
-calls ``decide`` (joint oracles, or an inner solver) once per admitted
+calls ``decide`` (joint oracles, or an inner solver) once per walked
 point.  Every point that Python code sees, the winner's included, is
 read through :func:`l1opt.lattice.block_tuples`.
 
@@ -44,10 +44,9 @@ numpy 2.4).
 
 The constraint rows are decided by one row test per arithmetic,
 :func:`_float_rows` and :func:`_int_rows`.  A weighted budget
-``sum(costs[j] * |x_j|) <= budget`` is one more linear row, over the
-kept coordinates, which the same row test decides at |x|; where that
-test sums exactly, the walk of a ball too large to keep visits only the
-points that it admits.
+``sum(costs[j] * |x_j|) <= budget`` is no row: the walk itself visits
+only the points within it (:func:`_walk_budget`), so every point that
+an evaluator sees is within the budget.
 
 A block is support-indexed: points x min(n, rho) arrays of indices and
 values, not dense points x n rows.  At n = 40 and rho = 3 a dense block
@@ -115,12 +114,11 @@ def block_scan(n, rho, forms, decide, objective, tolerance=0, stop=None, step=No
     tie, and ``stop`` ends the scan at the first eligible point at or
     below it, with the counts of the walk up to that point.
 
-    With ``kept`` the ball spans only those coordinates of the n, and a
-    point must pass the weighted budget ``sum(costs[j] * |x_j|) <= budget``
-    (``admitted``) before it counts as a call; an empty ``kept`` walks the
-    origin alone.  Where :func:`_budget_mask` gives the walk its budget,
-    the walk of a ball too large to keep holds the admitted points
-    alone, and the counts are still those of the ball: its count when the scan drains it, and the
+    With ``kept`` the ball spans only those coordinates of the n, and
+    the walk holds only the points within the weighted budget
+    ``sum(costs[j] * |x_j|) <= budget`` (:func:`_walk_budget`), each one
+    call; an empty ``kept`` walks the origin alone.  The counts are still
+    those of the ball: its count when the scan drains it, and the
     winner's ordinal plus one when ``stop`` ends it.  The winner's
     ordinal is its position in the ball, in closed form.  With a
     ``step`` the point is ``step * y``, as in the approximation schemes.
@@ -129,25 +127,22 @@ def block_scan(n, rho, forms, decide, objective, tolerance=0, stop=None, step=No
     evaluate, stop, exact = evaluator or (*point_evaluator(decide, n, stop, step), None)
     if exact is not None and forms[0] is not getattr(objective, "block_forms", None):
         exact = None  # a mixed solve's inner solver
-    admit, within = (None, None) if costs is None else _budget_mask(costs, budget, rho, step)
-    within = within if kept else None
     if kept is None:
         blocks = point_blocks(n, rho)
     else:
+        # An empty kept spans the origin alone: the radius-0 ball of one
+        # coordinate, whose padding index maps to n.
+        dims, rho = (len(kept), rho) if kept else (1, 0)
         index = np.array([*kept, n], dtype=np.intp)
-        origin = (np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=np.int64))
-        blocks = point_blocks(len(kept), rho, within) if kept else [origin]
+        blocks = point_blocks(dims, rho, _walk_budget(costs, budget, step))
     best = None
-    calls = walked = 0
+    walked = 0
     stopped = False
     for pos, val in blocks:
-        admitted = None if admit is None else admit(pos, val)
         reduced = pos
         if kept is not None:
             pos = index[pos]
-        values, eligible, results = evaluate(pos, val, admitted)
-        if admitted is not None:
-            eligible &= admitted
+        values, eligible, results = evaluate(pos, val)
         end = len(pos)
         candidates = np.flatnonzero(eligible)
         hits = candidates[:0]
@@ -164,25 +159,40 @@ def block_scan(n, rho, forms, decide, objective, tolerance=0, stop=None, step=No
                 result = None if results is None else results[i]
                 best = (values[i], walked + int(i), pos[i], val[i], result, reduced[i])
         walked += end
-        calls += end if admitted is None else int(np.count_nonzero(admitted[:end]))
         if hits.size:
             stopped = True
             break
-    if within:
-        # The walk may have held the admitted points alone: the counts
+    calls = walked
+    if kept is not None:
+        # The walk held the points within the budget alone: the counts
         # and the ordinal are those of the ball over the kept coordinates.
-        walked = count_l1_lattice(len(kept), rho)
+        walked = count_l1_lattice(dims, rho)
     if best is None:
         return None, calls, walked
     value, ordinal, pos, val, result, reduced = best
-    if within:
-        ordinal = canonical_ordinal(next(block_tuples(len(kept), reduced[None], val[None])), rho)
+    if kept is not None:
+        ordinal = canonical_ordinal(next(block_tuples(dims, reduced[None], val[None])), rho)
         if stopped:
             walked = ordinal + 1
     x = next(block_tuples(n, pos[None], val[None], step))
     if result is None:
         result = objective(x) if exact is None else exact(value, pos)
     return (result, ordinal, x), calls, walked
+
+
+def _walk_budget(costs, budget, step):
+    """The weighted budget ``sum(costs[j] * |x_j|) <= budget`` as the
+    ``(costs, step, limit)`` of :func:`l1opt.lattice.point_blocks`, whose
+    walk sums it as the per-point sum runs, ``costs[j] * |step * y_j|``
+    from int 0 over the support in ascending order.  Rational costs at
+    integer points are scaled to ints by the lcm of their denominators,
+    against the floor of the scaled budget, which keeps each sum an int;
+    any others are summed as given."""
+    if step is None and all(isinstance(c, (int, Fraction)) for c in costs):
+        scale = math.lcm(*(c.denominator for c in costs))
+        ints = tuple(c.numerator * (scale // c.denominator) for c in costs)
+        return ints, 1, _scaled_floor(budget, scale, True)
+    return costs, 1 if step is None else abs(step), budget
 
 
 @_float_errors
@@ -192,10 +202,10 @@ def _at_or_below(values, stop):
 
 
 def point_evaluator(decide, n, stop=None, step=None):
-    """``(evaluate, stop)`` that calls ``decide(x)`` once for each admitted
-    point of a block, in canonical order.
+    """``(evaluate, stop)`` that calls ``decide(x)`` once for each point
+    of a block, in canonical order.
 
-    ``evaluate(pos, val, admitted)`` returns a block's ``values``, the
+    ``evaluate(pos, val)`` returns a block's ``values``, the
     mask of its ``eligible`` points (feasible, with a value that is not
     NaN) and ``results``, each point's own result; :func:`block_evaluator`
     returns None for ``results``.  ``decide`` returns ``(value, result)``,
@@ -206,13 +216,10 @@ def point_evaluator(decide, n, stop=None, step=None):
     the scan counts calls.
     """
 
-    def evaluate(pos, val, admitted):
+    def evaluate(pos, val):
         size = len(pos)
         values, results = [None] * size, [None] * size
-        rows = range(size)
-        if admitted is not None:
-            rows, pos, val = np.flatnonzero(admitted).tolist(), pos[admitted], val[admitted]
-        for r, x in zip(rows, block_tuples(n, pos, val, step)):
+        for r, x in enumerate(block_tuples(n, pos, val, step)):
             value, result = decide(x)
             if value is not None and value == value:
                 values[r], results[r] = value, result
@@ -265,11 +272,6 @@ def _arithmetic(types, rho, step):
     return int if types <= {int, Fraction} else None
 
 
-def _floats(val, step):
-    """The entries of a block in float64: ``val``, or ``step * val``."""
-    return val.astype(np.float64) if step is None else step * val
-
-
 def _float_evaluator(objective, rows, tolerance, stop, step):
     """The evaluator in float64, for float data or for rational data at
     grid points."""
@@ -277,8 +279,8 @@ def _float_evaluator(objective, rows, tolerance, stop, step):
     threshold = None if stop is None else _float_floor(stop)
 
     @_float_errors
-    def evaluate(pos, val, admitted):
-        x = _floats(val, step)
+    def evaluate(pos, val):
+        x = val.astype(np.float64) if step is None else step * val
         values = _largest(objective.float_values(pos, x))
         return values, feasible(pos, x) & (values == values), None
 
@@ -319,7 +321,7 @@ def _int_evaluator(objective, rows, rho, tolerance, stop):
     else:
         exact = None
 
-    def evaluate(pos, val, admitted):
+    def evaluate(pos, val):
         if big:
             wide = val.astype(object)
             forms = (_form_values(*form, pos, wide)[0] for form in objective.singles)
@@ -376,44 +378,6 @@ def _largest(values):
     """The largest of each column of forms' values; the one row as it is
     for a single form, which saves a reduction per block."""
     return values[0] if len(values) == 1 else values.max(axis=0)
-
-
-def _budget_mask(costs, budget, rho, step):
-    """``(admit, within)``: ``admit(pos, val)``, the mask of a block's
-    points within the weighted budget ``sum(costs[j] * |x_j|) <= budget``,
-    and ``within``, the same test as the budget of
-    :func:`l1opt.lattice.point_blocks`, or None.
-
-    The budget is one linear row over the kept coordinates, tested at
-    |x| by the row test of the evaluators, :func:`_int_rows` or
-    :func:`_float_rows`, so its sums run over the support in ascending
-    order, as the per-point sum runs them.  ``within`` runs the row's own
-    sums, the scaled ints or the float64 products ``c_j * (step * m_j)``
-    from zero, against the row's own limit, so the walk skips no point
-    that the mask admits.  Where no block sum is exact (a Fraction step,
-    or float costs at a rho past 2^53) the sum runs point by point, over
-    the points of :func:`l1opt.lattice.block_tuples`, and the walk skips
-    nothing.
-    """
-    row = Forms(len(costs), ((None, tuple(costs), 0),))
-    arithmetic = _arithmetic(row.types, rho, step)
-    if arithmetic is int:
-        feasible = _int_rows(row, rho, budget)
-        limit = _scaled_floor(budget, row.ints.scales[0], not row.fits_int64(rho))
-        within = (tuple(row.ints.L[0, :-1].tolist()), 1, limit)
-        return (lambda pos, val: feasible(pos, np.abs(val))), within
-    if arithmetic is float:
-        feasible = _float_rows(row, budget)
-        grid = 1 if step is None else abs(step)
-        within = (tuple(row.floats[0][0, :-1].tolist()), grid, _float_floor(budget))
-        return (lambda pos, val: feasible(pos, np.abs(_floats(val, step)))), within
-
-    def admit(pos, val):
-        points = block_tuples(len(costs), pos, val, step)
-        norms = (sum(c * abs(v) for c, v in zip(costs, x) if v) for x in points)
-        return np.fromiter((not norm > budget for norm in norms), dtype=bool, count=len(pos))
-
-    return admit, None
 
 
 class _IntForms(NamedTuple):

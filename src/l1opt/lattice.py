@@ -29,20 +29,20 @@ arrays, and, where its points are read, a dense points x (n + 1) int64
 array of at most ``DENSE_CELLS`` cells (or one row, when n + 1 is
 larger).
 
-A fresh walk may take a budget on the magnitude vectors, a
-nonnegative cost per coordinate and a limit, and then visits only the
-vectors within it.  A vector over it is skipped together with the run
-of vectors after it that keep its entries before its last nonzero one
-and that one at least as large, since none of them costs less.  The
-points of such a walk are those of the ball that pass the budget, in
-canonical order.
+A walk may take a budget on the magnitude vectors, a nonnegative cost
+per coordinate and a limit, and then visits only the vectors within it:
+the walk is the one place that tests a budget.  A vector over it is
+skipped together with the run of vectors after it that keep its entries
+before its last nonzero one and that one at least as large, since none
+of them costs less.  The points of such a walk are those of the ball
+that pass the budget, in canonical order.
 
 The plain walk depends on n and rho alone, so the last ball of at most
 ``KEPT_CELLS`` cells (1 MB) that a walk drained is kept, as one array
 per field, and serves later walks of it in blocks of ``BLOCK_CELLS``
-points; blocks are read-only and column-major, kept or not.  A ball
-that small is walked whole, budget or not, and a budgeted walk is
-never kept.
+points; blocks are read-only and column-major, kept or not.  A budgeted
+walk is always walked afresh, at any size: it is never kept, never
+served kept, and leaves the kept ball as it was.
 """
 
 from __future__ import annotations
@@ -166,17 +166,15 @@ def point_blocks(n: int, rho: int, budget=None) -> Iterator[tuple[np.ndarray, np
     No entry leaves int64 in a walk that can run: an entry of
     magnitude m first shows up after at least m points.
 
-    A walk that drains a ball of at most ``KEPT_CELLS`` cells keeps it,
-    in place of the ball kept before, for later walks of it in blocks of
-    ``BLOCK_CELLS`` points (a fresh block's most, at width 1); one that
-    stops early keeps nothing.
+    A plain walk that drains a ball of at most ``KEPT_CELLS`` cells keeps
+    it, in place of the ball kept before, for later walks of it in blocks
+    of ``BLOCK_CELLS`` points (a fresh block's most, at width 1); one
+    that stops early keeps nothing.
 
     A ``budget``, the ``(costs, step, limit)`` of :func:`_magnitudes`,
-    prunes a larger ball: its walk holds only the points whose magnitude
-    vectors are within it, in canonical order, so a row is no longer its
-    ordinal, and it is never kept.  A ball small enough to keep is
-    walked whole, so the caller still tests each point against the
-    budget.
+    makes the walk a fresh one that holds only the points whose
+    magnitude vectors are within it, in canonical order, so a row is no
+    longer its ordinal; it is never kept and never served kept.
     """
     n = operator.index(n)
     if n < 1:
@@ -184,7 +182,7 @@ def point_blocks(n: int, rho: int, budget=None) -> Iterator[tuple[np.ndarray, np
     width = min(n, rho)
     # A ball holds the origin and 2 * n * rho points on the axes, so this
     # bound turns a huge ball away before its count is computed.
-    if 0 < (1 + 2 * n * rho) * width <= KEPT_CELLS:
+    if budget is None and 0 < (1 + 2 * n * rho) * width <= KEPT_CELLS:
         key = (n, rho, BLOCK_CELLS)
         kept_key, blocks = _kept
         if kept_key == key:

@@ -13,9 +13,9 @@ exists.
 Both approximation schemes walk the ball through
 :func:`l1opt.solver.scan_ball`, the walk of the exact solvers, with the
 grid step: each integer point y becomes the grid point ``step * y``,
-and the weighted budget is tested over the kept coordinates.  The scan,
-:func:`l1opt.blocks.block_scan`, picks the evaluator.  The block
-evaluator runs when the problem's objective and constraints are
+and the walk tests the weighted budget over the kept coordinates.
+The scan, :func:`l1opt.blocks.block_scan`, picks the evaluator.  The
+block evaluator runs when the problem's objective and constraints are
 built-in oracles (those of :meth:`l1opt.solver.ProblemInstance.linear`
 or ``.quadratic``) over float or rational data and the step is a
 float; rational data is summed in float64 over its float image, as
@@ -176,9 +176,9 @@ def solve_weighted_lipschitz_ptas(
     counterpart with radius radius * kappa / epsilon, so the weighted
     reduction applies verbatim: coordinates too expensive to ever leave
     zero are pinned, the rest span the ball of the effective radius,
-    and the walk of a ball too large to keep visits only the grid points
-    within the weighted budget; each point is still checked against it
-    before the oracles run.
+    and the walk visits only the grid points within the weighted budget,
+    the radius widened by a relative 1e-12 to absorb the rounding of the
+    float sum, so the oracles run at those points alone.
     ``points_enumerated`` counts the points of that ball.  ``parallel``
     is accepted for interface stability; the walk is serial.
     """
@@ -204,7 +204,7 @@ def solve_weighted_lipschitz_ptas(
         step=step,
         kept=kept,
         costs=costs,
-        budget=problem.radius + 1e-12,
+        budget=problem.radius * (1 + 1e-12),
     )
     return _approx_from(found, scaled_radius, step)
 

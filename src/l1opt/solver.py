@@ -266,17 +266,15 @@ def solve_weighted_l1_ip(
     """Optimum under a weighted l1 constraint, by reduction to the plain ball.
 
     Coordinates whose weight exceeds the radius are pinned to zero; the
-    rest span a ball of effective radius radius / min(weights); the walk
-    of such a ball too large to keep visits only the points within the
-    weighted constraint.  That
-    constraint, with the tolerance added to the radius in float mode, is
-    one linear row over the kept coordinates, with the weights as they
+    rest span a ball of effective radius radius / min(weights), whose
+    walk visits only the points within the weighted constraint, with the
+    tolerance added to the radius in float mode and the weights as they
     are (Fractions in rational mode).  The walk skips each run of points
-    that the row rejects, testing it in the row's own arithmetic, and
-    the evaluators' row test still decides every point it visits before
-    the oracle is consulted (see :mod:`l1opt.blocks`).  The minimum is
-    taken over all weights, not just the surviving ones, for a direct
-    match with the reduction as stated.  ``points_enumerated`` counts
+    over it, summing the weighted norm as the per-point sum does (see
+    :func:`l1opt.blocks.block_scan`), so the oracle is consulted at the
+    points within it alone.  The minimum is taken over all weights, not
+    just the surviving ones, for a direct match with the reduction as
+    stated.  ``points_enumerated`` counts
     the points of that ball, up to the first point at or below
     ``stop_below`` when one stops the walk; ``oracle_calls`` counts those
     within the weighted constraint.

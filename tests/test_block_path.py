@@ -76,8 +76,8 @@ THRESHOLDS = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, Fraction(1, 3), 0.1]),
 )
 CELLS = st.sampled_from([3, 7, 40, lattice.BLOCK_CELLS])
-# KEPT_CELLS of 0 keeps no ball, so every budgeted walk is pruned; at
-# its own value a small ball is walked whole, or served kept.
+# KEPT_CELLS of 0 keeps no ball; at its own value a plain walk of a
+# small ball is served kept, while a budgeted one is always walked afresh.
 KEPT = st.sampled_from([0, lattice.KEPT_CELLS])
 
 
@@ -336,9 +336,10 @@ def test_float_weighted_scans_match_the_reference_scan(problem, data, rho, stop,
     # points step * y of either arithmetic, as the weighted PTAS walks
     # them, over a kept set that often pins coordinates.  The budget is
     # often the float norm of a point of the ball, or a float next to
-    # it, so the walk must skip exactly what the float row rejects.  A
-    # plain scan of the same ball follows, and where the ball is kept it
-    # must be served the whole ball, not a budgeted walk's blocks.
+    # it, so the walk must skip exactly what the reference's float sum
+    # rejects.  A plain scan of the same ball follows, and where the ball
+    # is kept it must be served the whole ball, not a budgeted walk's
+    # blocks.
     steps = [0.5, 0.3, 0.1] if problem.arithmetic == RATIONAL else [None, 0.5, 0.3, 0.1]
     step = data.draw(st.sampled_from(steps))
     every = list(range(problem.n))
@@ -373,7 +374,6 @@ def visited_magnitudes(monkeypatch):
             yield support, mags
 
     monkeypatch.setattr(lattice, "_magnitudes", spy)
-    monkeypatch.setattr(lattice, "KEPT_CELLS", 0)  # no ball is walked whole
     return visited
 
 
@@ -1050,9 +1050,13 @@ KEPT_BALL_SOLVES = {
 @pytest.mark.parametrize("kind", sorted(KEPT_BALL_SOLVES))
 def test_solves_of_a_kept_ball_equal_the_first(kind, evaluators_run):
     solve, evaluator = KEPT_BALL_SOLVES[kind]
-    lattice._kept = (None, [])
+    lattice._kept = before = (None, [])
     cold = solve()
-    assert lattice._kept[0] is not None
+    if kind == "weighted kept subset":
+        # A budgeted walk is walked afresh, so it keeps nothing.
+        assert lattice._kept is before
+    else:
+        assert lattice._kept[0] is not None
     hot = solve()
     assert repr(hot) == repr(cold)
     assert evaluators_run == [evaluator, evaluator]
@@ -1090,3 +1094,17 @@ def test_a_solve_that_stops_early_keeps_nothing():
     solution = solve_l1_ip(ProblemInstance.linear((1, 0, 0), (), ()), 2, SolveOptions(stop_below=-1))
     assert solution.points_enumerated == 15
     assert lattice._kept[0] is None
+
+
+def test_a_budgeted_walk_keeps_nothing_and_evicts_nothing():
+    # A plain solve keeps the (12, 3) ball; a weighted solve of the
+    # (5, 2) ball after it walks its own ball afresh and leaves that one
+    # kept.
+    lattice._kept = (None, [])
+    solve_l1_ip(ProblemInstance.linear(*TWO_BLOCK_BALL), 3)
+    assert lattice._kept[0] == (12, 3, lattice.BLOCK_CELLS)
+    weighted = solve_weighted_l1_ip(
+        ProblemInstance.linear((-1, 1, -2, 0, 1), (), ()), WeightedL1Spec((1, 2, 1, 1, 2), 2)
+    )
+    assert weighted.points_enumerated == 61
+    assert lattice._kept[0] == (12, 3, lattice.BLOCK_CELLS)

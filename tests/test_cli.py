@@ -614,6 +614,22 @@ def test_weighted_float_solve_stdout_of_a_10_by_3_problem(path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("path", ["block", "per-point"])
+def test_weighted_ptas_stdout_at_a_tiny_radius(path, monkeypatch, capsys, evaluators_run):
+    # lambda = 1e-20 under weights (1, 3), on the grid of step 1e-21: the
+    # budget's slack scales with the radius, so the best grid point is
+    # (0, 3 * 1e-21), of weighted norm 9e-21.  An absolute slack of 1e-12
+    # admitted all 221 points of the ball and printed x = (0, 1e-20),
+    # three times over the radius.
+    data = pathlib.Path(__file__).parent / "data"
+    doc = json.loads((data / "weighted_ptas_tiny.json").read_text())
+    x = json.loads((data / "weighted_ptas_tiny.stdout").read_text() + "}")["x"]
+    assert x == [0.0, 3 * 1e-21]
+    assert sum(w * abs(v) for w, v in zip(doc["weights"], x)) <= doc["lambda"]
+    block = "_float_evaluator"
+    assert_solve_golden("weighted_ptas_tiny", block, path, monkeypatch, capsys, evaluators_run, "ptas")
+
+
+@pytest.mark.parametrize("path", ["block", "per-point"])
 def test_rational_quadratic_solve_stdout_of_an_8_variable_problem(
     path, monkeypatch, capsys, evaluators_run
 ):
@@ -636,14 +652,15 @@ def test_float_quadratic_row_solve_stdout_of_a_6_variable_problem(
     assert_solve_golden("iqcqp_float", block, path, monkeypatch, capsys, evaluators_run)
 
 
-def assert_solve_golden(name, block, path, monkeypatch, capsys, evaluators_run):
-    """``l1opt solve`` of the file ``name`` prints its golden bytes on the
-    ``block`` evaluator or, with wrapped oracles, on the per-point one."""
+def assert_solve_golden(name, block, path, monkeypatch, capsys, evaluators_run, command="solve"):
+    """``l1opt solve`` (or ``command``) of the file ``name`` prints its
+    golden bytes on the ``block`` evaluator or, with wrapped oracles, on
+    the per-point one."""
     data = pathlib.Path(__file__).parent / "data"
     if path == "per-point":
-        for solver in ("solve_l1_ip", "solve_weighted_l1_ip"):
+        for solver in ("solve_l1_ip", "solve_weighted_l1_ip", "solve_weighted_lipschitz_ptas"):
             monkeypatch.setattr(cli, solver, with_wrapped_oracles(getattr(cli, solver)))
-    assert cli.main(["solve", str(data / f"{name}.json")]) == 0
+    assert cli.main([command, str(data / f"{name}.json")]) == 0
     assert evaluators_run == [block if path == "block" else "point_evaluator"]
     head, tail = capsys.readouterr().out.rsplit(', "version"', 1)
     assert head + "\n" == (data / f"{name}.stdout").read_text()
@@ -654,12 +671,12 @@ def with_wrapped_oracles(solve):
     """``solve`` on the instance with its oracles wrapped in lambdas, so
     that its scan runs the per-point evaluator."""
 
-    def wrapped(instance, *args):
+    def wrapped(instance, *args, **kwargs):
         objective, constraints = instance.objective, instance.constraints
         instance = dataclasses.replace(
             instance, objective=lambda x: objective(x), constraints=lambda x: constraints(x)
         )
-        return solve(instance, *args)
+        return solve(instance, *args, **kwargs)
 
     return wrapped
 
@@ -687,6 +704,7 @@ GOLDEN_WALKS = {
     "mixed_6x3": "ptas",
     "mixed_2x4": "ptas",
     "weighted_ptas": "ptas",
+    "weighted_ptas_tiny": "ptas",
 }
 CLI_SOLVERS = (
     "solve_l1_ip",
@@ -702,8 +720,10 @@ def test_kept_solves_of_the_goldens_equal_the_cold_ones(name, monkeypatch, capsy
     # The command line walks each ball once per process, so no golden run
     # reaches a kept ball.  Here each file is solved twice in one
     # process: first cold, and then from the kept ball, with no fresh
-    # walk.  Both solutions, their counts included, and both outputs
-    # must agree, and the output is the golden one.
+    # walk.  A weighted file's walk is budgeted, so it is walked afresh
+    # both times and leaves the kept ball as it was.  Both solutions,
+    # their counts included, and both outputs must agree, and the output
+    # is the golden one.
     solutions = []
     for solver in CLI_SOLVERS:
 
@@ -714,12 +734,17 @@ def test_kept_solves_of_the_goldens_equal_the_cold_ones(name, monkeypatch, capsy
         monkeypatch.setattr(cli, solver, record)
     data = pathlib.Path(__file__).parent / "data"
     argv = [GOLDEN_WALKS[name], str(data / f"{name}.json")]
-    lattice._kept = (None, [])
+    lattice._kept = before = (None, [])
     assert cli.main(argv) == 0
-    assert lattice._kept[0] is not None
-    refuse = mock.Mock(side_effect=AssertionError("the kept ball is walked afresh"))
-    with mock.patch.object(lattice, "_walk", refuse):
+    if name.startswith("weighted"):
+        assert lattice._kept is before
         assert cli.main(argv) == 0
+        assert lattice._kept is before
+    else:
+        assert lattice._kept[0] is not None
+        refuse = mock.Mock(side_effect=AssertionError("the kept ball is walked afresh"))
+        with mock.patch.object(lattice, "_walk", refuse):
+            assert cli.main(argv) == 0
     cold, kept = solutions
     assert repr(kept) == repr(cold)
     outputs = [out.rsplit(', "version"', 1)[0] for out in capsys.readouterr().out.splitlines()]

@@ -245,6 +245,18 @@ def test_rational_weighted_budget_pins_an_infinite_weight():
     assert solve_weighted_l1_ip(problem, spec) == solve_weighted_l1_ip(wrap_oracles(problem), spec)
 
 
+def test_a_budget_below_zero_rejects_the_origin_of_an_all_pinned_walk():
+    # At radius 0 every coordinate is pinned, so the walk is the origin
+    # alone; a negative tolerance puts the budget below its norm 0, and
+    # the walk rejects it as it rejects any point over the budget.
+    problem = ProblemInstance.linear((1.0, -1.0), (), (), arithmetic=FLOAT)
+    spec = WeightedL1Spec((1.0, 2.0), 0.0)
+    rejected = solve_weighted_l1_ip(problem, spec, SolveOptions(tolerance=-1e-9))
+    assert (rejected.status, rejected.oracle_calls, rejected.points_enumerated) == ("infeasible", 0, 1)
+    admitted = solve_weighted_l1_ip(problem, spec, SolveOptions(tolerance=0.0))
+    assert (admitted.x, admitted.oracle_calls, admitted.points_enumerated) == ((0, 0), 1, 1)
+
+
 def test_parallel_matches_serial():
     rng = random.Random(5)
     for _ in range(10):
